@@ -2222,7 +2222,6 @@ mod tests {
             // Must match e18_prediction's WORKERS: one worker keeps
             // live service load-independent like the DES assumes.
             workers: 1,
-            shards: 1,
             queue_capacity: Some(4),
             overflow: OverflowPolicy::Reject,
             weights: [2.0, 1.5, 1.0],

@@ -38,7 +38,7 @@ use chipforge::resil::{
     FaultPlan, FlakyProxy, Journal, JournalWriter, NetFaultPlan, ResiliencePolicy, ShardFaultPlan,
 };
 use chipforge::route::RouterKind;
-use chipforge::serve::{Client, Hub, HubConfig, KeyRegistry, Server};
+use chipforge::serve::{job_from_json, Client, Hub, HubConfig, KeyRegistry, Server};
 use chipforge::{EnablementHub, Tier, TierStrategy};
 use serde::json;
 use serde::Value;
@@ -135,8 +135,7 @@ USAGE:
   forge gen --list
   forge semester [--students <n>] [--servers <n>] [--seed <n>]
             [--utilization <0..1>] [--calibrate]
-  forge serve [--addr <host:port>] [--workers <n>] [--shards <n>]
-            [--max-queue <n>]
+  forge serve [--addr <host:port>] [--workers <n>] [--max-queue <n>]
             [--shed-oldest] [--tier-quota <b,i,a>] [--aging <rate>]
             [--tier-rate <b,i,a>] [--timeout-ms <ms>]
             [--journal <out.jsonl>] [--stage-cache <dir>]
@@ -204,9 +203,9 @@ stays down.
 Kernels: `--placer` selects the placement kernel (`anneal` — seeded
 simulated annealing, the default — or `analytic` — the deterministic
 quadratic-wirelength solver) and `--router` the global-routing kernel
-(`maze` A* or `steiner` tree construction). Batch manifest jobs take
-the same names via `placer`/`router` fields. Kernel choice is part of
-every downstream stage cache key.
+(`maze` A* or `steiner` tree construction). Batch manifest jobs and hub
+job bodies take the same names via `placer`/`router` fields. Kernel
+choice is part of every downstream stage cache key.
 
 Corpus: `forge gen` generates seeded design families — CPU control
 paths, DSP FIR/FFT datapaths, crypto rounds, NoC routers — from spec
@@ -230,7 +229,12 @@ machinery: bounded per-tier queues (`--max-queue`, `--shed-oldest`),
 fair-share weights (`--tier-quota`) with aging (`--aging`), per-tier
 token-bucket rates (`--tier-rate`, tokens/s, 0 = unlimited). With
 `--journal` completed jobs survive a crash: a restarted hub re-lists
-them. `forge client` submits manifests to a hub and polls job state.
+them. Every hub worker runs its jobs on one shared long-lived executor
+(the per-job path of `forge batch`: caches, retries, timeout), so
+`--workers` is the only capacity knob. `forge client` submits manifests
+to a hub and polls job state; a manifest entry and a hub job body are
+parsed by the same code, except that `file` and `copies` only mean
+something to a local `forge batch` and are refused (400) by the hub.
 
 Exit codes: 0 success; 1 job failure(s) under --strict; 2 config or
 manifest error; 3 batch cut short (failure budget or open breaker).
@@ -449,67 +453,47 @@ fn manifest_field<'a, T>(
 
 /// Parses one manifest entry into (possibly repeated) job specs.
 /// `index` is 1-based so errors read the way people count jobs.
+///
+/// An entry is a hub job body (`serve::job_from_json` — the one parser
+/// for design, node, profile, kernels, clock, seed, deadline and fault)
+/// plus the fields only a local batch can honour, resolved here: `file`
+/// (read from disk), `tier`, `copies` and the `hang` fault.
 fn manifest_job(entry: &Value, index: usize) -> Result<Vec<JobSpec>, String> {
     let context = format!("manifest job {index}");
-    if !matches!(entry, Value::Map(_)) {
+    let Value::Map(fields) = entry else {
         return Err(format!(
             "{context}: must be a JSON object, got {}",
             entry.kind()
         ));
-    }
-    let mut flags = HashMap::new();
-    if let Some(nm) = manifest_field(
-        entry,
-        &context,
-        "node",
-        "number (feature nm)",
-        Value::as_u64,
-    )? {
-        flags.insert("node".to_string(), nm.to_string());
-    }
-    let node = parse_node(&flags)?;
-    let mut profile = parse_profile(manifest_field(
-        entry,
-        &context,
-        "profile",
-        "string",
-        Value::as_str,
-    )?)?;
-    if let Some(name) = manifest_field(entry, &context, "placer", "string", Value::as_str)? {
-        profile.placer = parse_placer(name).map_err(|e| format!("{context}: `placer` {e}"))?;
-    }
-    if let Some(name) = manifest_field(entry, &context, "router", "string", Value::as_str)? {
-        profile.router = parse_router(name).map_err(|e| format!("{context}: `router` {e}"))?;
-    }
-    let design = manifest_field(entry, &context, "design", "string", Value::as_str)?;
-    let file = manifest_field(entry, &context, "file", "string", Value::as_str)?;
-    let (name, source) = match (design, file) {
-        (Some(_), Some(_)) => {
-            return Err(format!("{context}: give `design` or `file`, not both"));
-        }
-        (None, None) => return Err(format!("{context}: needs `design` or `file`")),
-        (Some(design), None) => {
-            // Resolved at parse time so an unknown design or malformed
-            // `gen:` spec is a config error (exit 2) naming the design,
-            // not a late opaque job failure inside the engine.
-            let resolved = gen::resolve(design).map_err(|e| format!("{context}: {e}"))?;
-            (resolved.name().to_string(), resolved.source().to_string())
-        }
-        (None, Some(file)) => (file.to_string(), load_source(file)?),
     };
-    let mut spec = JobSpec::new(name, source, node, profile);
-    if let Some(clock) = manifest_field(entry, &context, "clock_mhz", "number", Value::as_f64)? {
-        spec = spec.with_clock_mhz(clock);
+    let file = manifest_field(entry, &context, "file", "string", Value::as_str)?;
+    let design_given = !matches!(entry.get("design"), Value::Null);
+    if file.is_some() && design_given {
+        return Err(format!("{context}: give `design` or `file`, not both"));
     }
-    if let Some(seed) = manifest_field(entry, &context, "seed", "number", Value::as_u64)? {
-        spec = spec.with_seed(seed);
+    if file.is_none() && !design_given && matches!(entry.get("source"), Value::Null) {
+        return Err(format!("{context}: needs `design` or `file`"));
     }
-    match manifest_field(entry, &context, "fault", "string", Value::as_str)? {
-        None => {}
-        Some("panic") => spec = spec.with_fault(Fault::Panic),
-        Some("hang") => spec = spec.with_fault(Fault::Hang(3_600_000)),
-        Some("transient") => spec = spec.with_fault(Fault::Transient(1)),
-        Some(other) => return Err(format!("{context}: unknown fault `{other}`")),
+    let hang = entry.get("fault").as_str() == Some("hang");
+    let mut body: Vec<(Value, Value)> = Vec::new();
+    if let Some(file) = file {
+        body.push((Value::Str("source".into()), Value::Str(load_source(file)?)));
+        body.push((Value::Str("name".into()), Value::Str(file.into())));
+    }
+    body.extend(
+        fields
+            .iter()
+            .filter(|(key, _)| match key.as_str() {
+                Some("file" | "copies" | "tier") => false,
+                Some("source" | "name") => file.is_none(),
+                Some("fault") => !hang,
+                _ => true,
+            })
+            .cloned(),
+    );
+    let mut spec = job_from_json(&Value::Map(body)).map_err(|e| format!("{context}: {e}"))?;
+    if hang {
+        spec = spec.with_fault(Fault::Hang(3_600_000));
     }
     match manifest_field(entry, &context, "tier", "string", Value::as_str)? {
         None => {}
@@ -517,11 +501,6 @@ fn manifest_job(entry: &Value, index: usize) -> Result<Vec<JobSpec>, String> {
         Some("intermediate") => spec = spec.with_tier(AccessTier::Intermediate),
         Some("advanced") => spec = spec.with_tier(AccessTier::Advanced),
         Some(other) => return Err(format!("{context}: unknown tier `{other}`")),
-    }
-    if let Some(deadline_ms) =
-        manifest_field(entry, &context, "deadline_ms", "number", Value::as_u64)?
-    {
-        spec = spec.with_deadline_ms(deadline_ms);
     }
     // `copies` models resubmissions: identical specs that should be
     // served from the artifact cache after the first run.
@@ -1000,7 +979,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     const FLAGS: &[FlagSpec] = &[
         value_flag("addr"),
         value_flag("workers"),
-        value_flag("shards"),
         value_flag("max-queue"),
         switch("shed-oldest"),
         value_flag("tier-quota"),
@@ -1021,10 +999,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     config.workers = parse_number(&flags, "workers", config.workers)?;
     if config.workers == 0 {
         return Err(CliError::Config("--workers must be at least 1".into()));
-    }
-    config.shards = parse_number(&flags, "shards", config.shards)?;
-    if config.shards == 0 {
-        return Err(CliError::Config("--shards must be at least 1".into()));
     }
     if flags.contains_key("max-queue") {
         config.queue_capacity = Some(parse_number(&flags, "max-queue", 0usize)?);
@@ -1072,9 +1046,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let server = Server::start(hub, keys, addr).map_err(CliError::Config)?;
     println!("hub listening on http://{}", server.addr());
     println!(
-        "workers {} across {} shard(s), queue capacity {}, weights {:?}, aging {}/s",
+        "workers {}, queue capacity {}, weights {:?}, aging {}/s",
         config.workers,
-        config.shards,
         config
             .queue_capacity
             .map_or("unbounded".to_string(), |c| c.to_string()),

@@ -1,27 +1,13 @@
-//! The batch execution engine: a supervised, sharded work-stealing
-//! fabric.
+//! The batch execution engine: configuration, the per-batch
+//! coordinator and its journal/admission glue.
 //!
-//! Concurrency model: admitted jobs are partitioned across N engine
-//! shards by their canonical cache key (`fnv64(key) % shards`), each
-//! shard owning a deque of pending work and `workers` threads. A worker
-//! drains its own shard's deque first and steals from other shards when
-//! it runs dry, so a slow or dead shard cannot strand queued work. Each
-//! job attempt runs on a dedicated attempt thread so the per-job
-//! timeout can abandon a wedged flow (`recv_timeout`) without killing
-//! the worker. Panics inside a job are contained by `catch_unwind` and
-//! surface as a retryable attempt failure, never as a dead worker.
-//!
-//! Above the shards sits a *supervisor* thread: every shard heartbeats
-//! as it claims and finishes work, and the supervisor quarantines a
-//! shard whose workers have all died (injected kill) or gone silent
-//! (wedge), re-dispatches its claimed-but-unfinished jobs, and restarts
-//! its worker complement one generation up. Results are sent exactly
-//! once per job — a faulted worker orphans its claim *before* any
-//! attempt runs, and the supervisor re-dispatches only orphans absent
-//! from the completed set (the in-memory view of the checkpoint
-//! journal) — so the canonical report is byte-identical across shard
-//! counts and across injected shard faults (`tests/determinism.rs`,
-//! `tests/resilience.rs`).
+//! [`BatchEngine::run_batch_resilient`] restores jobs a prior journal
+//! already holds, applies admission control (tier interleave, bounded
+//! waiting room), hands the admitted work to the sharded fabric
+//! (`fabric.rs`) and assembles the [`ExecutionReport`]. The fabric
+//! schedules; every job it claims runs through the engine's one
+//! [`JobExecutor`] ([`crate::attempt`]), which owns the caches and the
+//! retry loop.
 //!
 //! Resilience (chipforge-resil): [`run_batch_resilient`] adds a seeded
 //! fault-injection plane (per-job [`FaultPlan`], per-shard
@@ -33,27 +19,20 @@
 //! [`run_batch`]: BatchEngine::run_batch
 //! [`run_batch_resilient`]: BatchEngine::run_batch_resilient
 
-use crate::cache::{ArtifactCache, CacheKey, Lookup};
+use crate::attempt::{AttemptLimits, BatchContext, JobExecutor, QueuedJob, StageBreakers};
+use crate::cache::{ArtifactCache, CacheKey};
+use crate::fabric::{Fabric, Shared};
 use crate::job::{JobResult, JobSpec, JobStatus, RestoredArtifact};
-use crate::metrics::{
-    AdmissionRecord, ExecutionReport, RemoteCacheRecord, ShardRecord, WorkerRecord,
-};
-use crate::remote::{RemoteCache, RemoteCacheConfig, RemoteCounters};
+use crate::metrics::{AdmissionRecord, ExecutionReport, RemoteCacheRecord};
+use crate::remote::{RemoteCacheConfig, RemoteCounters};
 use crate::stage_cache::{StageCache, StageCacheMode};
-use chipforge_admit::{interleave_by_weight, CircuitBreaker};
-use chipforge_flow::{
-    FlowConfig, FlowCtx, FlowError, FlowOutcome, FlowStep, Pipeline, StageHooks, StageStore,
-};
+use chipforge_admit::interleave_by_weight;
 use chipforge_obs::Tracer;
 use chipforge_resil::{
-    fnv64, is_degradable_stage, Backoff, Disruption, FaultPlan, Journal, JournalRecord,
-    JournalWriter, ResiliencePolicy, ShardFault, ShardFaultPlan,
+    FaultPlan, Journal, JournalRecord, JournalWriter, ResiliencePolicy, ShardFaultPlan,
 };
-use std::cell::Cell;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -100,16 +79,17 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
+        let limits = AttemptLimits::default();
         EngineConfig {
             workers: thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(4)
                 .clamp(1, 8),
             shards: 1,
-            job_timeout: Duration::from_secs(30),
-            max_retries: 2,
-            retry_backoff: Duration::from_millis(25),
-            max_backoff: Duration::from_secs(2),
+            job_timeout: limits.timeout,
+            max_retries: limits.max_retries,
+            retry_backoff: limits.retry_backoff,
+            max_backoff: limits.max_backoff,
             batch_deadline: None,
             cache_capacity: 4096,
             stage_cache: StageCacheMode::Disabled,
@@ -267,192 +247,8 @@ impl BatchReport {
 /// manifest is almost entirely cache hits.
 pub struct BatchEngine {
     config: EngineConfig,
-    cache: Arc<ArtifactCache>,
-    stage_cache: Option<Arc<StageCache>>,
+    executor: Arc<JobExecutor>,
     tracer: Tracer,
-    /// Attempt threads abandoned by timeouts that are still running.
-    /// Incremented when an attempt is detached, decremented when the
-    /// stray thread eventually exits; persists across batches.
-    detached: Arc<AtomicI64>,
-}
-
-struct WorkItem {
-    index: usize,
-    spec: JobSpec,
-    key: CacheKey,
-    /// Absolute deadline for this job, if any — the tighter of the
-    /// batch admission deadline and the spec's own `deadline_ms`.
-    deadline: Option<Instant>,
-    enqueued: Instant,
-}
-
-enum Message {
-    Job(JobResult),
-    Worker(WorkerRecord),
-}
-
-/// Shard liveness latch states set by injected shard faults.
-const SHARD_OK: u8 = 0;
-const SHARD_KILLED: u8 = 1;
-const SHARD_WEDGED: u8 = 2;
-
-/// Heartbeat staleness (ms) after which the supervisor declares an
-/// idle-but-live shard wedged. Healthy workers beat every claim-loop
-/// iteration (~1 ms idle) and are exempt while busy, so only a shard
-/// that truly went silent crosses this.
-const WEDGE_THRESHOLD_MS: u64 = 60;
-
-/// One shard of the execution fabric: its pending-work deque plus the
-/// liveness and telemetry state the supervisor reads.
-struct ShardState {
-    queue: Mutex<VecDeque<WorkItem>>,
-    /// Jobs claimed by a worker that was killed or wedged before any
-    /// attempt ran. Deliberately *not* stealable: only the supervisor
-    /// re-dispatches them, after checking the completed set.
-    orphans: Mutex<Vec<WorkItem>>,
-    /// Kill/wedge latch: once set, every original-generation worker of
-    /// the shard dies (or goes silent) at its next loop iteration.
-    latch: AtomicU8,
-    /// Jobs claimed by original-generation workers; drives the
-    /// `after_jobs` fault trigger.
-    claims: AtomicU64,
-    /// Milliseconds since batch start at the last worker heartbeat.
-    heartbeat_ms: AtomicU64,
-    /// Workers of this shard currently executing a job.
-    busy: AtomicUsize,
-    /// Live worker threads (any generation).
-    live: AtomicUsize,
-    jobs_run: AtomicU64,
-    steals: AtomicU64,
-    quarantines: AtomicU64,
-    restarts: AtomicU64,
-    redispatched: AtomicU64,
-}
-
-impl ShardState {
-    fn new() -> Self {
-        ShardState {
-            queue: Mutex::new(VecDeque::new()),
-            orphans: Mutex::new(Vec::new()),
-            latch: AtomicU8::new(SHARD_OK),
-            claims: AtomicU64::new(0),
-            heartbeat_ms: AtomicU64::new(0),
-            busy: AtomicUsize::new(0),
-            live: AtomicUsize::new(0),
-            jobs_run: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            quarantines: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
-            redispatched: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The batch-wide sharded fabric shared by workers and the supervisor.
-struct Fabric {
-    shards: Vec<ShardState>,
-    /// Admitted jobs that have not yet sent a terminal result. Workers
-    /// exit when it reaches zero, which is also the supervisor's (and
-    /// any wedged thread's) termination signal.
-    outstanding: AtomicUsize,
-    /// Indices of jobs whose result has been sent — the in-memory view
-    /// of the checkpoint journal that makes supervisor re-dispatch
-    /// exactly-once.
-    completed: Mutex<HashSet<usize>>,
-    started: Instant,
-}
-
-impl Fabric {
-    fn new(shard_count: usize, outstanding: usize, started: Instant) -> Self {
-        Fabric {
-            shards: (0..shard_count.max(1)).map(|_| ShardState::new()).collect(),
-            outstanding: AtomicUsize::new(outstanding),
-            completed: Mutex::new(HashSet::new()),
-            started,
-        }
-    }
-
-    fn elapsed_ms(&self) -> u64 {
-        u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX)
-    }
-
-    fn beat(&self, shard_id: usize) {
-        self.shards[shard_id]
-            .heartbeat_ms
-            .store(self.elapsed_ms(), Ordering::SeqCst);
-    }
-
-    fn heartbeat_age_ms(&self, shard_id: usize) -> u64 {
-        self.elapsed_ms()
-            .saturating_sub(self.shards[shard_id].heartbeat_ms.load(Ordering::SeqCst))
-    }
-}
-
-/// The home shard for a job: a pure function of its canonical cache
-/// key, so the partition is identical across runs, worker counts and
-/// resume boundaries.
-fn shard_of(key: &CacheKey, shard_count: usize) -> usize {
-    usize::try_from(fnv64(key.to_string().as_bytes()) % shard_count.max(1) as u64).unwrap_or(0)
-}
-
-/// Claims the next pending job: the worker's own shard first, then the
-/// other shards in ring order (a steal). Returns the item and whether
-/// it was stolen.
-fn claim(fabric: &Fabric, shard_id: usize) -> Option<(WorkItem, bool)> {
-    if let Some(item) = fabric.shards[shard_id]
-        .queue
-        .lock()
-        .expect("shard queue lock")
-        .pop_front()
-    {
-        return Some((item, false));
-    }
-    let shard_count = fabric.shards.len();
-    for offset in 1..shard_count {
-        let victim = (shard_id + offset) % shard_count;
-        if let Some(item) = fabric.shards[victim]
-            .queue
-            .lock()
-            .expect("shard queue lock")
-            .pop_front()
-        {
-            return Some((item, true));
-        }
-    }
-    None
-}
-
-/// Batch-wide mutable resilience state shared by all workers.
-struct BatchControl {
-    journal: Option<Mutex<JournalWriter>>,
-    seq: AtomicU64,
-    journaled: AtomicUsize,
-    halt_after: Option<usize>,
-    halted: AtomicBool,
-    quarantined: Mutex<HashSet<CacheKey>>,
-    failures: AtomicUsize,
-    budget_blown: AtomicBool,
-    breaker_fast_fails: AtomicUsize,
-    /// Executed jobs whose every stage was restored from the stage
-    /// cache / that computed at least one stage. Only tallied when a
-    /// stage cache is attached.
-    stage_full_restores: AtomicUsize,
-    stage_recomputes: AtomicUsize,
-}
-
-/// Immutable per-batch context shared by all workers.
-struct Shared {
-    config: EngineConfig,
-    plan: FaultPlan,
-    shard_plan: ShardFaultPlan,
-    policy: ResiliencePolicy,
-    admission: AdmissionControl,
-    /// Per-stage circuit breakers, keyed by the typed flow stage.
-    /// `None` when no breaker threshold is configured.
-    breakers: Option<Mutex<HashMap<FlowStep, CircuitBreaker>>>,
-    /// The engine's stage cache, when one is attached.
-    stage_cache: Option<Arc<StageCache>>,
-    control: BatchControl,
 }
 
 impl BatchEngine {
@@ -467,21 +263,8 @@ impl BatchEngine {
     /// coordinator.
     #[must_use]
     pub fn with_tracer(config: EngineConfig, tracer: Tracer) -> Self {
-        let capacity = config.cache_capacity;
-        let stage_cache = match &config.remote_cache {
-            Some(remote_config) => Some(StageCache::with_remote(
-                &config.stage_cache,
-                Arc::new(RemoteCache::new(remote_config.clone())),
-            )),
-            None => StageCache::from_mode(&config.stage_cache),
-        };
-        BatchEngine {
-            config,
-            cache: Arc::new(ArtifactCache::new(capacity)),
-            stage_cache,
-            tracer,
-            detached: Arc::new(AtomicI64::new(0)),
-        }
+        let stage_cache = StageCache::from_mode(&config.stage_cache, config.remote_cache.as_ref());
+        Self::assemble(config, stage_cache, tracer)
     }
 
     /// An engine that shares an existing stage cache instead of building
@@ -489,55 +272,45 @@ impl BatchEngine {
     /// engine's snapshots (E17's warm pass).
     #[must_use]
     pub fn with_stage_cache(config: EngineConfig, stage_cache: Arc<StageCache>) -> Self {
-        let mut engine = Self::new(config);
-        engine.stage_cache = Some(stage_cache);
-        engine
+        Self::assemble(config, Some(stage_cache), Tracer::disabled())
     }
 
-    /// An engine that shares *both* caches with other engines and
-    /// records into `tracer`. This is the hub-service constructor: each
-    /// `forge serve` worker builds a short-lived engine per job so its
-    /// spans stay isolated, while artifact and stage snapshots are
-    /// served from the hub-wide caches.
-    #[must_use]
-    pub fn with_shared_caches(
+    fn assemble(
         config: EngineConfig,
-        cache: Arc<ArtifactCache>,
         stage_cache: Option<Arc<StageCache>>,
         tracer: Tracer,
     ) -> Self {
-        let mut engine = Self::with_tracer(config, tracer);
-        engine.cache = cache;
-        engine.stage_cache = stage_cache;
-        engine
-    }
-
-    /// Replaces the engine's detached-thread gauge with a shared one,
-    /// so the many short-lived engines a hub builds (one per job)
-    /// accumulate into a single hub-wide `exec.detached_threads` gauge
-    /// instead of each counting from zero.
-    #[must_use]
-    pub fn with_detached_gauge(mut self, gauge: Arc<AtomicI64>) -> Self {
-        self.detached = gauge;
-        self
+        let limits = AttemptLimits {
+            timeout: config.job_timeout,
+            max_retries: config.max_retries,
+            retry_backoff: config.retry_backoff,
+            max_backoff: config.max_backoff,
+        };
+        let cache = Arc::new(ArtifactCache::new(config.cache_capacity));
+        BatchEngine {
+            executor: Arc::new(JobExecutor::new(limits, cache, stage_cache)),
+            config,
+            tracer,
+        }
     }
 
     /// The engine's artifact cache.
     #[must_use]
     pub fn cache(&self) -> &ArtifactCache {
-        &self.cache
+        self.executor.cache()
     }
 
     /// The engine's per-stage snapshot cache, if one is attached.
     #[must_use]
     pub fn stage_cache(&self) -> Option<&Arc<StageCache>> {
-        self.stage_cache.as_ref()
+        self.executor.stage_cache()
     }
 
-    /// Attempt threads abandoned by timeouts that are still running.
+    /// Attempt threads abandoned by timeouts that are still running;
+    /// persists across batches.
     #[must_use]
     pub fn detached_threads(&self) -> u64 {
-        u64::try_from(self.detached.load(Ordering::SeqCst).max(0)).unwrap_or(0)
+        self.executor.detached_threads()
     }
 
     /// Runs `jobs` to completion across the worker pool and returns
@@ -557,14 +330,12 @@ impl BatchEngine {
         options: ResilienceOptions,
     ) -> BatchReport {
         let started = Instant::now();
-        let deadline = self.config.batch_deadline.map(|d| started + d);
         let job_count = jobs.len();
+        let stage_cache = self.executor.stage_cache();
         // The stage cache can outlive the batch (and be shared between
         // engines); snapshot its counters so the report carries deltas.
-        let stage_counters = self.stage_cache.as_ref().map(|sc| sc.counters());
-        let remote_counters = self
-            .stage_cache
-            .as_ref()
+        let stage_counters = stage_cache.map(|sc| sc.counters());
+        let remote_counters = stage_cache
             .and_then(|sc| sc.remote())
             .map(|remote| remote.counters());
 
@@ -587,7 +358,7 @@ impl BatchEngine {
         // addressed key means an edited design re-runs transparently.
         let mut restored: Vec<(String, JobResult)> = Vec::new();
         let mut quarantined_keys: HashSet<CacheKey> = HashSet::new();
-        let mut work: Vec<WorkItem> = Vec::new();
+        let mut work: Vec<QueuedJob> = Vec::new();
         for (index, spec) in jobs.into_iter().enumerate() {
             self.tracer.instant("enqueue", "exec", &spec.name);
             let key = CacheKey::of(&spec);
@@ -607,7 +378,7 @@ impl BatchEngine {
                 None => {
                     let deadline =
                         effective_deadline(started, options.admission.deadline, spec.deadline_ms);
-                    work.push(WorkItem {
+                    work.push(QueuedJob {
                         index,
                         spec,
                         key,
@@ -625,45 +396,32 @@ impl BatchEngine {
         if let Some(weights) = options.admission.tier_weights {
             work = interleave_tiers(work, weights);
         }
+        let shed = options.admission.shed_oldest;
         let mut turned_away: Vec<(String, JobResult)> = Vec::new();
         if let Some(max_queue) = options.admission.max_queue {
             let window = capacity + max_queue;
             if work.len() > window {
                 let excess = work.len() - window;
-                let overflow: Vec<WorkItem> = if options.admission.shed_oldest {
+                let overflow: Vec<QueuedJob> = if shed {
                     work.drain(..excess).collect()
                 } else {
                     work.split_off(window)
                 };
                 for item in overflow {
                     self.tracer.instant("admit-reject", "exec", &item.spec.name);
-                    self.tracer.add(
-                        if options.admission.shed_oldest {
-                            "admit.shed"
-                        } else {
-                            "admit.rejected"
-                        },
-                        1,
-                    );
+                    self.tracer
+                        .add(if shed { "admit.shed" } else { "admit.rejected" }, 1);
                     turned_away.push((
                         item.key.to_string(),
-                        turned_away_result(&item, options.admission.shed_oldest, window),
+                        turned_away_result(&item, shed, window),
                     ));
                 }
             }
         }
         let admission_record = AdmissionRecord {
             admitted: work.len(),
-            rejected: if options.admission.shed_oldest {
-                0
-            } else {
-                turned_away.len()
-            },
-            shed: if options.admission.shed_oldest {
-                turned_away.len()
-            } else {
-                0
-            },
+            rejected: if shed { 0 } else { turned_away.len() },
+            shed: if shed { turned_away.len() } else { 0 },
             peak_queue_depth: work.len().saturating_sub(capacity),
         };
         if self.tracer.is_enabled() {
@@ -688,150 +446,49 @@ impl BatchEngine {
             }
         }
 
-        let shared = Arc::new(Shared {
-            config: self.config.clone(),
-            plan: options.plan,
-            shard_plan: options.shard_plan,
-            policy: options.policy,
-            breakers: options
-                .admission
-                .breaker_threshold
-                .map(|_| Mutex::new(HashMap::new())),
-            admission: options.admission,
-            stage_cache: self.stage_cache.clone(),
-            control: BatchControl {
-                journal: journal.map(Mutex::new),
-                seq: AtomicU64::new(seq),
-                journaled: AtomicUsize::new(0),
-                halt_after: options.halt_after,
-                halted: AtomicBool::new(options.halt_after == Some(0)),
-                quarantined: Mutex::new(quarantined_keys),
-                failures: AtomicUsize::new(0),
-                budget_blown: AtomicBool::new(false),
-                breaker_fast_fails: AtomicUsize::new(0),
-                stage_full_restores: AtomicUsize::new(0),
-                stage_recomputes: AtomicUsize::new(0),
+        let fabric = Arc::new(Fabric::new(
+            shard_count,
+            per_shard,
+            started,
+            Shared {
+                executor: Arc::clone(&self.executor),
+                batch: BatchContext {
+                    plan: options.plan,
+                    policy: options.policy,
+                    deadline: self.config.batch_deadline.map(|d| started + d),
+                    breakers: options.admission.breaker_threshold.map(|threshold| {
+                        StageBreakers::new(threshold, options.admission.breaker_cooldown)
+                    }),
+                    quarantined: Mutex::new(quarantined_keys),
+                    ..BatchContext::default()
+                },
+                shard_plan: options.shard_plan,
+                checkpoint: Checkpoint {
+                    journal: journal.map(Mutex::new),
+                    seq: AtomicU64::new(seq),
+                    journaled: AtomicUsize::new(0),
+                    halt_after: options.halt_after,
+                    halted: AtomicBool::new(options.halt_after == Some(0)),
+                },
+                worker_tracers: (0..capacity)
+                    .map(|worker_id| self.tracer.at(batch_span.id(), worker_id + 1))
+                    .collect(),
             },
-        });
-
-        // Partition admitted work across the shard deques by canonical
-        // cache key — a pure function of each job's content, so the
-        // partition is identical across runs and shard restarts.
-        let fabric = Arc::new(Fabric::new(shard_count, work.len(), started));
-        for item in work {
-            let home = shard_of(&item.key, shard_count);
-            fabric.shards[home]
-                .queue
-                .lock()
-                .expect("shard queue lock")
-                .push_back(item);
-        }
-
-        let (result_tx, result_rx) = mpsc::channel::<Message>();
-        let worker_tracers: Vec<Tracer> = (0..capacity)
-            .map(|worker_id| self.tracer.at(batch_span.id(), worker_id + 1))
-            .collect();
-        let mut handles = Vec::new();
-        for shard_id in 0..shard_count {
-            for slot in 0..per_shard {
-                let worker_id = shard_id * per_shard + slot;
-                fabric.shards[shard_id].live.fetch_add(1, Ordering::SeqCst);
-                let fabric = Arc::clone(&fabric);
-                let result_tx = result_tx.clone();
-                let cache = Arc::clone(&self.cache);
-                let shared = Arc::clone(&shared);
-                let detached = Arc::clone(&self.detached);
-                let tracer = worker_tracers[worker_id].clone();
-                let handle = thread::Builder::new()
-                    .name(format!("exec-worker-{worker_id}"))
-                    .spawn(move || {
-                        shard_worker_loop(
-                            worker_id, shard_id, 0, &fabric, &result_tx, &cache, &shared, deadline,
-                            &tracer, &detached,
-                        );
-                    })
-                    .expect("spawn worker");
-                handles.push(handle);
-            }
-        }
-        // The supervisor owns crash recovery: it heartbeat-monitors
-        // every shard and holds its own sender clone, so the collector
-        // stays open until any replacement workers it spawns report.
-        let supervisor = {
-            let fabric = Arc::clone(&fabric);
-            let shared = Arc::clone(&shared);
-            let result_tx = result_tx.clone();
-            let cache = Arc::clone(&self.cache);
-            let detached = Arc::clone(&self.detached);
-            let worker_tracers = worker_tracers.clone();
-            thread::Builder::new()
-                .name("exec-supervisor".into())
-                .spawn(move || {
-                    supervise(
-                        &fabric,
-                        &shared,
-                        &result_tx,
-                        &cache,
-                        deadline,
-                        &worker_tracers,
-                        &detached,
-                        per_shard,
-                    );
-                })
-                .expect("spawn supervisor")
-        };
-        drop(result_tx);
+        ));
+        let (executed, workers) = fabric.run(work);
 
         let mut results: Vec<JobResult> = restored
             .into_iter()
             .chain(turned_away)
             .map(|(_, r)| r)
+            .chain(executed)
             .collect();
-        results.reserve(job_count.saturating_sub(results.len()));
-        // Replacement workers reuse their predecessor's worker id, so
-        // records are merged per id rather than appended.
-        let mut worker_records: HashMap<usize, WorkerRecord> = HashMap::new();
-        while let Ok(message) = result_rx.recv() {
-            match message {
-                Message::Job(result) => results.push(result),
-                Message::Worker(record) => {
-                    let entry =
-                        worker_records
-                            .entry(record.worker)
-                            .or_insert_with(|| WorkerRecord {
-                                worker: record.worker,
-                                jobs_run: 0,
-                                busy_ms: 0.0,
-                                utilization: 0.0,
-                            });
-                    entry.jobs_run += record.jobs_run;
-                    entry.busy_ms += record.busy_ms;
-                }
-            }
-        }
-        for handle in handles {
-            let _ = handle.join();
-        }
-        let _ = supervisor.join();
-        let workers: Vec<WorkerRecord> = worker_records.into_values().collect();
         results.sort_by_key(|r| r.index);
 
-        let halted = shared.control.halted.load(Ordering::SeqCst);
+        let batch = &fabric.shared.batch;
+        let halted = fabric.shared.checkpoint.is_halted();
         let detached_threads = self.detached_threads();
-        let shard_records: Vec<ShardRecord> = fabric
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(shard_id, shard)| ShardRecord {
-                shard: shard_id,
-                jobs_run: shard.jobs_run.load(Ordering::SeqCst),
-                steals: shard.steals.load(Ordering::SeqCst),
-                quarantines: shard.quarantines.load(Ordering::SeqCst),
-                restarts: shard.restarts.load(Ordering::SeqCst),
-                redispatched: shard.redispatched.load(Ordering::SeqCst),
-                heartbeat_age_ms: fabric.heartbeat_age_ms(shard_id) as f64,
-            })
-            .collect();
+        let shard_records = fabric.shard_records();
         if self.tracer.is_enabled() {
             self.tracer
                 .set_gauge("exec.detached_threads", detached_threads as f64);
@@ -860,20 +517,17 @@ impl BatchEngine {
         }
         let makespan_ms = started.elapsed().as_secs_f64() * 1_000.0;
         batch_span.finish_with_detail(&format!("{job_count} jobs"));
-        let fail_fast = shared.control.budget_blown.load(Ordering::SeqCst)
-            || shared.control.breaker_fast_fails.load(Ordering::SeqCst) > 0;
-        let stage_cache_record = match (&self.stage_cache, stage_counters) {
+        let fail_fast = batch.budget_blown.load(Ordering::SeqCst)
+            || batch.breaker_fast_fails.load(Ordering::SeqCst) > 0;
+        let stage_cache_record = match (stage_cache, stage_counters) {
             (Some(sc), Some(base)) => Some(sc.record(
                 &base,
-                shared.control.stage_full_restores.load(Ordering::SeqCst) as u64,
-                shared.control.stage_recomputes.load(Ordering::SeqCst) as u64,
+                batch.stage_full_restores.load(Ordering::SeqCst) as u64,
+                batch.stage_recomputes.load(Ordering::SeqCst) as u64,
             )),
             _ => None,
         };
-        let remote_cache_record = match (
-            self.stage_cache.as_ref().and_then(|sc| sc.remote()),
-            remote_counters,
-        ) {
+        let remote_cache_record = match (stage_cache.and_then(|sc| sc.remote()), remote_counters) {
             (Some(remote), Some(base)) => {
                 let record = remote_record_delta(&remote.counters(), &base);
                 if self.tracer.is_enabled() {
@@ -890,7 +544,7 @@ impl BatchEngine {
         let report = ExecutionReport::build(
             &results,
             workers,
-            self.cache.stats(),
+            self.cache().stats(),
             makespan_ms,
             detached_threads,
             admission_record,
@@ -943,8 +597,8 @@ fn effective_deadline(
 /// round-robin (beginner/intermediate/advanced as classes 0/1/2), so
 /// one tier's flood cannot monopolize the head of the queue. FIFO
 /// order within each tier is preserved.
-fn interleave_tiers(work: Vec<WorkItem>, weights: [f64; 3]) -> Vec<WorkItem> {
-    let mut classes: Vec<Vec<WorkItem>> = (0..3).map(|_| Vec::new()).collect();
+fn interleave_tiers(work: Vec<QueuedJob>, weights: [f64; 3]) -> Vec<QueuedJob> {
+    let mut classes: Vec<Vec<QueuedJob>> = (0..3).map(|_| Vec::new()).collect();
     for item in work {
         classes[usize::from(item.spec.tier.priority())].push(item);
     }
@@ -952,25 +606,15 @@ fn interleave_tiers(work: Vec<WorkItem>, weights: [f64; 3]) -> Vec<WorkItem> {
 }
 
 /// The terminal result for a job turned away at admission.
-fn turned_away_result(item: &WorkItem, shed: bool, window: usize) -> JobResult {
+fn turned_away_result(item: &QueuedJob, shed: bool, window: usize) -> JobResult {
     JobResult {
-        index: item.index,
-        name: item.spec.name.clone(),
         status: JobStatus::Rejected,
-        attempts: 0,
-        cache_hit: false,
-        worker: 0,
-        queue_wait_ms: 0.0,
-        run_ms: 0.0,
-        degraded: false,
-        resumed: false,
         error: Some(if shed {
             format!("shed at admission: displaced by newer submissions (queue window {window})")
         } else {
             format!("rejected at admission: queue full (queue window {window})")
         }),
-        outcome: None,
-        restored: None,
+        ..JobResult::blank(item.index, &item.spec.name)
     }
 }
 
@@ -987,19 +631,13 @@ fn restore_result(index: usize, record: &JournalRecord) -> Option<JobResult> {
         return None; // a succeeded record must carry its digests
     }
     Some(JobResult {
-        index,
-        name: record.name.clone(),
         status,
         attempts: record.attempts,
-        cache_hit: false,
-        worker: 0,
-        queue_wait_ms: 0.0,
-        run_ms: 0.0,
         degraded: record.degraded,
         resumed: true,
         error: record.error.clone(),
-        outcome: None,
         restored,
+        ..JobResult::blank(index, &record.name)
     })
 }
 
@@ -1020,893 +658,54 @@ fn journal_record(seq: u64, key: String, result: &JobResult) -> JournalRecord {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn shard_worker_loop(
-    worker_id: usize,
-    shard_id: usize,
-    generation: u32,
-    fabric: &Arc<Fabric>,
-    result_tx: &mpsc::Sender<Message>,
-    cache: &ArtifactCache,
-    shared: &Shared,
-    deadline: Option<Instant>,
-    tracer: &Tracer,
-    detached: &Arc<AtomicI64>,
-) {
-    let mut busy = Duration::ZERO;
-    let mut jobs_run = 0u64;
-    let shard = &fabric.shards[shard_id];
-    // The injected shard fault is decided once, purely from (seed,
-    // shard): restarted workers (generation > 0) always run clean, so
-    // a killed shard never flaps and every batch terminates.
-    let my_fault = if generation == 0 {
-        shared.shard_plan.fault_for(shard_id)
-    } else {
-        ShardFault::None
-    };
-    loop {
-        // A halted batch (halt_after) stops pulling work: in-flight jobs
-        // finish and are journaled, queued jobs are simply dropped —
-        // exactly what a kill -9 leaves behind, minus the torn line.
-        if shared.control.halted.load(Ordering::SeqCst) {
-            break;
-        }
-        if fabric.outstanding.load(Ordering::SeqCst) == 0 {
-            break;
-        }
-        // Once a peer tripped the shard's fault latch, every original
-        // worker of the shard follows it down at its next iteration.
-        match shard.latch.load(Ordering::SeqCst) {
-            SHARD_KILLED if generation == 0 => break,
-            SHARD_WEDGED if generation == 0 => {
-                wedge_until_done(fabric, shared);
-                break;
-            }
-            _ => {}
-        }
-        fabric.beat(shard_id);
-        let Some((item, stolen)) = claim(fabric, shard_id) else {
-            thread::sleep(Duration::from_millis(1));
-            continue;
+/// One batch's checkpoint journal and the halt latch it drives.
+pub(crate) struct Checkpoint {
+    journal: Option<Mutex<JournalWriter>>,
+    seq: AtomicU64,
+    journaled: AtomicUsize,
+    halt_after: Option<usize>,
+    halted: AtomicBool,
+}
+
+impl Checkpoint {
+    /// Whether `halt_after` records are on disk: workers stop pulling
+    /// work.
+    pub(crate) fn is_halted(&self) -> bool {
+        self.halted.load(Ordering::SeqCst)
+    }
+
+    /// Appends a terminal result to the checkpoint journal
+    /// (cancellations are not completed work and are skipped) and trips
+    /// the halt latch once `halt_after` records are on disk.
+    pub(crate) fn record(&self, key: CacheKey, result: &JobResult, tracer: &Tracer) {
+        let Some(journal) = &self.journal else {
+            return;
         };
-        if stolen {
-            shard.steals.fetch_add(1, Ordering::SeqCst);
+        if result.status == JobStatus::Cancelled {
+            return;
         }
-        match my_fault {
-            ShardFault::Kill | ShardFault::Wedge => {
-                let claims = shard.claims.fetch_add(1, Ordering::SeqCst) + 1;
-                if claims > shared.shard_plan.after_jobs {
-                    // The fault fires *at claim time*, before any attempt
-                    // runs: the claimed item is orphaned for the
-                    // supervisor, never half-executed, so a re-dispatched
-                    // job replays from a clean slate and the canonical
-                    // report stays byte-identical.
-                    let latch = if my_fault == ShardFault::Kill {
-                        SHARD_KILLED
-                    } else {
-                        SHARD_WEDGED
-                    };
-                    shard.latch.store(latch, Ordering::SeqCst);
-                    shard.orphans.lock().expect("orphan lock").push(item);
-                    tracer.instant("shard-fault", "exec", &format!("shard-{shard_id}"));
-                    if my_fault == ShardFault::Kill {
-                        break;
-                    }
-                    wedge_until_done(fabric, shared);
-                    break;
-                }
-            }
-            ShardFault::Slow(ms) => {
-                // A slow shard is alive: it keeps heartbeating while it
-                // crawls, so the supervisor routes around it via work
-                // stealing instead of quarantining it.
-                let mut remaining = ms;
-                while remaining > 0 {
-                    let step = remaining.min(10);
-                    thread::sleep(Duration::from_millis(step));
-                    fabric.beat(shard_id);
-                    remaining -= step;
-                }
-            }
-            ShardFault::None => {}
-        }
-        let key = item.key;
-        let index = item.index;
-        let picked_up = Instant::now();
-        // Busy covers run + journal + send: while any of that is in
-        // flight the supervisor must not read this shard as silent.
-        shard.busy.fetch_add(1, Ordering::SeqCst);
-        let queue_wait_ms = picked_up.duration_since(item.enqueued).as_secs_f64() * 1_000.0;
-        let result = run_one(
-            worker_id,
-            item,
-            queue_wait_ms,
-            cache,
-            shared,
-            deadline,
-            tracer,
-            detached,
-        );
-        track_failure_budget(&result, shared, tracer);
-        journal_result(key, &result, shared, tracer);
-        busy += picked_up.elapsed();
-        jobs_run += 1;
-        shard.jobs_run.fetch_add(1, Ordering::SeqCst);
-        // Exactly-once bookkeeping: record completion *before* sending
-        // and before decrementing `outstanding`, so the supervisor can
-        // never re-dispatch a job whose result exists.
-        fabric
-            .completed
-            .lock()
-            .expect("completed lock")
-            .insert(index);
-        let sent = result_tx.send(Message::Job(result)).is_ok();
-        fabric.beat(shard_id);
-        shard.busy.fetch_sub(1, Ordering::SeqCst);
-        fabric.outstanding.fetch_sub(1, Ordering::SeqCst);
-        if !sent {
-            break;
-        }
-    }
-    shard.live.fetch_sub(1, Ordering::SeqCst);
-    let _ = result_tx.send(Message::Worker(WorkerRecord {
-        worker: worker_id,
-        jobs_run,
-        busy_ms: busy.as_secs_f64() * 1_000.0,
-        utilization: 0.0, // filled in by ExecutionReport::build
-    }));
-}
-
-/// What an injected wedge does: the thread stops heartbeating and stops
-/// claiming work but does not exit — a hung tool process. It parks
-/// until the batch is over so the test harness never leaks it.
-fn wedge_until_done(fabric: &Fabric, shared: &Shared) {
-    while fabric.outstanding.load(Ordering::SeqCst) > 0
-        && !shared.control.halted.load(Ordering::SeqCst)
-    {
-        thread::sleep(Duration::from_millis(2));
-    }
-}
-
-/// The supervision loop: polls every shard until the batch drains,
-/// detects a dead shard (fault latch tripped and all workers gone) or a
-/// silent one (live but not heartbeating and not busy), quarantines it,
-/// re-dispatches its orphaned in-flight jobs — filtered against the
-/// completed set so nothing ever runs twice — and restarts its worker
-/// complement one generation up.
-#[allow(clippy::too_many_arguments)]
-fn supervise(
-    fabric: &Arc<Fabric>,
-    shared: &Arc<Shared>,
-    result_tx: &mpsc::Sender<Message>,
-    cache: &Arc<ArtifactCache>,
-    deadline: Option<Instant>,
-    worker_tracers: &[Tracer],
-    detached: &Arc<AtomicI64>,
-    per_shard: usize,
-) {
-    let mut handled = vec![false; fabric.shards.len()];
-    let mut replacements: Vec<thread::JoinHandle<()>> = Vec::new();
-    while fabric.outstanding.load(Ordering::SeqCst) > 0
-        && !shared.control.halted.load(Ordering::SeqCst)
-    {
-        for shard_id in 0..fabric.shards.len() {
-            if handled[shard_id] {
-                continue;
-            }
-            let shard = &fabric.shards[shard_id];
-            let dead = shard.latch.load(Ordering::SeqCst) == SHARD_KILLED
-                && shard.live.load(Ordering::SeqCst) == 0;
-            let silent = shard.live.load(Ordering::SeqCst) > 0
-                && shard.busy.load(Ordering::SeqCst) == 0
-                && fabric.heartbeat_age_ms(shard_id) > WEDGE_THRESHOLD_MS;
-            if !(dead || silent) {
-                continue;
-            }
-            handled[shard_id] = true;
-            shard.quarantines.fetch_add(1, Ordering::SeqCst);
-            worker_tracers[shard_id * per_shard].instant(
-                "shard-quarantine",
-                "exec",
-                &format!("shard-{shard_id}"),
-            );
-            // Re-dispatch the shard's orphaned in-flight jobs. The
-            // completed set mirrors the checkpoint journal: anything
-            // with a result already sent (and journaled) is skipped,
-            // which is what makes recovery exactly-once.
-            let mut orphans: Vec<WorkItem> = {
-                let mut list = shard.orphans.lock().expect("orphan lock");
-                list.drain(..).collect()
-            };
-            {
-                let completed = fabric.completed.lock().expect("completed lock");
-                orphans.retain(|item| !completed.contains(&item.index));
-            }
-            orphans.sort_by_key(|item| item.index);
-            shard
-                .redispatched
-                .fetch_add(orphans.len() as u64, Ordering::SeqCst);
-            {
-                let mut queue = shard.queue.lock().expect("shard queue lock");
-                for item in orphans.into_iter().rev() {
-                    queue.push_front(item);
-                }
-            }
-            // Restart the shard's worker complement one generation up;
-            // replacements run clean and reuse their predecessors' ids.
-            shard.restarts.fetch_add(1, Ordering::SeqCst);
-            fabric.beat(shard_id);
-            for slot in 0..per_shard {
-                let worker_id = shard_id * per_shard + slot;
-                shard.live.fetch_add(1, Ordering::SeqCst);
-                let fabric = Arc::clone(fabric);
-                let result_tx = result_tx.clone();
-                let cache = Arc::clone(cache);
-                let shared = Arc::clone(shared);
-                let detached = Arc::clone(detached);
-                let tracer = worker_tracers[worker_id].clone();
-                let handle = thread::Builder::new()
-                    .name(format!("exec-worker-{worker_id}-r"))
-                    .spawn(move || {
-                        shard_worker_loop(
-                            worker_id, shard_id, 1, &fabric, &result_tx, &cache, &shared, deadline,
-                            &tracer, &detached,
-                        );
-                    })
-                    .expect("spawn replacement worker");
-                replacements.push(handle);
-            }
-        }
-        thread::sleep(Duration::from_millis(2));
-    }
-    for handle in replacements {
-        let _ = handle.join();
-    }
-}
-
-/// Counts a terminal failure against the batch failure budget and trips
-/// the fail-fast latch when it is exceeded.
-fn track_failure_budget(result: &JobResult, shared: &Shared, tracer: &Tracer) {
-    if !matches!(
-        result.status,
-        JobStatus::Failed | JobStatus::TimedOut | JobStatus::Quarantined
-    ) {
-        return;
-    }
-    let failures = shared.control.failures.fetch_add(1, Ordering::SeqCst) + 1;
-    if shared.policy.failure_budget.is_some_and(|b| failures > b)
-        && !shared.control.budget_blown.swap(true, Ordering::SeqCst)
-    {
-        tracer.instant("budget-exhausted", "exec", &result.name);
-        tracer.add("exec.budget_exhausted", 1);
-    }
-}
-
-/// Appends a terminal result to the checkpoint journal (cancellations
-/// are not completed work and are skipped) and trips the halt latch
-/// once `halt_after` records are on disk.
-fn journal_result(key: CacheKey, result: &JobResult, shared: &Shared, tracer: &Tracer) {
-    let Some(journal) = &shared.control.journal else {
-        return;
-    };
-    if result.status == JobStatus::Cancelled {
-        return;
-    }
-    let seq = shared.control.seq.fetch_add(1, Ordering::SeqCst);
-    let record = journal_record(seq, key.to_string(), result);
-    let appended = {
-        let mut writer = journal.lock().expect("journal lock");
-        writer.append(&record).is_ok()
-    };
-    if !appended {
-        tracer.add("exec.journal_errors", 1);
-        return;
-    }
-    tracer.instant("journal-append", "exec", &result.name);
-    let journaled = shared.control.journaled.fetch_add(1, Ordering::SeqCst) + 1;
-    if shared.control.halt_after.is_some_and(|k| journaled >= k) {
-        shared.control.halted.store(true, Ordering::SeqCst);
-    }
-}
-
-/// Checks every tracked stage breaker (in stage-name order, so multi-
-/// breaker behavior is deterministic) and returns the stage whose open
-/// breaker refuses this job, if any. An open breaker fast-fails
-/// `breaker_cooldown` jobs, then half-opens and lets one probe through.
-fn breaker_fast_fail(shared: &Shared) -> Option<FlowStep> {
-    let breakers = shared.breakers.as_ref()?;
-    let mut map = breakers.lock().expect("breaker lock");
-    let mut stages: Vec<FlowStep> = map.keys().copied().collect();
-    stages.sort_unstable_by_key(|stage| stage.name());
-    for stage in stages {
-        let breaker = map.get_mut(&stage).expect("stage present");
-        if !breaker.admit() {
-            return Some(stage);
-        }
-    }
-    None
-}
-
-/// Counts one transient failure at `stage` against its breaker,
-/// creating the breaker on first failure.
-fn breaker_record_failure(shared: &Shared, stage: FlowStep, tracer: &Tracer) {
-    let Some(breakers) = &shared.breakers else {
-        return;
-    };
-    let threshold = shared.admission.breaker_threshold.unwrap_or(1).max(1);
-    let cooldown = shared.admission.breaker_cooldown;
-    let mut map = breakers.lock().expect("breaker lock");
-    let breaker = map
-        .entry(stage)
-        .or_insert_with(|| CircuitBreaker::new(threshold, cooldown));
-    let before = breaker.state();
-    breaker.record_failure();
-    let after = breaker.state();
-    if tracer.is_enabled() {
-        tracer.set_gauge(&format!("admit.breaker_state.{stage}"), after.as_gauge());
-        if after != before {
-            tracer.instant("breaker-open", "exec", stage.name());
-            tracer.add("admit.breaker_trips", 1);
-        }
-    }
-}
-
-/// Reports a fully successful job to every tracked breaker (a success
-/// exercises all stages, so it resets or closes them all).
-fn breaker_record_success(shared: &Shared, tracer: &Tracer) {
-    let Some(breakers) = &shared.breakers else {
-        return;
-    };
-    let mut map = breakers.lock().expect("breaker lock");
-    for (stage, breaker) in map.iter_mut() {
-        let before = breaker.state();
-        breaker.record_success();
-        if tracer.is_enabled() && breaker.state() != before {
-            tracer.set_gauge(
-                &format!("admit.breaker_state.{stage}"),
-                breaker.state().as_gauge(),
-            );
-            tracer.instant("breaker-close", "exec", stage.name());
-        }
-    }
-}
-
-/// Wraps one job in a `job` span and records its lifecycle metrics.
-#[allow(clippy::too_many_arguments)]
-fn run_one(
-    worker: usize,
-    item: WorkItem,
-    queue_wait_ms: f64,
-    cache: &ArtifactCache,
-    shared: &Shared,
-    deadline: Option<Instant>,
-    tracer: &Tracer,
-    detached: &Arc<AtomicI64>,
-) -> JobResult {
-    let span = tracer.span(&item.spec.name, "job");
-    let job_tracer = tracer.at(span.id(), tracer.default_track());
-    let result = run_one_inner(
-        worker,
-        item,
-        queue_wait_ms,
-        cache,
-        shared,
-        deadline,
-        &job_tracer,
-        detached,
-    );
-    if tracer.is_enabled() {
-        tracer.observe("exec.queue_wait_ms", result.queue_wait_ms);
-        tracer.observe("exec.run_ms", result.run_ms);
-        tracer.add(&format!("exec.status.{}", result.status), 1);
-        span.finish_with_detail(&result.status.to_string());
-    }
-    result
-}
-
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn run_one_inner(
-    worker: usize,
-    item: WorkItem,
-    queue_wait_ms: f64,
-    cache: &ArtifactCache,
-    shared: &Shared,
-    deadline: Option<Instant>,
-    tracer: &Tracer,
-    detached: &Arc<AtomicI64>,
-) -> JobResult {
-    let base = JobResult {
-        index: item.index,
-        name: item.spec.name.clone(),
-        status: JobStatus::Cancelled,
-        attempts: 0,
-        cache_hit: false,
-        worker,
-        queue_wait_ms,
-        run_ms: 0.0,
-        degraded: false,
-        resumed: false,
-        error: None,
-        outcome: None,
-        restored: None,
-    };
-    if shared.control.budget_blown.load(Ordering::SeqCst) {
-        return JobResult {
-            error: Some("batch failure budget exhausted before the job started".into()),
-            ..base
+        let seq = self.seq.fetch_add(1, Ordering::SeqCst);
+        let record = journal_record(seq, key.to_string(), result);
+        let appended = {
+            let mut writer = journal.lock().expect("journal lock");
+            writer.append(&record).is_ok()
         };
-    }
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return JobResult {
-            error: Some("batch deadline expired before the job started".into()),
-            ..base
-        };
-    }
-    if item.deadline.is_some_and(|d| Instant::now() >= d) {
-        tracer.instant("deadline-exceeded", "exec", &item.spec.name);
-        tracer.add("admit.deadline_exceeded", 1);
-        return JobResult {
-            status: JobStatus::DeadlineExceeded,
-            error: Some("deadline expired before the job started".into()),
-            ..base
-        };
-    }
-    if let Some(stage) = breaker_fast_fail(shared) {
-        shared
-            .control
-            .breaker_fast_fails
-            .fetch_add(1, Ordering::SeqCst);
-        tracer.instant("breaker-fast-fail", "exec", &item.spec.name);
-        tracer.add("admit.breaker_fast_fail", 1);
-        return JobResult {
-            status: JobStatus::Rejected,
-            error: Some(format!("circuit breaker open at `{stage}`")),
-            ..base
-        };
-    }
-
-    let picked_up = Instant::now();
-    let key = item.key;
-    if shared.policy.quarantine
-        && shared
-            .control
-            .quarantined
-            .lock()
-            .expect("quarantine lock")
-            .contains(&key)
-    {
-        tracer.instant("quarantine-skip", "exec", &item.spec.name);
-        tracer.add("exec.quarantine.skipped", 1);
-        return JobResult {
-            status: JobStatus::Quarantined,
-            error: Some("identical inputs already quarantined in this batch".into()),
-            ..base
-        };
-    }
-
-    match cache.lookup_checked(key) {
-        Lookup::Hit(outcome) => {
-            tracer.instant("cache-hit", "exec", &item.spec.name);
-            tracer.add("exec.cache.hits", 1);
-            return JobResult {
-                status: JobStatus::Succeeded,
-                cache_hit: true,
-                run_ms: picked_up.elapsed().as_secs_f64() * 1_000.0,
-                outcome: Some(outcome),
-                ..base
-            };
+        if !appended {
+            tracer.add("exec.journal_errors", 1);
+            return;
         }
-        Lookup::Corrupt => {
-            // The entry is already evicted; fall through and recompute
-            // (self-healing).
-            tracer.instant("cache-corrupt", "exec", &item.spec.name);
-            tracer.add("exec.cache.corrupt", 1);
+        tracer.instant("journal-append", "exec", &result.name);
+        let journaled = self.journaled.fetch_add(1, Ordering::SeqCst) + 1;
+        if self.halt_after.is_some_and(|k| journaled >= k) {
+            self.halted.store(true, Ordering::SeqCst);
         }
-        Lookup::Miss => {
-            tracer.instant("cache-miss", "exec", &item.spec.name);
-            tracer.add("exec.cache.misses", 1);
-        }
-    }
-
-    let key_hex = key.to_string();
-    let backoff = Backoff {
-        base: shared.config.retry_backoff,
-        max: shared.config.max_backoff,
-        seed: shared.plan.seed,
-    };
-    // A quarantining policy owns the attempt budget; otherwise the
-    // engine's historical retry knob applies.
-    let allowed_attempts = if shared.policy.quarantine {
-        shared.policy.max_attempts.max(1)
-    } else {
-        shared.config.max_retries + 1
-    };
-    let mut attempts = 0u32;
-    let mut degraded = false;
-    loop {
-        attempts += 1;
-        // A degraded attempt runs with relief parameters and no further
-        // injected disruption, so its outcome is deterministic.
-        let disruption = if degraded {
-            Disruption::none()
-        } else {
-            let mut disruption = shared.plan.disruption(&key_hex, attempts);
-            item.spec.fault.apply(&mut disruption, attempts);
-            disruption
-        };
-        let flow_config = if degraded {
-            item.spec.flow_config().degraded()
-        } else {
-            item.spec.flow_config()
-        };
-        // Degraded attempts run without the stage store: a relaxed-
-        // parameter rerun must not seed snapshots other jobs could
-        // restore, mirroring the whole-flow no-caching rule below.
-        let stage_store = if degraded {
-            None
-        } else {
-            shared.stage_cache.clone()
-        };
-        match run_attempt(
-            &item.spec,
-            &flow_config,
-            &disruption,
-            stage_store,
-            shared.config.job_timeout,
-            item.deadline,
-            tracer,
-            detached,
-        ) {
-            Attempt::Done(outcome, tally) => {
-                breaker_record_success(shared, tracer);
-                if !degraded && shared.stage_cache.is_some() {
-                    if tally.executed == 0 && tally.restored > 0 {
-                        shared
-                            .control
-                            .stage_full_restores
-                            .fetch_add(1, Ordering::SeqCst);
-                        tracer.instant("stage-full-restore", "exec", &item.spec.name);
-                    } else if tally.executed > 0 {
-                        shared
-                            .control
-                            .stage_recomputes
-                            .fetch_add(1, Ordering::SeqCst);
-                    }
-                    if tracer.is_enabled() {
-                        tracer.add("exec.stage_cache.restored", u64::from(tally.restored));
-                        tracer.add("exec.stage_cache.executed", u64::from(tally.executed));
-                    }
-                }
-                let outcome = Arc::new(*outcome);
-                if degraded {
-                    // Degraded artifacts are never cached: a relaxed-
-                    // parameter rerun must not alias the full-effort
-                    // artifact under the same content key.
-                    tracer.instant("degraded-success", "exec", &item.spec.name);
-                } else {
-                    cache.insert(key, Arc::clone(&outcome));
-                    if let Some((offset, xor)) = shared.plan.corrupt_artifact(&key_hex) {
-                        if cache.corrupt(key, offset, xor) {
-                            tracer.add("exec.faults.corrupt_injected", 1);
-                        }
-                    }
-                }
-                return JobResult {
-                    status: JobStatus::Succeeded,
-                    attempts,
-                    degraded,
-                    run_ms: picked_up.elapsed().as_secs_f64() * 1_000.0,
-                    outcome: Some(outcome),
-                    ..base
-                };
-            }
-            Attempt::FlowError(message) => {
-                return JobResult {
-                    status: JobStatus::Failed,
-                    attempts,
-                    run_ms: picked_up.elapsed().as_secs_f64() * 1_000.0,
-                    error: Some(message),
-                    ..base
-                };
-            }
-            Attempt::DeadlineExceeded(stage) => {
-                tracer.instant("deadline-exceeded", "exec", &item.spec.name);
-                tracer.add("admit.deadline_exceeded", 1);
-                // Cooperative cancellation between stages: the partial
-                // work is discarded, never cached and never retried —
-                // a retry could not finish either.
-                return JobResult {
-                    status: JobStatus::DeadlineExceeded,
-                    attempts,
-                    run_ms: picked_up.elapsed().as_secs_f64() * 1_000.0,
-                    error: Some(format!("deadline exceeded before {stage}")),
-                    ..base
-                };
-            }
-            Attempt::Transient(stage) => {
-                tracer.instant(
-                    "transient-fault",
-                    "exec",
-                    &format!("{}: {stage}", item.spec.name),
-                );
-                tracer.add("exec.faults.transient", 1);
-                breaker_record_failure(shared, stage, tracer);
-                if shared.policy.degrade && !degraded && is_degradable_stage(stage) {
-                    // Graceful degradation: retry the congestion-prone
-                    // stage once with relaxed parameters instead of
-                    // burning the whole job.
-                    degraded = true;
-                    tracer.instant("degrade", "exec", &item.spec.name);
-                    tracer.add("exec.degraded", 1);
-                    continue;
-                }
-                if attempts < allowed_attempts {
-                    retry(&backoff, &key_hex, attempts, &item.spec.name, tracer);
-                    continue;
-                }
-                let message = format!("transient fault at {stage} on all {attempts} attempts");
-                return exhausted(base, attempts, picked_up, message, key, shared, tracer);
-            }
-            Attempt::Panicked(message) => {
-                if attempts < allowed_attempts {
-                    retry(&backoff, &key_hex, attempts, &item.spec.name, tracer);
-                    continue;
-                }
-                let message = format!("panicked on all {attempts} attempts: {message}");
-                return exhausted(base, attempts, picked_up, message, key, shared, tracer);
-            }
-            Attempt::TimedOut => {
-                return JobResult {
-                    status: JobStatus::TimedOut,
-                    attempts,
-                    run_ms: picked_up.elapsed().as_secs_f64() * 1_000.0,
-                    error: Some(format!(
-                        "exceeded the {} ms job timeout",
-                        shared.config.job_timeout.as_millis()
-                    )),
-                    ..base
-                };
-            }
-        }
-    }
-}
-
-fn retry(backoff: &Backoff, key_hex: &str, attempts: u32, name: &str, tracer: &Tracer) {
-    tracer.instant("retry", "exec", name);
-    tracer.add("exec.retries", 1);
-    thread::sleep(backoff.delay(key_hex, attempts));
-}
-
-/// Terminal handling for a job that exhausted its retryable attempts:
-/// quarantined under a quarantining policy, plain `Failed` otherwise.
-fn exhausted(
-    base: JobResult,
-    attempts: u32,
-    picked_up: Instant,
-    message: String,
-    key: CacheKey,
-    shared: &Shared,
-    tracer: &Tracer,
-) -> JobResult {
-    let run_ms = picked_up.elapsed().as_secs_f64() * 1_000.0;
-    if shared.policy.quarantine {
-        shared
-            .control
-            .quarantined
-            .lock()
-            .expect("quarantine lock")
-            .insert(key);
-        tracer.instant("quarantine", "exec", &base.name);
-        tracer.add("exec.quarantined", 1);
-        return JobResult {
-            status: JobStatus::Quarantined,
-            attempts,
-            run_ms,
-            error: Some(format!(
-                "quarantined after {attempts} failed attempts: {message}"
-            )),
-            ..base
-        };
-    }
-    JobResult {
-        status: JobStatus::Failed,
-        attempts,
-        run_ms,
-        error: Some(message),
-        ..base
-    }
-}
-
-/// How many stages an attempt computed versus restored from the stage
-/// cache — the engine's view of how incremental the flow run was.
-#[derive(Clone, Copy, Default)]
-struct StageTally {
-    executed: u32,
-    restored: u32,
-}
-
-/// The engine's [`StageHooks`]: fires the injected transient fault at
-/// its named stage boundary (instead of string-matching outside the
-/// flow) and tallies executed-versus-restored stages for the report.
-struct AttemptHooks {
-    transient_stage: Option<FlowStep>,
-    executed: Cell<u32>,
-    restored: Cell<u32>,
-}
-
-impl AttemptHooks {
-    fn new(transient_stage: Option<FlowStep>) -> Self {
-        AttemptHooks {
-            transient_stage,
-            executed: Cell::new(0),
-            restored: Cell::new(0),
-        }
-    }
-
-    fn tally(&self) -> StageTally {
-        StageTally {
-            executed: self.executed.get(),
-            restored: self.restored.get(),
-        }
-    }
-}
-
-impl StageHooks for AttemptHooks {
-    fn before_stage(&self, step: FlowStep) -> Result<(), FlowError> {
-        if self.transient_stage == Some(step) {
-            return Err(FlowError::Interrupted {
-                stage: step,
-                reason: "injected transient fault".into(),
-            });
-        }
-        Ok(())
-    }
-
-    fn stage_finished(&self, _step: FlowStep, restored: bool) {
-        let counter = if restored {
-            &self.restored
-        } else {
-            &self.executed
-        };
-        counter.set(counter.get() + 1);
-    }
-}
-
-enum Attempt {
-    Done(Box<FlowOutcome>, StageTally),
-    FlowError(String),
-    Transient(FlowStep),
-    /// The flow cancelled itself between stages; the payload is the
-    /// stage it declined to start.
-    DeadlineExceeded(FlowStep),
-    Panicked(String),
-    TimedOut,
-}
-
-enum ExecError {
-    Transient(FlowStep),
-    Deadline(FlowStep),
-    Flow(String),
-}
-
-/// Attempt-thread lifecycle states for the detached-thread gauge.
-const ATTEMPT_RUNNING: u8 = 0;
-const ATTEMPT_FINISHED: u8 = 1;
-const ATTEMPT_ABANDONED: u8 = 2;
-
-/// Runs one attempt on a dedicated thread so a wedged flow can be
-/// abandoned. On timeout the attempt thread is detached: it finishes
-/// (or dies) on its own and its late result is discarded — but it is
-/// counted on the `exec.detached_threads` gauge until it exits, so
-/// leaked threads are visible instead of silent.
-#[allow(clippy::too_many_arguments)]
-fn run_attempt(
-    spec: &JobSpec,
-    flow_config: &FlowConfig,
-    disruption: &Disruption,
-    stage_store: Option<Arc<StageCache>>,
-    timeout: Duration,
-    job_deadline: Option<Instant>,
-    tracer: &Tracer,
-    detached: &Arc<AtomicI64>,
-) -> Attempt {
-    let spec = spec.clone();
-    let flow_config = flow_config.clone();
-    let disruption = disruption.clone();
-    let tracer = tracer.clone();
-    let (tx, rx) = mpsc::channel();
-    let state = Arc::new(AtomicU8::new(ATTEMPT_RUNNING));
-    let thread_state = Arc::clone(&state);
-    let gauge = Arc::clone(detached);
-    let builder = thread::Builder::new().name(format!("exec-job-{}", spec.name));
-    let handle = builder
-        .spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                execute(
-                    &spec,
-                    &flow_config,
-                    &disruption,
-                    job_deadline,
-                    stage_store.as_deref().map(|s| s as &dyn StageStore),
-                    &tracer,
-                )
-            }));
-            // If the waiter already abandoned us, the gauge counted this
-            // thread; un-count it on the way out.
-            if thread_state.swap(ATTEMPT_FINISHED, Ordering::SeqCst) == ATTEMPT_ABANDONED {
-                gauge.fetch_sub(1, Ordering::SeqCst);
-            }
-            let _ = tx.send(result);
-        })
-        .expect("spawn attempt thread");
-    match rx.recv_timeout(timeout) {
-        Ok(finished) => {
-            let _ = handle.join();
-            match finished {
-                Ok(Ok((outcome, tally))) => Attempt::Done(Box::new(outcome), tally),
-                Ok(Err(ExecError::Transient(stage))) => Attempt::Transient(stage),
-                Ok(Err(ExecError::Deadline(stage))) => Attempt::DeadlineExceeded(stage),
-                Ok(Err(ExecError::Flow(message))) => Attempt::FlowError(message),
-                Err(payload) => Attempt::Panicked(panic_message(payload.as_ref())),
-            }
-        }
-        Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-            // Detach: if the thread has not finished yet, it is now
-            // leaked until it exits on its own — make that visible.
-            if state.swap(ATTEMPT_ABANDONED, Ordering::SeqCst) != ATTEMPT_FINISHED {
-                detached.fetch_add(1, Ordering::SeqCst);
-            }
-            Attempt::TimedOut
-        }
-    }
-}
-
-fn execute(
-    spec: &JobSpec,
-    flow_config: &FlowConfig,
-    disruption: &Disruption,
-    deadline: Option<Instant>,
-    stage_store: Option<&dyn StageStore>,
-    tracer: &Tracer,
-) -> Result<(FlowOutcome, StageTally), ExecError> {
-    if let Some(ms) = disruption.slow_ms {
-        thread::sleep(Duration::from_millis(ms));
-    }
-    if disruption.panic {
-        panic!("injected fault in job `{}`", spec.name);
-    }
-    // Injected transient faults fire *inside* the pipeline, at their
-    // named stage boundary, via the hooks — so a faulted attempt still
-    // snapshots (and on retry restores) the stages before the fault.
-    let hooks = AttemptHooks::new(disruption.transient_stage);
-    let mut ctx = FlowCtx::new(tracer)
-        .with_deadline(deadline)
-        .with_hooks(&hooks);
-    if let Some(store) = stage_store {
-        ctx = ctx.with_stages(store);
-    }
-    let result = Pipeline::standard().run(&spec.source, flow_config, &ctx);
-    match result {
-        Ok(outcome) => Ok((outcome, hooks.tally())),
-        Err(FlowError::Interrupted { stage, .. }) => Err(ExecError::Transient(stage)),
-        Err(FlowError::DeadlineExceeded { stage }) => Err(ExecError::Deadline(stage)),
-        Err(other) => Err(ExecError::Flow(other.to_string())),
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::shard_of;
     use crate::job::Fault;
     use chipforge_flow::OptimizationProfile;
     use chipforge_hdl::designs;

@@ -232,6 +232,27 @@ pub struct JobResult {
 }
 
 impl JobResult {
+    /// A result that has not happened yet: `Cancelled`, zero attempts,
+    /// no artifact. Every real result is this with fields overridden.
+    #[must_use]
+    pub fn blank(index: usize, name: &str) -> Self {
+        JobResult {
+            index,
+            name: name.to_string(),
+            status: JobStatus::Cancelled,
+            attempts: 0,
+            cache_hit: false,
+            worker: 0,
+            queue_wait_ms: 0.0,
+            run_ms: 0.0,
+            degraded: false,
+            resumed: false,
+            error: None,
+            outcome: None,
+            restored: None,
+        }
+    }
+
     /// The deterministic artifact view: the PPA report plus the GDS
     /// digest, from the live outcome or the journal restoration.
     #[must_use]

@@ -6,10 +6,16 @@
 //! of student designs submitted together, many of them identical
 //! resubmissions. This crate supplies the hub's execution layer:
 //!
-//! - [`BatchEngine`] — a supervised, sharded work-stealing fabric of OS
-//!   worker threads (`--shards N`), with per-job timeouts, panic
-//!   isolation, bounded retries and supervisor-driven shard restart, so
-//!   one broken design — or one dead shard — never takes down a batch.
+//! - [`JobExecutor`] — runs *one* job to a terminal result: batch gates,
+//!   artifact cache, the retry/degrade loop and the per-attempt timeout
+//!   thread with panic isolation. It owns the caches and is the only
+//!   retry loop in the workspace; the batch fabric's shard workers and
+//!   the `chipforge-serve` hub's workers both call it.
+//! - [`BatchEngine`] — the batch coordinator: journal resume, admission
+//!   control and reporting around a supervised, sharded work-stealing
+//!   fabric of OS worker threads (`--shards N`) with supervisor-driven
+//!   shard restart, so one broken design — or one dead shard — never
+//!   takes down a batch.
 //! - [`ArtifactCache`] — content-addressed results keyed by a canonical
 //!   hash of everything that affects the artifact (source, node, profile
 //!   knobs, clock, seed), so resubmissions are served in microseconds.
@@ -34,14 +40,17 @@
 
 #![forbid(unsafe_code)]
 
+pub mod attempt;
 pub mod cache;
 pub mod calibrate;
 pub mod engine;
+mod fabric;
 pub mod job;
 pub mod metrics;
 pub mod remote;
 pub mod stage_cache;
 
+pub use attempt::{AttemptLimits, BatchContext, JobExecutor, QueuedJob};
 pub use cache::{ArtifactCache, CacheKey, CacheStats, Lookup};
 pub use engine::{AdmissionControl, BatchEngine, BatchReport, EngineConfig, ResilienceOptions};
 pub use job::{Fault, JobResult, JobSpec, JobStatus, RestoredArtifact};

@@ -29,8 +29,9 @@
 use chipforge_admit::CircuitBreaker;
 use chipforge_flow::{FlowStep, StageSnapshot};
 use chipforge_resil::{frame_checksummed, verify_checksummed, Backoff};
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::fmt::Write as _;
+use std::io::{self, Read, Write as _};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -113,12 +114,6 @@ pub struct RemoteCounters {
     pub corrupt: u64,
     /// Snapshots accepted by the remote.
     pub stores: u64,
-}
-
-/// Transport failure classification, for counter accounting.
-enum TransportError {
-    TimedOut,
-    Other,
 }
 
 /// The remote cache client. One instance per engine (or hub), shared
@@ -269,14 +264,25 @@ impl RemoteCache {
         let key_str = format!("{key:032x}");
         let mut attempt = 0u32;
         loop {
-            match self.request(method, path, body) {
+            let answer = http_exchange(
+                self.config.addr(),
+                self.config.timeout,
+                method,
+                path,
+                &[],
+                body,
+            );
+            match answer {
                 Ok(answer) => {
                     // Any HTTP answer proves the endpoint alive.
                     breaker.lock().expect("breaker lock").record_success();
                     return Some(answer);
                 }
-                Err(kind) => {
-                    if matches!(kind, TransportError::TimedOut) {
+                Err(error) => {
+                    if matches!(
+                        error.kind(),
+                        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+                    ) {
                         self.timeouts.fetch_add(1, Ordering::SeqCst);
                     }
                     attempt += 1;
@@ -290,59 +296,69 @@ impl RemoteCache {
             }
         }
     }
+}
 
-    /// One raw HTTP/1.1 exchange under the per-request timeout.
-    fn request(
-        &self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> Result<(u16, String), TransportError> {
-        let classify = |e: &std::io::Error| {
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-            ) {
-                TransportError::TimedOut
-            } else {
-                TransportError::Other
+/// One HTTP/1.1 exchange with `addr` (`host:port`) on a fresh
+/// `Connection: close` connection: connect, write and read are each
+/// bounded by `timeout`, and a truncated or garbled response is an
+/// error ([`io::ErrorKind::InvalidData`]), not an answer. `headers` are
+/// sent after `Host`. This is the workspace's one client-side exchange:
+/// [`RemoteCache`] and the `chipforge-serve` hub client both speak
+/// through it.
+///
+/// # Errors
+///
+/// Any transport failure — resolution, connect, timeout, reset — or a
+/// response without a valid status line.
+pub fn http_exchange(
+    addr: &str,
+    timeout: Duration,
+    method: &str,
+    path: &str,
+    headers: &[(&str, &str)],
+    body: Option<&str>,
+) -> io::Result<(u16, String)> {
+    let mut refused = io::Error::new(
+        io::ErrorKind::AddrNotAvailable,
+        format!("`{addr}` resolves to no address"),
+    );
+    let mut connected = None;
+    for candidate in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&candidate, timeout) {
+            Ok(stream) => {
+                connected = Some(stream);
+                break;
             }
-        };
-        let addr: SocketAddr = self
-            .config
-            .addr()
-            .to_socket_addrs()
-            .map_err(|_| TransportError::Other)?
-            .next()
-            .ok_or(TransportError::Other)?;
-        let stream =
-            TcpStream::connect_timeout(&addr, self.config.timeout).map_err(|e| classify(&e))?;
-        stream
-            .set_read_timeout(Some(self.config.timeout))
-            .map_err(|e| classify(&e))?;
-        stream
-            .set_write_timeout(Some(self.config.timeout))
-            .map_err(|e| classify(&e))?;
-        let mut stream = stream;
-        let body = body.unwrap_or("");
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            self.config.addr(),
-            body.len(),
-        );
-        stream
-            .write_all(request.as_bytes())
-            .map_err(|e| classify(&e))?;
-        let _ = stream.shutdown(Shutdown::Write);
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).map_err(|e| classify(&e))?;
-        parse_response(&raw).ok_or(TransportError::Other)
+            Err(error) => refused = error,
+        }
     }
+    let Some(mut stream) = connected else {
+        return Err(refused);
+    };
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
+    let body = body.unwrap_or("");
+    let mut request = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\n");
+    for (name, value) in headers {
+        let _ = write!(request, "{name}: {value}\r\n");
+    }
+    let _ = write!(
+        request,
+        "Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(request.as_bytes())?;
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw)?;
+    parse_response(&raw)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed HTTP response"))
 }
 
 /// Parses `HTTP/1.1 <status> ...` head + body. A truncated or garbled
 /// response is a transport error, not an answer.
-fn parse_response(raw: &str) -> Option<(u16, String)> {
+#[must_use]
+pub fn parse_response(raw: &str) -> Option<(u16, String)> {
     let (head, body) = raw.split_once("\r\n\r\n")?;
     let status_line = head.lines().next()?;
     let mut parts = status_line.split_whitespace();
@@ -358,7 +374,7 @@ fn parse_response(raw: &str) -> Option<(u16, String)> {
 mod tests {
     use super::*;
     use chipforge_flow::StageArtifact;
-    use std::net::TcpListener;
+    use std::net::{SocketAddr, TcpListener};
 
     fn snapshot(step: FlowStep) -> StageSnapshot {
         StageSnapshot {

@@ -26,7 +26,7 @@
 //! [`Arc<StageCache>`] across engines (E17's warm pass) or batches.
 
 use crate::metrics::{StageCacheRecord, StageCounter};
-use crate::remote::RemoteCache;
+use crate::remote::{RemoteCache, RemoteCacheConfig};
 use chipforge_flow::{FlowStep, StageSnapshot, StageStore};
 use chipforge_resil::{frame_checksummed, verify_checksummed};
 use std::collections::HashMap;
@@ -104,28 +104,24 @@ impl StageCache {
         Self::new(Some(dir.to_path_buf()), None)
     }
 
-    /// The cache `mode` asks for, with `remote` attached as the third
-    /// tier. A [`StageCacheMode::Disabled`] mode upgrades to memory-only
-    /// local tiers: pointing a run at a remote cache implies per-stage
-    /// caching.
+    /// The cache `mode` asks for — `None` when per-stage caching is
+    /// disabled — with a client for `remote` attached as the third tier
+    /// when one is configured. A remote upgrades
+    /// [`StageCacheMode::Disabled`] to memory-only local tiers: pointing
+    /// a run at a remote cache implies per-stage caching.
     #[must_use]
-    pub fn with_remote(mode: &StageCacheMode, remote: Arc<RemoteCache>) -> Arc<Self> {
+    pub fn from_mode(
+        mode: &StageCacheMode,
+        remote: Option<&RemoteCacheConfig>,
+    ) -> Option<Arc<Self>> {
+        let remote = remote.map(|config| Arc::new(RemoteCache::new(config.clone())));
         match mode {
-            StageCacheMode::Disabled | StageCacheMode::Memory => Self::new(None, Some(remote)),
+            StageCacheMode::Disabled if remote.is_none() => None,
+            StageCacheMode::Disabled | StageCacheMode::Memory => Some(Self::new(None, remote)),
             StageCacheMode::Disk(dir) => {
                 let _ = std::fs::create_dir_all(dir);
-                Self::new(Some(dir.clone()), Some(remote))
+                Some(Self::new(Some(dir.clone()), remote))
             }
-        }
-    }
-
-    /// Builds the cache an [`crate::EngineConfig`] asks for, or `None`
-    /// when per-stage caching is disabled.
-    pub(crate) fn from_mode(mode: &StageCacheMode) -> Option<Arc<Self>> {
-        match mode {
-            StageCacheMode::Disabled => None,
-            StageCacheMode::Memory => Some(Self::in_memory()),
-            StageCacheMode::Disk(dir) => Some(Self::on_disk(dir)),
         }
     }
 

@@ -1,10 +1,14 @@
 //! Submission body parsing: the `POST /api/v1/jobs` JSON → [`JobSpec`].
 //!
-//! The accepted shape mirrors one `forge batch` manifest entry:
+//! This is the workspace's one job-entry parser: a `forge batch`
+//! manifest entry is the same shape plus the manifest-only fields the
+//! CLI resolves itself (`file`, `copies`, `tier`, `"fault": "hang"`)
+//! before delegating here, so the two surfaces cannot disagree on what
+//! a field means.
 //!
 //! ```json
 //! {"design": "counter8", "profile": "quick", "clock_mhz": 100, "seed": 7}
-//! {"source": "module m ... end", "name": "lab3", "node": 130}
+//! {"source": "module m ... end", "name": "lab3", "node": 130, "router": "steiner"}
 //! ```
 //!
 //! Parsing is strict: a field of the wrong JSON type is a named 400,
@@ -12,7 +16,7 @@
 //! dropped would otherwise get a default-clock GDS with no warning.
 
 use chipforge_exec::{Fault, JobSpec};
-use chipforge_flow::OptimizationProfile;
+use chipforge_flow::{OptimizationProfile, PlacerKind, RouterKind};
 use chipforge_pdk::TechnologyNode;
 use serde::Value;
 
@@ -40,6 +44,16 @@ fn typed<'a, T>(
 pub fn job_from_json(body: &Value) -> Result<JobSpec, String> {
     if !matches!(body, Value::Map(_)) {
         return Err(format!("job must be a JSON object, got {}", body.kind()));
+    }
+    // Dropping these silently would run a different batch than the
+    // manifest describes: no file to read here, and one job per body.
+    for manifest_only in ["file", "copies"] {
+        if !matches!(body.get(manifest_only), Value::Null) {
+            return Err(format!(
+                "`{manifest_only}` is a `forge batch` manifest field the hub does not take \
+                 (send `source` inline; submit once per copy)"
+            ));
+        }
     }
     let design = typed(body, "design", "string", Value::as_str)?;
     let source = typed(body, "source", "string", Value::as_str)?;
@@ -70,12 +84,24 @@ pub fn job_from_json(body: &Value) -> Result<JobSpec, String> {
             TechnologyNode::from_feature_nm(nm).ok_or_else(|| format!("unknown node {nm} nm"))?
         }
     };
-    let profile = match typed(body, "profile", "string", Value::as_str)? {
+    let mut profile = match typed(body, "profile", "string", Value::as_str)? {
         None | Some("open") => OptimizationProfile::open(),
         Some("commercial") => OptimizationProfile::commercial(),
         Some("quick") => OptimizationProfile::quick(),
         Some(other) => return Err(format!("unknown profile `{other}`")),
     };
+    if let Some(name) = typed(body, "placer", "string", Value::as_str)? {
+        profile.placer = PlacerKind::from_name(name).ok_or_else(|| {
+            let valid = PlacerKind::ALL.map(PlacerKind::name).join(", ");
+            format!("`placer`: unknown placer `{name}` (valid: {valid})")
+        })?;
+    }
+    if let Some(name) = typed(body, "router", "string", Value::as_str)? {
+        profile.router = RouterKind::from_name(name).ok_or_else(|| {
+            let valid = RouterKind::ALL.map(RouterKind::name).join(", ");
+            format!("`router`: unknown router `{name}` (valid: {valid})")
+        })?;
+    }
 
     let mut spec = JobSpec::new(name, source, node, profile);
     if let Some(clock) = typed(body, "clock_mhz", "number", Value::as_f64)? {
@@ -139,6 +165,35 @@ mod tests {
         assert!(parse(r#"{"design": "counter8", "profile": "turbo"}"#)
             .unwrap_err()
             .contains("turbo"));
+    }
+
+    #[test]
+    fn kernels_are_honoured_and_unknown_ones_named() {
+        let spec = parse(r#"{"design": "counter8", "placer": "analytic", "router": "steiner"}"#)
+            .expect("ok");
+        assert_eq!(spec.profile.placer, PlacerKind::Analytic);
+        assert_eq!(spec.profile.router, RouterKind::Steiner);
+        let error = parse(r#"{"design": "counter8", "router": "teleport"}"#).unwrap_err();
+        assert!(error.contains("`router`") && error.contains("teleport"));
+        assert!(parse(r#"{"design": "counter8", "placer": 7}"#)
+            .unwrap_err()
+            .contains("`placer` must be a string"));
+    }
+
+    #[test]
+    fn manifest_only_fields_and_bad_clocks_are_named_errors() {
+        // What `forge batch` resolves locally has no meaning on the
+        // wire; dropping it would run a different batch than asked for.
+        assert!(parse(r#"{"design": "counter8", "copies": 2}"#)
+            .unwrap_err()
+            .contains("`copies`"));
+        assert!(parse(r#"{"file": "lab3.fhdl"}"#)
+            .unwrap_err()
+            .contains("`file`"));
+        for clock in ["0", "-5"] {
+            let body = format!(r#"{{"design": "counter8", "clock_mhz": {clock}}}"#);
+            assert!(parse(&body).unwrap_err().contains("clock_mhz"), "{clock}");
+        }
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //! generator and the integration tests all speak through it, so the
 //! service is exercised over real sockets, never via in-process calls.
 
+use chipforge_exec::remote::http_exchange;
 use chipforge_resil::Backoff;
 use serde::Value;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
+
+/// Budget for each of connect, write and read of one exchange.
+const EXCHANGE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Hub client: server address plus the API key requests present.
 ///
@@ -82,7 +84,11 @@ impl Client {
             if attempt > 0 {
                 std::thread::sleep(self.backoff.delay(path, attempt));
             }
-            match self.request_once(method, path, body) {
+            let headers = [("x-api-key", self.key.as_str())];
+            let exchange =
+                http_exchange(&self.addr, EXCHANGE_TIMEOUT, method, path, &headers, body)
+                    .map_err(|e| e.to_string());
+            match exchange.and_then(decode) {
                 Ok(response) => return Ok(response),
                 Err(error) => last_error = error,
             }
@@ -91,34 +97,6 @@ impl Client {
             "hub unreachable: {} after {attempts} attempt(s): {last_error}",
             self.addr
         ))
-    }
-
-    /// One transport attempt, no retries.
-    fn request_once(
-        &self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> Result<Response, String> {
-        let mut stream =
-            TcpStream::connect(&self.addr).map_err(|e| format!("connect {}: {e}", self.addr))?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .map_err(|e| format!("socket: {e}"))?;
-        let payload = body.unwrap_or("");
-        write!(
-            stream,
-            "{method} {path} HTTP/1.1\r\nhost: {}\r\nx-api-key: {}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{payload}",
-            self.addr,
-            self.key,
-            payload.len(),
-        )
-        .map_err(|e| format!("send: {e}"))?;
-        let mut raw = String::new();
-        stream
-            .read_to_string(&mut raw)
-            .map_err(|e| format!("read: {e}"))?;
-        parse_response(&raw)
     }
 
     /// Submits one job body; returns the assigned id on 202, or the
@@ -210,24 +188,21 @@ impl Client {
     }
 }
 
-/// Splits a raw HTTP/1.1 response into status code and JSON body.
-fn parse_response(raw: &str) -> Result<Response, String> {
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| "malformed response (no header terminator)".to_string())?;
-    let status_line = head.lines().next().unwrap_or("");
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|code| code.parse().ok())
-        .ok_or_else(|| format!("malformed status line `{status_line}`"))?;
-    let body = serde::json::parse(body).map_err(|e| format!("non-JSON body: {e}"))?;
+/// Decodes an answered exchange's JSON body.
+fn decode((status, body): (u16, String)) -> Result<Response, String> {
+    let body = serde::json::parse(&body).map_err(|e| format!("non-JSON body: {e}"))?;
     Ok(Response { status, body })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse_response(raw: &str) -> Result<Response, String> {
+        chipforge_exec::remote::parse_response(raw)
+            .ok_or_else(|| "malformed response".to_string())
+            .and_then(decode)
+    }
 
     #[test]
     fn parses_a_minimal_response() {

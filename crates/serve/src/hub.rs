@@ -5,10 +5,12 @@
 //! Time is seconds since hub start (an `f64`, matching the abstract
 //! clock the admit types use). Each accepted job waits in its tier's
 //! bounded [`ClassQueues`] slot until a worker thread's
-//! [`FairShare::pick`] selects its class; the worker then runs it as a
-//! single-job batch on a short-lived [`BatchEngine`] sharing the
-//! hub-wide artifact and stage caches, and charges the measured service
-//! seconds back to the fair share. Completed jobs append to the
+//! [`FairShare::pick`] selects its class; the worker then hands it to
+//! the hub's one long-lived [`JobExecutor`] — the same per-job path
+//! (artifact and stage caches, retry loop, timeout thread) the batch
+//! engine's workers call, with no engine, shard fabric or supervisor
+//! built around it — and charges the measured service seconds back to
+//! the fair share. Completed jobs append to the
 //! `chipforge-resil` journal; [`Hub::new`] reloads that journal, so a
 //! killed-and-restarted hub re-lists every completed job.
 
@@ -16,7 +18,8 @@ use crate::auth::Identity;
 use chipforge_admit::{Admission, ClassQueues, FairShare, OverflowPolicy, RateLimit, TokenBucket};
 use chipforge_cloud::AccessTier;
 use chipforge_exec::{
-    ArtifactCache, BatchEngine, CacheKey, EngineConfig, JobSpec, JobStatus, StageCache,
+    ArtifactCache, AttemptLimits, BatchContext, CacheKey, JobExecutor, JobSpec, JobStatus,
+    QueuedJob, RemoteCacheConfig, StageCache, StageCacheMode, StageCounters,
 };
 use chipforge_flow::{PpaReport, StageSnapshot};
 use chipforge_obs::Tracer;
@@ -26,7 +29,7 @@ use chipforge_resil::{
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -38,11 +41,6 @@ use std::time::{Duration, Instant};
 pub struct HubConfig {
     /// Worker threads (the hub's "servers" in DES terms).
     pub workers: usize,
-    /// Supervision shards the worker pool is grouped into: worker `w`
-    /// reports its execution telemetry under shard `w % shards`, so
-    /// `/metrics` exposes the same per-shard view `forge batch
-    /// --shards` prints (E21 feeds this into the DES as capacity).
-    pub shards: usize,
     /// Per-tier waiting-room bound; `None` means unbounded.
     pub queue_capacity: Option<usize>,
     /// What happens when a bounded tier queue overflows.
@@ -75,7 +73,6 @@ impl Default for HubConfig {
     fn default() -> Self {
         HubConfig {
             workers: 2,
-            shards: 1,
             queue_capacity: Some(8),
             overflow: OverflowPolicy::Reject,
             weights: [2.0, 1.5, 1.0],
@@ -172,16 +169,6 @@ struct HubState {
     shed: [u64; 3],
 }
 
-/// Per-hub-shard execution counters, aggregated from the mini-batch
-/// reports of the workers that belong to the shard.
-#[derive(Debug, Default)]
-struct ShardTelemetry {
-    jobs_run: AtomicU64,
-    failed: AtomicU64,
-    quarantines: AtomicU64,
-    restarts: AtomicU64,
-}
-
 /// Request counters for the `/cache/stage/<key>` protocol endpoints.
 #[derive(Debug, Default)]
 struct CacheProtocol {
@@ -198,13 +185,10 @@ struct HubInner {
     started: Instant,
     state: Mutex<HubState>,
     work_ready: Condvar,
-    cache: Arc<ArtifactCache>,
-    stage_cache: Option<Arc<StageCache>>,
+    /// Runs every job; owns the hub-wide artifact and stage caches and
+    /// the detached-thread gauge.
+    executor: JobExecutor,
     cache_protocol: CacheProtocol,
-    /// Attempt threads orphaned by job timeouts, hub-wide (the same
-    /// gauge every mini-batch engine reports into).
-    detached: Arc<AtomicI64>,
-    shard_stats: Vec<ShardTelemetry>,
     shutdown: AtomicBool,
 }
 
@@ -245,37 +229,26 @@ impl Hub {
             );
         }
         let stage_cache = if config.stage_cache {
-            let mode = match &config.stage_cache_dir {
-                Some(dir) => chipforge_exec::StageCacheMode::Disk(dir.clone()),
-                None => chipforge_exec::StageCacheMode::Memory,
-            };
-            Some(match &config.remote_cache {
-                Some(url) => StageCache::with_remote(
-                    &mode,
-                    Arc::new(chipforge_exec::RemoteCache::new(
-                        chipforge_exec::RemoteCacheConfig::new(url.clone()),
-                    )),
-                ),
-                None => match &config.stage_cache_dir {
-                    Some(dir) => StageCache::on_disk(dir),
-                    None => StageCache::in_memory(),
-                },
-            })
+            let mode = config
+                .stage_cache_dir
+                .clone()
+                .map_or(StageCacheMode::Memory, StageCacheMode::Disk);
+            let remote = config.remote_cache.clone().map(RemoteCacheConfig::new);
+            StageCache::from_mode(&mode, remote.as_ref())
         } else {
             None
         };
-        let shard_count = config.shards.max(1);
+        let limits = AttemptLimits {
+            timeout: config.job_timeout,
+            max_retries: 1,
+            ..AttemptLimits::default()
+        };
         let inner = Arc::new(HubInner {
             started: Instant::now(),
             state: Mutex::new(state),
             work_ready: Condvar::new(),
-            cache: Arc::new(ArtifactCache::new(256)),
-            stage_cache,
+            executor: JobExecutor::new(limits, Arc::new(ArtifactCache::new(256)), stage_cache),
             cache_protocol: CacheProtocol::default(),
-            detached: Arc::new(AtomicI64::new(0)),
-            shard_stats: (0..shard_count)
-                .map(|_| ShardTelemetry::default())
-                .collect(),
             shutdown: AtomicBool::new(false),
             config,
         });
@@ -310,7 +283,7 @@ impl Hub {
     /// Whether the stage-cache protocol endpoints are live.
     #[must_use]
     pub fn cache_enabled(&self) -> bool {
-        self.inner.stage_cache.is_some()
+        self.inner.executor.stage_cache().is_some()
     }
 
     /// Serves `GET /cache/stage/<key>`: the checksum-framed snapshot
@@ -319,7 +292,7 @@ impl Hub {
     /// own hit-rate metrics.
     #[must_use]
     pub fn cache_get(&self, key: u128) -> Option<String> {
-        let stage_cache = self.inner.stage_cache.as_ref()?;
+        let stage_cache = self.inner.executor.stage_cache()?;
         self.inner
             .cache_protocol
             .gets
@@ -335,7 +308,7 @@ impl Hub {
     /// Serves `HEAD /cache/stage/<key>`: presence without the body.
     #[must_use]
     pub fn cache_has(&self, key: u128) -> bool {
-        let Some(stage_cache) = self.inner.stage_cache.as_ref() else {
+        let Some(stage_cache) = self.inner.executor.stage_cache() else {
             return false;
         };
         self.inner
@@ -361,7 +334,7 @@ impl Hub {
     /// Returns a message when the frame digest or payload is invalid;
     /// the entry is rejected without touching the cache.
     pub fn cache_put(&self, key: u128, body: &str) -> Result<(), String> {
-        let Some(stage_cache) = self.inner.stage_cache.as_ref() else {
+        let Some(stage_cache) = self.inner.executor.stage_cache() else {
             return Err("stage cache disabled".into());
         };
         self.inner
@@ -506,6 +479,9 @@ impl Hub {
         let state = self.inner.state.lock().expect("hub lock");
         let mut counts = [0u64; 5];
         let mut recovered = 0u64;
+        // Jobs this process's workers ran to a terminal state, and how
+        // many of those ended without an artifact.
+        let (mut jobs_run, mut run_failed) = (0u64, 0u64);
         for entry in state.jobs.values() {
             let slot = match entry.state {
                 JobState::Queued => 0,
@@ -516,6 +492,10 @@ impl Hub {
             };
             counts[slot] += 1;
             recovered += u64::from(entry.recovered);
+            if !entry.recovered && matches!(entry.state, JobState::Succeeded | JobState::Failed) {
+                jobs_run += 1;
+                run_failed += u64::from(entry.state == JobState::Failed);
+            }
         }
         let tier_seq = |f: &dyn Fn(usize) -> Value| Value::Seq((0..3).map(f).collect());
         let mut fields = vec![
@@ -561,12 +541,12 @@ impl Hub {
             ),
             (
                 Value::Str("artifact_cache".into()),
-                self.inner.cache.stats().to_value(),
+                self.inner.executor.cache().stats().to_value(),
             ),
         ];
-        if let Some(stage_cache) = &self.inner.stage_cache {
+        if let Some(stage_cache) = self.inner.executor.stage_cache() {
             // Lifetime totals: the delta from a default (zero) baseline.
-            let record = stage_cache.record(&chipforge_exec::StageCounters::default(), 0, 0);
+            let record = stage_cache.record(&StageCounters::default(), 0, 0);
             fields.push((Value::Str("stage_cache".into()), record.to_value()));
         } else {
             fields.push((Value::Str("stage_cache".into()), Value::Null));
@@ -578,27 +558,10 @@ impl Hub {
             Value::Map(vec![
                 (
                     Value::Str("detached_threads".into()),
-                    Value::I64(self.inner.detached.load(Ordering::SeqCst)),
+                    Value::U64(self.inner.executor.detached_threads()),
                 ),
-                (
-                    Value::Str("shards".into()),
-                    Value::Seq(
-                        self.inner
-                            .shard_stats
-                            .iter()
-                            .enumerate()
-                            .map(|(shard, stats)| {
-                                Value::Map(vec![
-                                    (Value::Str("shard".into()), Value::U64(shard as u64)),
-                                    (Value::Str("jobs_run".into()), count(&stats.jobs_run)),
-                                    (Value::Str("failed".into()), count(&stats.failed)),
-                                    (Value::Str("quarantines".into()), count(&stats.quarantines)),
-                                    (Value::Str("restarts".into()), count(&stats.restarts)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
+                (Value::Str("jobs_run".into()), Value::U64(jobs_run)),
+                (Value::Str("failed".into()), Value::U64(run_failed)),
             ]),
         ));
         fields.push((
@@ -623,7 +586,14 @@ impl Hub {
     /// Queued jobs are *not* run — exactly what a crash would lose; the
     /// journal holds every completed job either way. Idempotent.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        {
+            // Set the flag under the state lock: a worker checks it and
+            // starts waiting without releasing that lock in between, so
+            // the notify below cannot fall into the gap and be lost.
+            // (A poisoned lock still excludes; this runs from `Drop`.)
+            let _state = self.inner.state.lock();
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+        }
         self.inner.work_ready.notify_all();
         let handles: Vec<JoinHandle<()>> = self
             .workers
@@ -773,7 +743,6 @@ fn job_json(id: u64, entry: &JobEntry, with_progress: bool) -> Value {
 /// The worker loop: fair-share pick under the lock, flow execution
 /// outside it, result + journal + usage charge back under the lock.
 fn worker_loop(inner: &Arc<HubInner>, worker: usize) {
-    let shard = worker % inner.shard_stats.len().max(1);
     loop {
         let picked = {
             let mut state = inner.state.lock().expect("hub lock");
@@ -805,35 +774,21 @@ fn worker_loop(inner: &Arc<HubInner>, worker: usize) {
             return;
         };
 
-        let engine = BatchEngine::with_shared_caches(
-            EngineConfig {
-                workers: 1,
-                job_timeout: inner.config.job_timeout,
-                max_retries: 1,
-                ..EngineConfig::default()
-            },
-            Arc::clone(&inner.cache),
-            inner.stage_cache.as_ref().map(Arc::clone),
-            tracer,
-        )
-        .with_detached_gauge(Arc::clone(&inner.detached));
         let run_started = Instant::now();
-        let batch = engine.run_batch(vec![spec]);
+        let job = QueuedJob {
+            index: id as usize,
+            key: CacheKey::of(&spec),
+            // A spec's `deadline_ms` budget runs from worker pickup.
+            deadline: spec
+                .deadline_ms
+                .map(|ms| run_started + Duration::from_millis(ms)),
+            spec,
+            enqueued: run_started,
+        };
+        let result = inner
+            .executor
+            .run(worker, &job, &BatchContext::default(), &tracer);
         let service_s = run_started.elapsed().as_secs_f64();
-        let result = &batch.results[0];
-        let stats = &inner.shard_stats[shard];
-        stats.jobs_run.fetch_add(1, Ordering::Relaxed);
-        if !result.status.is_success() {
-            stats.failed.fetch_add(1, Ordering::Relaxed);
-        }
-        for engine_shard in &batch.report.shards {
-            stats
-                .quarantines
-                .fetch_add(engine_shard.quarantines, Ordering::Relaxed);
-            stats
-                .restarts
-                .fetch_add(engine_shard.restarts, Ordering::Relaxed);
-        }
 
         let mut state = inner.state.lock().expect("hub lock");
         state.fair.charge(class, service_s);

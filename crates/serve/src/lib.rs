@@ -17,9 +17,10 @@
 //!   [`TokenBucket`](chipforge_admit::TokenBucket) rate limits and
 //!   weighted [`FairShare`](chipforge_admit::FairShare) dispatch with
 //!   aging — the same types the DES runs, which is what makes the E18
-//!   model-vs-reality comparison meaningful. Jobs execute on the
-//!   existing [`BatchEngine`](chipforge_exec::BatchEngine) with
-//!   hub-wide shared artifact and stage caches.
+//!   model-vs-reality comparison meaningful. Jobs execute on one
+//!   hub-lifetime [`JobExecutor`](chipforge_exec::JobExecutor) — the
+//!   per-job path the batch engine's own workers call — which owns the
+//!   hub-wide artifact and stage caches.
 //! - [`auth::KeyRegistry`] — per-university API keys mapped to the
 //!   three access tiers; the key presented at submit decides which
 //!   tier's queue, rate limit and fair-share weight a job is billed to.

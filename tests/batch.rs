@@ -378,6 +378,94 @@ fn wrong_typed_manifest_fields_exit_two() {
 }
 
 #[test]
+fn nonpositive_clock_in_manifest_exits_two_naming_the_job() {
+    // The hub has always answered 400 here; `forge batch` used to run
+    // the job to "succeeded". One parser now, one answer.
+    for clock in ["0", "-5"] {
+        let manifest = temp_file(
+            &format!("clock{clock}.json"),
+            &format!(
+                r#"{{"jobs": [
+                    {{"design": "counter8", "profile": "quick"}},
+                    {{"design": "gray8", "profile": "quick", "clock_mhz": {clock}}}
+                ]}}"#
+            ),
+        );
+        let output = forge()
+            .args(["batch", manifest.to_str().unwrap(), "--workers", "1"])
+            .output()
+            .expect("forge batch executes");
+        std::fs::remove_file(&manifest).ok();
+        assert_eq!(output.status.code(), Some(2), "clock {clock}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("job 2") && stderr.contains("`clock_mhz` must be positive"),
+            "stderr names the entry and the field: {stderr}"
+        );
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(
+            !stdout.contains("counter8"),
+            "no job may run before the manifest validates: {stdout}"
+        );
+    }
+}
+
+#[test]
+fn manifest_only_fields_still_work_around_the_shared_parser() {
+    // `file`, `copies`, `tier` and the `hang` fault mean something only
+    // to a local batch; the entry's other fields go through the hub's
+    // parser.
+    let source = temp_file("lab.fhdl", designs::counter(4).source());
+    let manifest = temp_file(
+        "local.json",
+        &format!(
+            r#"{{"jobs": [
+                {{"file": "{}", "profile": "quick", "router": "steiner",
+                  "tier": "advanced", "copies": 2}},
+                {{"design": "gray8", "profile": "quick", "fault": "hang"}}
+            ]}}"#,
+            source.display()
+        ),
+    );
+    let report = temp_file("local-report.json", "");
+    let output = forge()
+        .args([
+            "batch",
+            manifest.to_str().unwrap(),
+            "--workers",
+            "1",
+            "--timeout-ms",
+            "200",
+            "--report",
+            report.to_str().unwrap(),
+        ])
+        .output()
+        .expect("forge batch executes");
+    let text = std::fs::read_to_string(&report).expect("report written");
+    for path in [&source, &manifest, &report] {
+        std::fs::remove_file(path).ok();
+    }
+    assert_eq!(
+        output.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let parsed = serde::json::parse(&text).expect("report is JSON");
+    let jobs = parsed.get("jobs").seq().expect("jobs");
+    let statuses: Vec<&str> = jobs
+        .iter()
+        .filter_map(|j| j.get("status").as_str())
+        .collect();
+    assert_eq!(statuses, ["Succeeded", "Succeeded", "TimedOut"]);
+    assert_eq!(
+        jobs[1].get("cache_hit"),
+        &serde::Value::Bool(true),
+        "the second copy is served from the artifact cache"
+    );
+}
+
+#[test]
 fn breaker_fast_fail_exits_three() {
     // One transient failure trips a threshold-1 breaker; the remaining
     // jobs fast-fail, which cuts the batch short (exit 3).

@@ -105,12 +105,11 @@ fn submit_poll_and_metrics_over_real_sockets() {
     assert!(depths.iter().all(|d| d.as_u64() == Some(0)));
     assert!(metrics_u64(&metrics, "stage_cache", "misses") > 0);
     assert_eq!(metrics_u64(&metrics, "artifact_cache", "entries"), 4);
-    // Execution-fabric gauges: no timed-out attempt threads are
-    // dangling, and the (default single) hub shard ran every job.
+    // Executor gauges: no timed-out attempt threads are dangling, and
+    // the hub-wide counters saw every job, none of them failing.
     assert_eq!(metrics_u64(&metrics, "exec", "detached_threads"), 0);
-    let shards = metrics.get("exec").get("shards").seq().expect("shards");
-    assert_eq!(shards.len(), 1, "default hub has one shard");
-    assert!(shards[0].get("jobs_run").as_u64().is_some_and(|j| j >= 4));
+    assert_eq!(metrics_u64(&metrics, "exec", "jobs_run"), 4);
+    assert_eq!(metrics_u64(&metrics, "exec", "failed"), 0);
 
     // Resubmitting an identical job is an artifact-cache hit, visible
     // both on the job and in the gauges.
@@ -128,11 +127,11 @@ fn submit_poll_and_metrics_over_real_sockets() {
 }
 
 /// Timed-out jobs leave their attempt thread behind; the hub-wide
-/// detached-threads gauge and the per-shard failure counters must both
+/// detached-threads gauge and the run/failed counters must both
 /// surface in `/metrics`. Driven against the hub directly because the
 /// wire format cannot inject a hanging fault.
 #[test]
-fn detached_threads_and_shard_gauges_surface_in_metrics() {
+fn detached_threads_and_job_counters_surface_in_metrics() {
     use chipforge::cloud::AccessTier;
     use chipforge::exec::{Fault, JobSpec};
     use chipforge::hdl::designs;
@@ -140,7 +139,6 @@ fn detached_threads_and_shard_gauges_surface_in_metrics() {
 
     let hub = Hub::new(HubConfig {
         workers: 2,
-        shards: 2,
         job_timeout: Duration::from_millis(150),
         ..HubConfig::default()
     })
@@ -192,12 +190,124 @@ fn detached_threads_and_shard_gauges_surface_in_metrics() {
         metrics_u64(&metrics, "exec", "detached_threads") >= 1,
         "hung attempt thread not gauged: {metrics:?}"
     );
-    let shards = metrics.get("exec").get("shards").seq().expect("shards");
-    assert_eq!(shards.len(), 2, "one entry per hub shard");
-    let total = |field: &str| -> u64 { shards.iter().filter_map(|s| s.get(field).as_u64()).sum() };
-    assert_eq!(total("jobs_run"), 2, "both jobs counted: {metrics:?}");
-    assert!(total("failed") >= 1, "the timed-out job counted as failed");
+    assert_eq!(
+        metrics_u64(&metrics, "exec", "jobs_run"),
+        2,
+        "both jobs counted: {metrics:?}"
+    );
+    assert_eq!(
+        metrics_u64(&metrics, "exec", "failed"),
+        1,
+        "the timed-out job counted as failed"
+    );
     hub.shutdown();
+}
+
+/// The hub's fault behaviour over real sockets: the executor's retry
+/// loop contains a panicking job (and the worker that ran it lives on),
+/// and rides out a transient fault.
+#[test]
+fn injected_faults_retry_without_hurting_the_next_job() {
+    let server = start_hub(HubConfig {
+        workers: 1,
+        ..HubConfig::default()
+    });
+    let addr = server.addr().to_string();
+    let client = Client::new(&addr, "demo-beginner");
+    let submit = |body: &str| client.submit(body).expect("transport").expect("admitted");
+
+    let boom =
+        submit(r#"{"design": "counter8", "profile": "quick", "seed": 41, "fault": "panic"}"#);
+    let status = client.wait(boom, WAIT).expect("finishes");
+    assert_eq!(status.get("state").as_str(), Some("failed"));
+    assert_eq!(status.get("attempts").as_u64(), Some(2), "one retry");
+    assert!(status
+        .get("error")
+        .as_str()
+        .is_some_and(|e| e.starts_with("panicked on all 2 attempts")));
+
+    // The single worker survived the panics and serves the next job.
+    let next = submit(&quick_job("counter8", 42));
+    let status = client.wait(next, WAIT).expect("finishes");
+    assert_eq!(status.get("state").as_str(), Some("succeeded"));
+    assert_eq!(status.get("attempts").as_u64(), Some(1));
+
+    let flaky =
+        submit(r#"{"design": "counter8", "profile": "quick", "seed": 43, "fault": "transient"}"#);
+    let status = client.wait(flaky, WAIT).expect("finishes");
+    assert_eq!(status.get("state").as_str(), Some("succeeded"));
+    assert_eq!(status.get("attempts").as_u64(), Some(2), "retried once");
+
+    let metrics = client.metrics().expect("metrics");
+    assert_eq!(metrics_u64(&metrics, "exec", "jobs_run"), 3);
+    assert_eq!(metrics_u64(&metrics, "exec", "failed"), 1);
+    server.shutdown();
+}
+
+/// One executor, two callers: the same job through a `BatchEngine` and
+/// through the hub must report the same PPA and GDS, kernels included,
+/// and an identical resubmission to the hub is an artifact-cache hit.
+#[test]
+fn hub_and_batch_engine_agree_on_a_job() {
+    use chipforge::exec::{BatchEngine, EngineConfig};
+    use chipforge::serve::job_from_json;
+
+    let body = r#"{"design": "gray8", "profile": "quick", "seed": 51,
+                   "clock_mhz": 80, "placer": "analytic", "router": "steiner"}"#;
+    let spec = job_from_json(&serde::json::parse(body).expect("json")).expect("spec");
+    let batch = BatchEngine::new(EngineConfig::with_workers(1)).run_batch(vec![spec]);
+    let (ppa, gds_fnv) = batch.results[0].artifact_digests().expect("artifact");
+
+    let server = start_hub(HubConfig::default());
+    let addr = server.addr().to_string();
+    let client = Client::new(&addr, "demo-intermediate");
+    let first = client.submit(body).expect("transport").expect("admitted");
+    let status = client.wait(first, WAIT).expect("finishes");
+    assert_eq!(status.get("state").as_str(), Some("succeeded"));
+    assert_eq!(status.get("cache_hit"), &Value::Bool(false));
+    assert_eq!(status.get("gds_fnv").as_u64(), Some(gds_fnv));
+    assert_eq!(
+        serde::json::to_string(status.get("ppa")),
+        serde::json::to_string(&ppa),
+        "hub and engine report different PPA"
+    );
+
+    let again = client.submit(body).expect("transport").expect("admitted");
+    let status = client.wait(again, WAIT).expect("finishes");
+    assert_eq!(status.get("cache_hit"), &Value::Bool(true));
+    assert_eq!(status.get("gds_fnv").as_u64(), Some(gds_fnv));
+    server.shutdown();
+}
+
+/// The hub refuses, by name, what only a local `forge batch` can
+/// honour — and a clock no flow could meet.
+#[test]
+fn manifest_only_fields_are_a_named_400() {
+    let server = start_hub(HubConfig::default());
+    let addr = server.addr().to_string();
+    let client = Client::new(&addr, "demo-beginner");
+    for (field, body) in [
+        ("copies", r#"{"design": "counter8", "copies": 3}"#),
+        ("file", r#"{"file": "lab3.fhdl"}"#),
+        ("clock_mhz", r#"{"design": "counter8", "clock_mhz": -5}"#),
+        ("router", r#"{"design": "counter8", "router": "teleport"}"#),
+    ] {
+        let refusal = client
+            .submit(body)
+            .expect("transport")
+            .expect_err("refused");
+        assert_eq!(refusal.status, 400, "{field}");
+        assert!(
+            refusal
+                .body
+                .get("error")
+                .as_str()
+                .is_some_and(|e| e.contains(field)),
+            "error names `{field}`: {:?}",
+            refusal.body
+        );
+    }
+    server.shutdown();
 }
 
 #[test]
