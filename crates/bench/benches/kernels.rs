@@ -4,9 +4,10 @@
 //! milliseconds; enablement, not CPU, is the bottleneck) and provide
 //! regression tracking for the engines.
 
+use chipforge::flow::{run_flow, FlowConfig, OptimizationProfile};
 use chipforge::hdl::designs;
-use chipforge::layout::{build_layout, gds};
-use chipforge::pdk::{LibraryKind, StdCellLibrary, TechnologyNode};
+use chipforge::layout::{build_layout, drc, gds};
+use chipforge::pdk::{DesignRules, LibraryKind, StdCellLibrary, TechnologyNode};
 use chipforge::place::{place, PlacementOptions};
 use chipforge::power::{estimate, PowerOptions};
 use chipforge::route::{route, RouteOptions};
@@ -88,11 +89,50 @@ fn bench_verify_and_fpga(c: &mut Criterion) {
     });
 }
 
+/// The two signoff checkers on what the signoff stage hands them: the
+/// `gen:` corpus through the open-profile flow at 130 nm.
+fn bench_signoff(c: &mut Criterion) {
+    let config =
+        FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open()).with_clock_mhz(50.0);
+    let flows: Vec<_> = chipforge::gen::corpus()
+        .iter()
+        .map(|spec| {
+            let design = spec.generate();
+            let outcome = run_flow(design.source(), &config).expect("flows");
+            (design.elaborate().expect("elaborates"), outcome)
+        })
+        .collect();
+    let rules = DesignRules::for_node(TechnologyNode::N130);
+    let largest = flows
+        .iter()
+        .map(|(_, outcome)| &outcome.layout)
+        .max_by_key(|layout| layout.flatten().len())
+        .expect("the corpus is not empty");
+    let mut group = c.benchmark_group("signoff");
+    group.sample_size(10);
+    group.bench_function("drc_largest_corpus_layout", |b| {
+        b.iter(|| drc::check(largest, &rules));
+    });
+    group.bench_function("ec_corpus", |b| {
+        b.iter(|| {
+            flows
+                .iter()
+                .map(|(module, outcome)| {
+                    chipforge::verify::check_equivalence(module, &outcome.netlist, 500_000)
+                        .bdd_nodes
+                })
+                .sum::<usize>()
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_synthesis,
     bench_backend,
     bench_hdl,
-    bench_verify_and_fpga
+    bench_verify_and_fpga,
+    bench_signoff
 );
 criterion_main!(benches);

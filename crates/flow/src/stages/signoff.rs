@@ -34,7 +34,8 @@ impl Stage for SignoffStage {
         timing_options.net_wire_cap_ff = routing.wire_caps_ff(&state.lib);
         let timing = analyze(netlist, &state.lib, &timing_options)?;
         let mut power_options = PowerOptions::new(config.clock_mhz);
-        power_options.net_wire_cap_ff = routing.wire_caps_ff(&state.lib);
+        // STA is done with the back-annotated capacitances: hand them on.
+        power_options.net_wire_cap_ff = timing_options.net_wire_cap_ff;
         let mut power = estimate(netlist, &state.lib, &power_options)?;
         // Clock-tree buffers toggle every cycle; add their switching power.
         if let Some(tree) = state.clock_tree.as_ref().and_then(|t| t.as_ref()) {

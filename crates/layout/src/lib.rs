@@ -5,7 +5,7 @@
 //! This crate closes the backend: it turns a placed-and-routed design into
 //! mask geometry ([`build_layout`]), streams it out as industry-standard
 //! binary GDSII ([`gds::write_gds`] / [`gds::read_gds`]), and verifies
-//! width, spacing and via-enclosure rules with a sweep-line DRC engine
+//! width, spacing and via-enclosure rules with a bin-grid DRC engine
 //! ([`drc::check`]).
 //!
 //! Coordinates are integer database units of 1 nm. The geometry produced by

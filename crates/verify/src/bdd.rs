@@ -1,6 +1,7 @@
 //! A reduced ordered binary decision diagram (ROBDD) package.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Reference to a BDD node (index into the manager's node table).
 ///
@@ -26,7 +27,53 @@ struct Node {
     var: u32,
     low: BddRef,
     high: BddRef,
+    /// The node's negation once computed; `FALSE` (which no non-terminal
+    /// negates to) until then.
+    neg: BddRef,
 }
+
+/// Multiply-rotate hasher for the manager's packed integer keys.
+///
+/// The keys are node indices the manager handed out itself, so nothing
+/// outside the program can craft collisions and SipHash buys nothing. The
+/// product's high bits depend on every key bit, the low ones do not; the
+/// closing rotation brings the good bits down to where the table takes
+/// its bucket index from.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type Table<K> = HashMap<K, BddRef, BuildHasherDefault<KeyHasher>>;
+
+/// Unique-table key: `low` and `high` packed into one word, then `var`.
+type NodeKey = (u64, u32);
+
+fn pack(a: BddRef, b: BddRef) -> u64 {
+    u64::from(a.0) << 32 | u64::from(b.0)
+}
+
+/// Entries the tables start with room for, budget permitting: beyond the
+/// smallest proofs, small enough not to tax them.
+const INITIAL_ENTRIES: usize = 1 << 14;
 
 /// A BDD manager with unique and computed tables and a node budget.
 ///
@@ -54,9 +101,8 @@ struct Node {
 #[derive(Debug)]
 pub struct Bdd {
     nodes: Vec<Node>,
-    unique: HashMap<(u32, BddRef, BddRef), BddRef>,
-    and_cache: HashMap<(BddRef, BddRef), BddRef>,
-    not_cache: HashMap<BddRef, BddRef>,
+    unique: Table<NodeKey>,
+    and_cache: Table<u64>,
     budget: usize,
 }
 
@@ -64,6 +110,7 @@ impl Bdd {
     /// Creates a manager allowed to allocate up to `budget` nodes.
     #[must_use]
     pub fn new(budget: usize) -> Self {
+        let entries = budget.min(INITIAL_ENTRIES);
         Self {
             nodes: vec![
                 // Terminal sentinels; var = u32::MAX sorts after all
@@ -72,16 +119,17 @@ impl Bdd {
                     var: u32::MAX,
                     low: BddRef::FALSE,
                     high: BddRef::FALSE,
+                    neg: BddRef::TRUE,
                 },
                 Node {
                     var: u32::MAX,
                     low: BddRef::TRUE,
                     high: BddRef::TRUE,
+                    neg: BddRef::FALSE,
                 },
             ],
-            unique: HashMap::new(),
-            and_cache: HashMap::new(),
-            not_cache: HashMap::new(),
+            unique: Table::with_capacity_and_hasher(entries, BuildHasherDefault::default()),
+            and_cache: Table::with_capacity_and_hasher(entries, BuildHasherDefault::default()),
             budget,
         }
     }
@@ -96,16 +144,23 @@ impl Bdd {
         if low == high {
             return Some(low);
         }
-        if let Some(&r) = self.unique.get(&(var, low, high)) {
-            return Some(r);
+        match self.unique.entry((pack(low, high), var)) {
+            Entry::Occupied(found) => Some(*found.get()),
+            Entry::Vacant(slot) => {
+                if self.nodes.len() >= self.budget {
+                    return None;
+                }
+                let r = BddRef(self.nodes.len() as u32);
+                self.nodes.push(Node {
+                    var,
+                    low,
+                    high,
+                    neg: BddRef::FALSE,
+                });
+                slot.insert(r);
+                Some(r)
+            }
         }
-        if self.nodes.len() >= self.budget {
-            return None;
-        }
-        let r = BddRef(self.nodes.len() as u32);
-        self.nodes.push(Node { var, low, high });
-        self.unique.insert((var, low, high), r);
-        Some(r)
     }
 
     /// The BDD for a single variable.
@@ -129,7 +184,7 @@ impl Bdd {
         if g == BddRef::TRUE {
             return Some(f);
         }
-        let key = if f <= g { (f, g) } else { (g, f) };
+        let key = if f <= g { pack(f, g) } else { pack(g, f) };
         if let Some(&r) = self.and_cache.get(&key) {
             return Some(r);
         }
@@ -160,15 +215,15 @@ impl Bdd {
         if f == BddRef::TRUE {
             return Some(BddRef::FALSE);
         }
-        if let Some(&r) = self.not_cache.get(&f) {
-            return Some(r);
-        }
         let n = self.nodes[f.0 as usize];
+        if n.neg != BddRef::FALSE {
+            return Some(n.neg);
+        }
         let low = self.not(n.low)?;
         let high = self.not(n.high)?;
         let r = self.mk(n.var, low, high)?;
-        self.not_cache.insert(f, r);
-        self.not_cache.insert(r, f);
+        self.nodes[f.0 as usize].neg = r;
+        self.nodes[r.0 as usize].neg = f;
         Some(r)
     }
 
@@ -232,6 +287,40 @@ impl Bdd {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hasher_keeps_node_keys_apart() {
+        use std::collections::HashSet;
+        use std::hash::{BuildHasher, BuildHasherDefault};
+
+        let hasher = BuildHasherDefault::<KeyHasher>::default();
+        let key =
+            |var: u32, low: u32, high: u32| -> NodeKey { (pack(BddRef(low), BddRef(high)), var) };
+        // Around small, mid-table and top-of-range indices, move one field
+        // at a time: every triple must hash differently.
+        for base in [2u32, 1_000, 499_999, u32::MAX - 64] {
+            let mut keys = vec![key(base, base, base)];
+            for step in 1..=64 {
+                keys.push(key(base + step, base, base));
+                keys.push(key(base, base + step, base));
+                keys.push(key(base, base, base + step));
+            }
+            let hashes: HashSet<u64> = keys.iter().map(|k| hasher.hash_one(k)).collect();
+            assert_eq!(hashes.len(), keys.len(), "collision near {base}");
+            // The table indexes by the low bits and tags by the top seven.
+            let low: HashSet<u64> = hashes.iter().map(|h| h & 0xFFFF).collect();
+            assert!(
+                low.len() > keys.len() * 9 / 10,
+                "low bits collapse near {base}"
+            );
+        }
+        // Order matters: (low, high) and (high, low) are different nodes.
+        assert_ne!(hasher.hash_one(key(3, 4, 5)), hasher.hash_one(key(3, 5, 4)));
+        assert_ne!(
+            hasher.hash_one(pack(BddRef(4), BddRef(5))),
+            hasher.hash_one(pack(BddRef(5), BddRef(4)))
+        );
+    }
 
     #[test]
     fn terminals_behave() {

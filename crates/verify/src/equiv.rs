@@ -6,7 +6,7 @@ use chipforge_hdl::RtlModule;
 use chipforge_netlist::Netlist;
 use chipforge_synth::{lower, Aig, Lit};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A concrete input/state assignment distinguishing the two designs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -86,17 +86,23 @@ pub fn check_aig_equivalence(golden: &Aig, dut: &Aig, node_budget: usize) -> Equ
         .chain(golden.latches().iter().map(|l| l.name.clone()))
         .collect();
     // DUT-only inputs (e.g. scan ports) still need variables.
-    for (n, _) in dut.inputs() {
-        if !names.contains(n) {
-            names.push(n.clone());
+    let mut seen: HashSet<&str> = golden
+        .inputs()
+        .iter()
+        .map(|(n, _)| n.as_str())
+        .chain(golden.latches().iter().map(|l| l.name.as_str()))
+        .collect();
+    let dut_names = dut
+        .inputs()
+        .iter()
+        .map(|(n, _)| n)
+        .chain(dut.latches().iter().map(|l| &l.name));
+    for name in dut_names {
+        if seen.insert(name) {
+            names.push(name.clone());
         }
     }
-    for l in dut.latches() {
-        if !names.contains(&l.name) {
-            names.push(l.name.clone());
-        }
-    }
-    names.sort_by_key(|n| {
+    names.sort_by_cached_key(|n| {
         let (base, bit) = split_bit(n);
         (bit, base.to_string())
     });

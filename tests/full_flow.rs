@@ -129,3 +129,55 @@ fn cross_node_trends_hold_end_to_end() {
     assert!(new.report.ppa.fmax_mhz > 2.0 * old.report.ppa.fmax_mhz);
     assert!(new.report.ppa.leakage_uw > old.report.ppa.leakage_uw);
 }
+
+/// The ROBDD package may get faster, but what it reports is part of the
+/// flow's canonical output: node numbering, the node count per proof and
+/// where the budget cuts off are pinned to the values of the original
+/// `HashMap`-under-SipHash manager.
+#[test]
+fn signoff_equivalence_reports_the_pinned_bdd_sizes() {
+    use chipforge::verify::{check_equivalence, Verdict};
+
+    let config = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open())
+        .with_clock_mhz(50.0)
+        .with_seed(1);
+    let signoff_ec = |spec: &str| {
+        let design = chipforge::gen::resolve(spec).expect("spec resolves");
+        let outcome = run_flow(design.source(), &config).expect("flows");
+        let module = design.elaborate().expect("elaborates");
+        let detail = outcome
+            .report
+            .steps
+            .iter()
+            .find(|s| s.detail.contains("DRC violations"))
+            .expect("signoff ran")
+            .detail
+            .clone();
+        (
+            check_equivalence(&module, &outcome.netlist, 500_000),
+            detail,
+        )
+    };
+    for (spec, bdd_nodes) in [
+        ("gen:cpu/ctrl?width=8&depth=2&unroll=1&seed=1", 3_920),
+        ("gen:dsp/fir?width=8&depth=2&unroll=1&seed=1", 19_182),
+        ("gen:noc/router?width=8&depth=2&unroll=1&seed=1", 397),
+    ] {
+        let (ec, detail) = signoff_ec(spec);
+        assert_eq!(ec.verdict, Verdict::Equivalent, "{spec}");
+        assert_eq!(ec.proven, ec.total, "{spec}");
+        assert_eq!(ec.bdd_nodes, bdd_nodes, "{spec}");
+        assert!(
+            detail.ends_with(&format!("EC proven ({}/{})", ec.proven, ec.total)),
+            "{spec}: {detail}"
+        );
+    }
+    // Multiplier-heavy: the budget runs out while the golden side is built.
+    let (ec, detail) = signoff_ec("gen:dsp/fir?width=16&depth=4&unroll=1&seed=1");
+    assert_eq!(ec.verdict, Verdict::Aborted);
+    assert_eq!((ec.proven, ec.total, ec.bdd_nodes), (0, 96, 500_000));
+    assert!(
+        detail.ends_with("EC aborted at 500000 BDD nodes (0/96 proven)"),
+        "{detail}"
+    );
+}
