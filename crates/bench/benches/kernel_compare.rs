@@ -1,7 +1,8 @@
-//! Criterion benchmarks of the pluggable kernel pairs (E22, BENCH_10).
+//! Criterion benchmarks of the kernel pairs (E22, BENCH_10).
 //!
-//! Each group times a seed kernel against its replacement on identical
-//! input so the snapshot records the speedup the refactor ships:
+//! Each group times a reference kernel against the production kernel
+//! the flow runs, on identical input, calling the kernel functions
+//! directly:
 //!
 //! - `kernel_place/anneal_corpus` vs `kernel_place/analytic_corpus` —
 //!   all 15 `gen:` corpus netlists placed at open-profile effort.
@@ -16,8 +17,8 @@
 //! `maze_corpus / steiner_corpus >= 1.5`.
 
 use chipforge::hdl::{designs, Simulator, VectorSimulator};
-use chipforge::place::PlacerKind;
-use chipforge::route::RouterKind;
+use chipforge::place::{place, place_analytic};
+use chipforge::route::{route, route_steiner};
 use chipforge_bench::experiments::{
     e22_library, e22_netlists, e22_place_options, e22_route_options,
 };
@@ -29,15 +30,15 @@ fn bench_place_kernels(c: &mut Criterion) {
     let netlists = e22_netlists();
     let mut group = c.benchmark_group("kernel_place");
     group.sample_size(10);
-    for (label, kind) in [
-        ("anneal_corpus", PlacerKind::Anneal),
-        ("analytic_corpus", PlacerKind::Analytic),
+    for (label, kernel) in [
+        ("anneal_corpus", place as fn(_, _, _) -> _),
+        ("analytic_corpus", place_analytic),
     ] {
         group.bench_function(label, |b| {
             b.iter(|| {
                 netlists
                     .iter()
-                    .map(|(_, netlist)| kind.place(netlist, &lib, &opts).expect("places").hpwl_um())
+                    .map(|(_, netlist)| kernel(netlist, &lib, &opts).expect("places").hpwl_um())
                     .sum::<f64>()
             });
         });
@@ -52,24 +53,22 @@ fn bench_route_kernels(c: &mut Criterion) {
     let placed: Vec<_> = e22_netlists()
         .into_iter()
         .map(|(_, netlist)| {
-            let placement = PlacerKind::Anneal
-                .place(&netlist, &lib, &popts)
-                .expect("places");
+            let placement = place(&netlist, &lib, &popts).expect("places");
             (netlist, placement)
         })
         .collect();
     let mut group = c.benchmark_group("kernel_route");
     group.sample_size(10);
-    for (label, kind) in [
-        ("maze_corpus", RouterKind::Maze),
-        ("steiner_corpus", RouterKind::Steiner),
+    for (label, kernel) in [
+        ("maze_corpus", route as fn(_, _, _, _) -> _),
+        ("steiner_corpus", route_steiner),
     ] {
         group.bench_function(label, |b| {
             b.iter(|| {
                 placed
                     .iter()
                     .map(|(netlist, placement)| {
-                        kind.route(netlist, placement, &lib, &ropts)
+                        kernel(netlist, placement, &lib, &ropts)
                             .expect("routes")
                             .total_wirelength_um()
                     })

@@ -651,7 +651,7 @@ pub fn a1_synth_effort() -> String {
     t.render()
 }
 
-/// A2 — ablation: placement effort vs. wirelength.
+/// A2 — ablation: the reference annealer's effort vs. wirelength.
 #[must_use]
 pub fn a2_placement_moves() -> String {
     use chipforge::place::{place, PlacementOptions};
@@ -661,7 +661,7 @@ pub fn a2_placement_moves() -> String {
         .expect("synth")
         .netlist;
     let mut t = Table::new(
-        "A2: placement annealing effort ablation",
+        "A2: placement annealing effort ablation (reference kernel)",
         &["moves/cell", "hpwl um", "improvement %"],
     );
     let mut base = None;
@@ -684,7 +684,7 @@ pub fn a2_placement_moves() -> String {
             f((1.0 - hpwl / base_hpwl) * 100.0, 1),
         ]);
     }
-    t.note("diminishing returns justify the open/commercial profile move budgets");
+    t.note("reference annealer only: the diminishing returns that set the open/commercial move budgets while it was the flow's placer; the production analytic placer has no such knob");
     t.render()
 }
 
@@ -1443,6 +1443,9 @@ pub struct E20Passes {
     pub clean_warm: chipforge::exec::BatchReport,
     /// Fresh engine reaching the same hub through a 30%-fault proxy.
     pub faulty: chipforge::exec::BatchReport,
+    /// Every span the warm pass recorded: a stage that executes opens a
+    /// `flow`-category span named after it, a restored one opens none.
+    pub warm_spans: Vec<chipforge::obs::SpanRecord>,
 }
 
 /// Shared by the E20 table renderer and the acceptance tests so both
@@ -1473,13 +1476,13 @@ pub fn e20_passes() -> E20Passes {
     let proxy = FlakyProxy::start(server.addr(), NetFaultPlan::flaky(11, 0.30))
         .expect("proxy binds an ephemeral port");
 
-    let remote_engine = |addr: std::net::SocketAddr| {
-        BatchEngine::new(EngineConfig {
-            stage_cache: StageCacheMode::Memory,
-            remote_cache: Some(RemoteCacheConfig::new(format!("http://{addr}"))),
-            ..EngineConfig::with_workers(1)
-        })
+    let remote_config = |addr: std::net::SocketAddr| EngineConfig {
+        stage_cache: StageCacheMode::Memory,
+        remote_cache: Some(RemoteCacheConfig::new(format!("http://{addr}"))),
+        ..EngineConfig::with_workers(1)
     };
+    let remote_engine = |addr| BatchEngine::new(remote_config(addr));
+    let warm_tracer = chipforge::obs::Tracer::new();
 
     let no_remote = BatchEngine::new(EngineConfig {
         stage_cache: StageCacheMode::Memory,
@@ -1487,7 +1490,8 @@ pub fn e20_passes() -> E20Passes {
     })
     .run_batch(sweep_jobs());
     let clean_cold = remote_engine(server.addr()).run_batch(sweep_jobs());
-    let clean_warm = remote_engine(server.addr()).run_batch(sweep_jobs());
+    let clean_warm = BatchEngine::with_tracer(remote_config(server.addr()), warm_tracer.clone())
+        .run_batch(sweep_jobs());
     let faulty = remote_engine(proxy.addr()).run_batch(sweep_jobs());
 
     drop(proxy);
@@ -1511,6 +1515,7 @@ pub fn e20_passes() -> E20Passes {
         clean_cold,
         clean_warm,
         faulty,
+        warm_spans: warm_tracer.spans(),
     }
 }
 
@@ -1571,7 +1576,9 @@ pub fn e20_remote_cache() -> String {
         ]);
     }
     t.note(format!(
-        "second engine via the warm hub: {:.2}x over its own cold pass (acceptance floor 1.5x)",
+        "second engine via the warm hub: {:.2}x over its own cold pass (reported, not gated: \
+         the ratio falls whenever the cold side gets cheaper; the acceptance test gates on \
+         the warm pass being full restores)",
         mean_ms[1] / mean_ms[2].max(1e-9)
     ));
     t.note("canonical reports byte-identical across all four passes (asserted in e20_passes)");
@@ -1787,16 +1794,14 @@ pub fn e22_library() -> chipforge::pdk::StdCellLibrary {
     Pdk::open(TechnologyNode::N130).library(chipforge::pdk::LibraryKind::Open)
 }
 
-/// Placement options mirroring the open profile — the seed-kernel
-/// effort E6 measures, so the timing comparison is against the
-/// defaults users actually run.
+/// Placement options mirroring the open profile, with the move budget
+/// the annealer had while it was that profile's placer.
 #[must_use]
 pub fn e22_place_options() -> chipforge::place::PlacementOptions {
-    let profile = OptimizationProfile::open();
     chipforge::place::PlacementOptions {
-        utilization: profile.utilization,
+        utilization: OptimizationProfile::open().utilization,
         seed: 1,
-        moves_per_cell: profile.placement_moves_per_cell,
+        moves_per_cell: crate::parity::REFERENCE_MOVES_PER_CELL,
     }
 }
 
@@ -1835,8 +1840,8 @@ pub struct E22Row {
 /// stable-table determinism test alongside E14/E15/E17/E20/E21.
 #[must_use]
 pub fn e22_kernel_sweep() -> Vec<E22Row> {
-    use chipforge::place::PlacerKind;
-    use chipforge::route::RouterKind;
+    use chipforge::place::{place, place_analytic};
+    use chipforge::route::{route, route_steiner};
     use std::time::Instant;
 
     let lib = e22_library();
@@ -1846,27 +1851,20 @@ pub fn e22_kernel_sweep() -> Vec<E22Row> {
         .into_iter()
         .map(|(design, netlist)| {
             let start = Instant::now();
-            let annealed = PlacerKind::Anneal
-                .place(&netlist, &lib, &popts)
-                .expect("anneal places");
+            let annealed = place(&netlist, &lib, &popts).expect("anneal places");
             let anneal_ms = start.elapsed().as_secs_f64() * 1e3;
 
             let start = Instant::now();
-            let analytic = PlacerKind::Analytic
-                .place(&netlist, &lib, &popts)
-                .expect("analytic places");
+            let analytic = place_analytic(&netlist, &lib, &popts).expect("analytic places");
             let analytic_ms = start.elapsed().as_secs_f64() * 1e3;
 
             let start = Instant::now();
-            let mazed = RouterKind::Maze
-                .route(&netlist, &annealed, &lib, &ropts)
-                .expect("maze routes");
+            let mazed = route(&netlist, &annealed, &lib, &ropts).expect("maze routes");
             let maze_ms = start.elapsed().as_secs_f64() * 1e3;
 
             let start = Instant::now();
-            let steinered = RouterKind::Steiner
-                .route(&netlist, &annealed, &lib, &ropts)
-                .expect("steiner routes");
+            let steinered =
+                route_steiner(&netlist, &annealed, &lib, &ropts).expect("steiner routes");
             let steiner_ms = start.elapsed().as_secs_f64() * 1e3;
 
             E22Row {
@@ -1883,68 +1881,25 @@ pub fn e22_kernel_sweep() -> Vec<E22Row> {
         .collect()
 }
 
-/// Documented E22 PPA-parity tolerances for the full-flow gate: the
-/// new kernels must keep cell area bit-identical (area is fixed at
-/// synthesis) and fmax/power within this factor of the seed kernels.
-pub const E22_PPA_TOLERANCE: f64 = 1.25;
-
-/// Full-flow PPA parity of the new kernels against the seed kernels.
-pub struct E22Parity {
-    /// `(design, area ratio, fmax ratio, power ratio)` — new / seed.
-    pub rows: Vec<(String, f64, f64, f64)>,
-}
-
-/// Runs the kernel-parity gate shared by the E22 table, the acceptance
-/// test and the CI smoke: full open-profile flows with the seed
-/// kernels (anneal + maze) and the new kernels (analytic + steiner) on
-/// the small configuration of every `gen:` family, asserting cell area
-/// is unchanged and fmax/power stay within [`E22_PPA_TOLERANCE`] —
-/// then a 1/2/8-shard batch of new-kernel jobs whose canonical reports
-/// must be byte-identical, so kernel selection never leaks
-/// nondeterminism into the artifacts.
+/// Runs the kernel-parity gate behind the E22 table and its acceptance
+/// test: [`crate::parity::check_parity`] — placement, routing and
+/// whole-flow bands of the production kernels against the reference
+/// ones — on the small configuration of every `gen:` family (the
+/// tier-1 test `tests/kernels.rs` runs the same check over all 18
+/// `flow_cold` designs), then a 1/2/8-shard batch of the same jobs
+/// whose canonical reports must be byte-identical.
 ///
 /// # Panics
 ///
 /// Panics if any parity or determinism gate fails.
 #[must_use]
-pub fn e22_parity() -> E22Parity {
+pub fn e22_parity() -> Vec<crate::parity::ParityRow> {
     use chipforge::exec::{BatchEngine, EngineConfig, JobSpec};
-    use chipforge::place::PlacerKind;
-    use chipforge::route::RouterKind;
-
-    let seed_profile = OptimizationProfile::open();
-    let mut new_profile = OptimizationProfile::open();
-    new_profile.placer = PlacerKind::Analytic;
-    new_profile.router = RouterKind::Steiner;
 
     // The small (width=8) configuration of each of the five families.
     let specs: Vec<_> = chipforge::gen::corpus().into_iter().step_by(3).collect();
-    let mut rows = Vec::new();
-    for spec in &specs {
-        let design = spec.generate();
-        let seed_cfg = FlowConfig::new(TechnologyNode::N130, seed_profile.clone());
-        let new_cfg = FlowConfig::new(TechnologyNode::N130, new_profile.clone());
-        let old = run_flow(design.source(), &seed_cfg).expect("seed-kernel flow");
-        let new = run_flow(design.source(), &new_cfg).expect("new-kernel flow");
-        let area = new.report.ppa.cell_area_um2 / old.report.ppa.cell_area_um2;
-        let fmax = new.report.ppa.fmax_mhz / old.report.ppa.fmax_mhz;
-        let power = new.report.ppa.power_uw / old.report.ppa.power_uw;
-        assert!(
-            (area - 1.0).abs() < 1e-9,
-            "{}: cell area moved {area:.4}x — area is fixed at synthesis",
-            spec.module_name()
-        );
-        for (metric, ratio) in [("fmax", fmax), ("power", power)] {
-            assert!(
-                (E22_PPA_TOLERANCE.recip()..=E22_PPA_TOLERANCE).contains(&ratio),
-                "{}: {metric} ratio {ratio:.3}x outside the {E22_PPA_TOLERANCE}x tolerance",
-                spec.module_name()
-            );
-        }
-        rows.push((spec.module_name(), area, fmax, power));
-    }
+    let rows = specs.iter().map(crate::parity::check_parity).collect();
 
-    // Shard-count determinism with the new kernels selected.
     let jobs = || -> Vec<JobSpec> {
         specs
             .iter()
@@ -1954,7 +1909,7 @@ pub fn e22_parity() -> E22Parity {
                     spec.module_name(),
                     design.source(),
                     TechnologyNode::N130,
-                    new_profile.clone(),
+                    OptimizationProfile::open(),
                 )
             })
             .collect()
@@ -1967,26 +1922,26 @@ pub fn e22_parity() -> E22Parity {
         assert_eq!(
             truth,
             pass.canonical_report(),
-            "new-kernel canonical report diverged at {shards} shards"
+            "canonical report diverged at {shards} shards"
         );
     }
-    E22Parity { rows }
+    rows
 }
 
-/// E22 — pluggable kernel speedup and PPA parity on the `gen:` corpus
-/// (ROADMAP item 1; PAPERS.md arXiv:2308.01857).
+/// E22 — the production kernels against the reference kernels on the
+/// `gen:` corpus (ROADMAP item 2(d); PAPERS.md arXiv:2308.01857).
 ///
 /// Table 1 times the annealing-vs-analytic placers and maze-vs-Steiner
-/// routers on all 15 corpus netlists at open-profile effort; table 2 is
-/// the full-flow parity gate from [`e22_parity`]. The release-build
-/// timings are snapshotted as `BENCH_10.json` by the `kernel_compare`
-/// bench; the acceptance floor is a 1.5x corpus-total speedup for each
-/// new kernel.
+/// routers on all 15 corpus netlists at open-profile effort, calling
+/// the four kernel functions directly; table 2 is the one-sided parity
+/// gate from [`e22_parity`]. The release-build timings are snapshotted
+/// as `BENCH_10.json` by the `kernel_compare` bench; the acceptance
+/// floor is a 1.5x corpus-total speedup for each production kernel.
 #[must_use]
 pub fn e22_kernel_ppa() -> String {
     let sweep = e22_kernel_sweep();
     let mut t = Table::new(
-        "E22: kernel pairs on the gen: corpus (open-profile effort, 130nm)",
+        "E22: reference vs production kernels on the gen: corpus (open-profile effort, 130nm)",
         &[
             "design",
             "cells",
@@ -2021,25 +1976,39 @@ pub fn e22_kernel_ppa() -> String {
         "corpus-total speedups: analytic placer {place_speedup:.2}x, steiner router \
          {route_speedup:.2}x (acceptance floor 1.5x, snapshotted in BENCH_10.json)"
     ));
-    t.note("hpwl/wl ratios are new-kernel quality over seed-kernel quality (1.00 = parity)");
+    t.note("hpwl/wl ratios are production over reference kernel (1.00 = parity); both routers run over the annealed placement");
 
-    let parity = e22_parity();
+    use crate::parity::{FMAX_FLOOR, POWER_CEILING, WIRE_CEILING};
     let mut p = Table::new(
-        "E22 parity gate: full open-profile flows, new kernels / seed kernels",
-        &["design", "area ratio", "fmax ratio", "power ratio"],
+        "E22 parity gate: production kernels / reference kernels (open profile, 130nm, 50 MHz)",
+        &[
+            "design",
+            "cells",
+            "hpwl",
+            "routed wl",
+            "overflow",
+            "fmax",
+            "power",
+        ],
     );
-    for (design, area, fmax, power) in &parity.rows {
+    for row in e22_parity() {
         p.row(vec![
-            design.clone(),
-            format!("{area:.3}x"),
-            format!("{fmax:.3}x"),
-            format!("{power:.3}x"),
+            row.design,
+            row.cells.to_string(),
+            format!("{:.3}x", row.hpwl_ratio),
+            format!("{:.3}x", row.wl_ratio),
+            format!("{} / {}", row.overflow.0, row.overflow.1),
+            format!("{:.3}x", row.fmax_ratio),
+            format!("{:.3}x", row.power_ratio),
         ]);
     }
     p.note(format!(
-        "gate: area bit-identical, fmax/power within {E22_PPA_TOLERANCE}x (asserted in e22_parity)"
+        "one-sided gate (asserted in parity::check_parity): hpwl and routed wl <= {WIRE_CEILING}x, \
+         overflow <= the maze driver's, area bit-identical, fmax >= {FMAX_FLOOR}x, \
+         power <= {POWER_CEILING}x, equal EC verdicts, 0 DRC"
     ));
-    p.note("canonical reports byte-identical across 1/2/8 shards with the new kernels selected");
+    p.note("hpwl: analytic / annealed on the same sized netlist; routed wl and overflow: steiner / maze over the analytic placement; fmax, power: whole flow / flow assembled from the reference kernels");
+    p.note("canonical reports byte-identical across 1/2/8 shards");
     format!("{}\n{}", t.render(), p.render())
 }
 
@@ -2063,17 +2032,36 @@ mod tests {
 
     #[test]
     fn e20_warm_remote_sweep_is_faster_and_fault_tolerant() {
-        use chipforge::exec::calibrate;
-
         // e20_passes itself asserts canonical-report byte-identity
         // across the no-remote, clean and 30%-fault passes.
         let passes = e20_passes();
-        let cold = calibrate::mean_computed_run_ms(&passes.clean_cold.results).expect("jobs ran");
-        let warm = calibrate::mean_computed_run_ms(&passes.clean_warm.results).expect("jobs ran");
+        // Gated on counts, not on a wall-clock ratio (the E20 table
+        // prints that): every warm job restores all its stages from the
+        // hub, so nothing is computed and no stage opens a span.
+        let jobs = passes.clean_warm.results.len() as u64;
+        let warm_stages = passes
+            .clean_warm
+            .report
+            .stage_cache
+            .as_ref()
+            .expect("stage tier recorded");
+        assert_eq!(warm_stages.full_restores, jobs, "every warm job restores");
+        assert_eq!(warm_stages.recomputes, 0, "no warm job computes a stage");
+        assert_eq!(warm_stages.misses, 0, "no warm stage lookup misses");
+        let stage_spans: Vec<_> = passes
+            .warm_spans
+            .iter()
+            .filter(|s| {
+                s.category == "flow"
+                    && chipforge::flow::FlowStep::ALL
+                        .iter()
+                        .any(|step| step.name() == s.name)
+            })
+            .map(|s| s.name.as_str())
+            .collect();
         assert!(
-            cold / warm >= 1.5,
-            "warm-via-remote speedup {:.2}x < 1.5x (cold {cold:.2} ms, warm {warm:.2} ms)",
-            cold / warm
+            stage_spans.is_empty(),
+            "warm pass executed stages: {stage_spans:?}"
         );
         let warm_remote = passes
             .clean_warm
@@ -2123,10 +2111,9 @@ mod tests {
 
     #[test]
     fn e22_new_kernels_clear_the_speedup_floor_with_ppa_parity() {
-        // e22_parity itself asserts area/fmax/power parity and the
-        // 1/2/8-shard canonical-report byte-identity.
-        let parity = e22_parity();
-        assert_eq!(parity.rows.len(), 5, "one parity row per gen: family");
+        // e22_parity itself asserts the one-sided placement, routing and
+        // whole-flow bands and the 1/2/8-shard byte-identity.
+        assert_eq!(e22_parity().len(), 5, "one parity row per gen: family");
 
         let sweep = e22_kernel_sweep();
         assert_eq!(sweep.len(), 15, "one sweep row per corpus design");

@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod parity;
 pub mod table;
 
 pub use experiments::{run_experiment, EXPERIMENT_IDS};

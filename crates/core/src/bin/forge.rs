@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! forge run <file.fhdl> [--node <nm>] [--profile open|commercial|quick]
-//!           [--placer anneal|analytic] [--router maze|steiner]
 //!           [--clock <MHz>] [--gds <out.gds>] [--verilog <out.v>]
 //!           [--liberty <out.lib>] [--trace <out.json>] [--flame <out.txt>]
 //! forge batch <manifest.json> [--workers <n>] [--timeout-ms <ms>]
@@ -33,11 +32,9 @@ use chipforge::hdl::designs;
 use chipforge::netlist::verilog;
 use chipforge::obs::{self, Tracer};
 use chipforge::pdk::{liberty, LibraryKind, Pdk, TechnologyNode};
-use chipforge::place::PlacerKind;
 use chipforge::resil::{
     FaultPlan, FlakyProxy, Journal, JournalWriter, NetFaultPlan, ResiliencePolicy, ShardFaultPlan,
 };
-use chipforge::route::RouterKind;
 use chipforge::serve::{job_from_json, Client, Hub, HubConfig, KeyRegistry, Server};
 use chipforge::{EnablementHub, Tier, TierStrategy};
 use serde::json;
@@ -111,7 +108,6 @@ forge — open chip-design enablement platform
 
 USAGE:
   forge run <file.fhdl> [--node <nm>] [--profile open|commercial|quick]
-            [--placer anneal|analytic] [--router maze|steiner]
             [--clock <MHz>] [--gds <out>] [--verilog <out>] [--liberty <out>]
             [--trace <out.json>] [--flame <out.txt>]
   forge batch <manifest.json> [--workers <n>] [--shards <n>]
@@ -200,13 +196,6 @@ transport failures (`--retries`, default 3, backoff base
 `--retry-ms`) and exits 2 with `hub unreachable: ...` when the hub
 stays down.
 
-Kernels: `--placer` selects the placement kernel (`anneal` — seeded
-simulated annealing, the default — or `analytic` — the deterministic
-quadratic-wirelength solver) and `--router` the global-routing kernel
-(`maze` A* or `steiner` tree construction). Batch manifest jobs and hub
-job bodies take the same names via `placer`/`router` fields. Kernel
-choice is part of every downstream stage cache key.
-
 Corpus: `forge gen` generates seeded design families — CPU control
 paths, DSP FIR/FFT datapaths, crypto rounds, NoC routers — from spec
 strings like `gen:dsp/fir?width=16&taps=8&seed=3` (knobs: width 4-64,
@@ -233,8 +222,10 @@ them. Every hub worker runs its jobs on one shared long-lived executor
 (the per-job path of `forge batch`: caches, retries, timeout), so
 `--workers` is the only capacity knob. `forge client` submits manifests
 to a hub and polls job state; a manifest entry and a hub job body are
-parsed by the same code, except that `file` and `copies` only mean
-something to a local `forge batch` and are refused (400) by the hub.
+parsed by the same code, except that `file`, `copies` and `tier` only
+mean something to a local `forge batch` and are refused (400) by the
+hub. Both refuse a key they do not know, by name: a misspelt
+`clock_mzh` is exit 2 / HTTP 400, never a default-clock run.
 
 Exit codes: 0 success; 1 job failure(s) under --strict; 2 config or
 manifest error; 3 batch cut short (failure budget or open breaker).
@@ -340,24 +331,6 @@ fn parse_profile(name: Option<&str>) -> Result<OptimizationProfile, String> {
     }
 }
 
-fn parse_placer(name: &str) -> Result<PlacerKind, String> {
-    PlacerKind::from_name(name).ok_or_else(|| {
-        format!(
-            "unknown placer `{name}` (valid: {})",
-            PlacerKind::ALL.map(PlacerKind::name).join(", ")
-        )
-    })
-}
-
-fn parse_router(name: &str) -> Result<RouterKind, String> {
-    RouterKind::from_name(name).ok_or_else(|| {
-        format!(
-            "unknown router `{name}` (valid: {})",
-            RouterKind::ALL.map(RouterKind::name).join(", ")
-        )
-    })
-}
-
 /// An enabled tracer when `--trace` or `--flame` was given, a disabled
 /// (zero-overhead) one otherwise.
 fn tracer_for(flags: &HashMap<String, String>) -> Tracer {
@@ -386,8 +359,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     const FLAGS: &[FlagSpec] = &[
         value_flag("node"),
         value_flag("profile"),
-        value_flag("placer"),
-        value_flag("router"),
         value_flag("clock"),
         value_flag("gds"),
         value_flag("verilog"),
@@ -399,13 +370,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let path = one_positional(&positionals, "input file")?;
     let source = load_source(&path)?;
     let node = parse_node(&flags)?;
-    let mut profile = parse_profile(flags.get("profile").map(String::as_str))?;
-    if let Some(name) = flags.get("placer") {
-        profile.placer = parse_placer(name).map_err(|e| format!("--placer: {e}"))?;
-    }
-    if let Some(name) = flags.get("router") {
-        profile.router = parse_router(name).map_err(|e| format!("--router: {e}"))?;
-    }
+    let profile = parse_profile(flags.get("profile").map(String::as_str))?;
     let clock: f64 = parse_number(&flags, "clock", 100.0)?;
     let config = FlowConfig::new(node, profile).with_clock_mhz(clock);
     let tracer = tracer_for(&flags);
@@ -455,7 +420,8 @@ fn manifest_field<'a, T>(
 /// `index` is 1-based so errors read the way people count jobs.
 ///
 /// An entry is a hub job body (`serve::job_from_json` — the one parser
-/// for design, node, profile, kernels, clock, seed, deadline and fault)
+/// for design, node, profile, clock, seed, deadline and fault, which
+/// also refuses any key it does not know)
 /// plus the fields only a local batch can honour, resolved here: `file`
 /// (read from disk), `tier`, `copies` and the `hang` fault.
 fn manifest_job(entry: &Value, index: usize) -> Result<Vec<JobSpec>, String> {

@@ -17,8 +17,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Bumped whenever the key encoding or the flow's artifact semantics
-/// change, so stale persisted keys can never alias fresh ones.
-const KEY_SCHEMA_VERSION: u8 = 2;
+/// change, so stale persisted keys can never alias fresh ones. 3: the
+/// flow always runs the analytic placer and the Steiner router (2
+/// framed the kernel names and the annealer's move budget).
+const KEY_SCHEMA_VERSION: u8 = 3;
 
 /// A 128-bit content hash identifying one flow artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -28,9 +30,8 @@ impl CacheKey {
     /// The canonical key for a job.
     ///
     /// Covered: source text, technology node, every behavioral profile
-    /// knob (library, synthesis effort, placement moves, utilization,
-    /// route and sizing iterations, placement and routing kernels),
-    /// clock, seed and scan insertion.
+    /// knob (library, synthesis effort, utilization, route and sizing
+    /// iterations), clock, seed and scan insertion.
     /// Excluded: the job and profile *names* (labels) and any injected
     /// fault (faults change whether the artifact is produced, never its
     /// content).
@@ -42,12 +43,9 @@ impl CacheKey {
         hasher.frame(format!("{:?}", spec.node).as_bytes());
         hasher.frame(format!("{:?}", spec.profile.library).as_bytes());
         hasher.frame(format!("{:?}", spec.profile.synth_effort).as_bytes());
-        hasher.frame(&(spec.profile.placement_moves_per_cell as u64).to_le_bytes());
         hasher.frame(&spec.profile.utilization.to_bits().to_le_bytes());
         hasher.frame(&(spec.profile.route_iterations as u64).to_le_bytes());
         hasher.frame(&(spec.profile.sizing_iterations as u64).to_le_bytes());
-        hasher.frame(spec.profile.placer.name().as_bytes());
-        hasher.frame(spec.profile.router.name().as_bytes());
         hasher.frame(&spec.clock_mhz.to_bits().to_le_bytes());
         hasher.frame(&spec.seed.to_le_bytes());
         hasher.frame(&[u8::from(spec.insert_scan)]);
@@ -339,6 +337,26 @@ mod tests {
         let mut knobs = spec();
         knobs.profile.route_iterations += 1;
         assert_ne!(CacheKey::of(&knobs), base, "route iterations");
+    }
+
+    /// The whole-flow key of one fixed job, pinned beside the value the
+    /// last annealing binary (schema 2: kernel names and move budget
+    /// framed) computed for it: a journal or artifact that binary wrote
+    /// can never be restored as this binary's result.
+    #[test]
+    fn key_schema_is_pinned_and_misses_the_annealing_binarys() {
+        let job = JobSpec::new(
+            "counter8",
+            designs::counter(8).source(),
+            TechnologyNode::N130,
+            OptimizationProfile::quick(),
+        )
+        .with_clock_mhz(100.0)
+        .with_seed(3);
+        let key = CacheKey::of(&job).to_string();
+        assert_eq!(KEY_SCHEMA_VERSION, 3);
+        assert_eq!(key, "93335587fb795efe78980c5df66881a5");
+        assert_ne!(key, "5ab4df6d9877c72f2b6e992e80cbe944", "schema-2 value");
     }
 
     #[test]

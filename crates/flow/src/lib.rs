@@ -48,8 +48,6 @@ mod run;
 mod stages;
 mod template;
 
-pub use chipforge_place::PlacerKind;
-pub use chipforge_route::RouterKind;
 pub use cts::{synthesize_clock_tree, ClockBuffer, ClockTree, CtsOptions};
 pub use pipeline::{
     canonical_outcome_json, FlowCtx, Pipeline, StageArtifact, StageHooks, StageSnapshot,

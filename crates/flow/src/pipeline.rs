@@ -29,8 +29,11 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Version byte folded into the base of every stage-key chain; bump on
-/// any change to the key schema or artifact encoding.
-pub const STAGE_KEY_SCHEMA: u8 = 1;
+/// any change to the key schema, the artifact encoding or the kernel a
+/// stage runs. 2: place and route call the analytic and Steiner kernels
+/// unconditionally (1 framed a kernel name and the annealer's move
+/// budget), so nothing a schema-1 binary stored can be restored here.
+pub const STAGE_KEY_SCHEMA: u8 = 2;
 
 const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;

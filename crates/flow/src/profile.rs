@@ -1,8 +1,6 @@
 //! Optimization profiles: open-source-grade vs. commercial-grade flows.
 
 use chipforge_pdk::LibraryKind;
-use chipforge_place::PlacerKind;
-use chipforge_route::RouterKind;
 use chipforge_synth::SynthEffort;
 use serde::{Deserialize, Serialize};
 
@@ -10,9 +8,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// The *open* profile mirrors an OpenROAD/OpenLane-class flow on an open
 /// library; the *commercial* profile mirrors a foundry-qualified flow:
-/// richer library, higher synthesis effort, more placement iterations and
-/// more aggressive timing closure. The resulting PPA gap is measured by
-/// experiment E6.
+/// richer library, higher synthesis effort, denser placement, more
+/// routing rounds and more aggressive timing closure. The resulting PPA
+/// gap is measured by experiment E6.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OptimizationProfile {
     /// Profile name.
@@ -22,14 +20,6 @@ pub struct OptimizationProfile {
     pub library: LibraryKind,
     /// Synthesis effort.
     pub synth_effort: SynthEffort,
-    /// Placement kernel (annealer or analytic; missing in serialized
-    /// pre-kernel-selection profiles, which deserialize to the default).
-    pub placer: PlacerKind,
-    /// Global-routing kernel (maze or Steiner).
-    pub router: RouterKind,
-    /// Placement annealing moves per cell (ignored by the analytic
-    /// kernel, which is deterministic and move-free).
-    pub placement_moves_per_cell: usize,
     /// Target placement utilization.
     pub utilization: f64,
     /// Router rip-up iterations.
@@ -46,9 +36,6 @@ impl OptimizationProfile {
             name: "open".into(),
             library: LibraryKind::Open,
             synth_effort: SynthEffort::Standard,
-            placer: PlacerKind::default(),
-            router: RouterKind::default(),
-            placement_moves_per_cell: 100,
             utilization: 0.65,
             route_iterations: 3,
             sizing_iterations: 2,
@@ -62,9 +49,6 @@ impl OptimizationProfile {
             name: "commercial".into(),
             library: LibraryKind::Commercial,
             synth_effort: SynthEffort::High,
-            placer: PlacerKind::default(),
-            router: RouterKind::default(),
-            placement_moves_per_cell: 400,
             utilization: 0.75,
             route_iterations: 6,
             sizing_iterations: 8,
@@ -81,9 +65,6 @@ impl OptimizationProfile {
             name: format!("{}-relaxed", self.name),
             library: self.library,
             synth_effort: self.synth_effort,
-            placer: self.placer,
-            router: self.router,
-            placement_moves_per_cell: (self.placement_moves_per_cell / 2).max(10),
             utilization: (self.utilization - 0.10).max(0.40),
             route_iterations: self.route_iterations.max(2),
             sizing_iterations: self.sizing_iterations / 2,
@@ -97,9 +78,6 @@ impl OptimizationProfile {
             name: "quick".into(),
             library: LibraryKind::Open,
             synth_effort: SynthEffort::Fast,
-            placer: PlacerKind::default(),
-            router: RouterKind::default(),
-            placement_moves_per_cell: 20,
             utilization: 0.55,
             route_iterations: 2,
             sizing_iterations: 0,
@@ -115,7 +93,6 @@ mod tests {
     fn commercial_tries_harder_everywhere() {
         let open = OptimizationProfile::open();
         let comm = OptimizationProfile::commercial();
-        assert!(comm.placement_moves_per_cell > open.placement_moves_per_cell);
         assert!(comm.route_iterations > open.route_iterations);
         assert!(comm.sizing_iterations > open.sizing_iterations);
         assert!(comm.utilization > open.utilization);
@@ -131,37 +108,11 @@ mod tests {
         ] {
             let relaxed = profile.relaxed();
             assert!(relaxed.utilization < profile.utilization);
-            assert!(relaxed.placement_moves_per_cell <= profile.placement_moves_per_cell);
             assert!(relaxed.sizing_iterations <= profile.sizing_iterations);
             assert_eq!(relaxed.library, profile.library);
             assert_eq!(relaxed.name, format!("{}-relaxed", profile.name));
             assert!(relaxed.utilization >= 0.40, "floor keeps layouts legal");
         }
-    }
-
-    #[test]
-    fn kernel_fields_round_trip_and_default_when_missing() {
-        use serde::{Deserialize, Serialize, Value};
-
-        let mut profile = OptimizationProfile::open();
-        profile.placer = PlacerKind::Analytic;
-        profile.router = RouterKind::Steiner;
-        let json = serde::json::to_string(&profile);
-        let back: OptimizationProfile = serde::json::from_str(&json).unwrap();
-        assert_eq!(back, profile);
-
-        // A profile serialized before kernel selection existed has no
-        // placer/router fields; it must load with the seed kernels.
-        let mut value = OptimizationProfile::commercial().to_value();
-        if let Value::Map(pairs) = &mut value {
-            pairs.retain(|(k, _)| !matches!(k, Value::Str(s) if s == "placer" || s == "router"));
-        } else {
-            panic!("profiles serialize as maps");
-        }
-        let legacy = OptimizationProfile::from_value(&value).unwrap();
-        assert_eq!(legacy.placer, PlacerKind::Anneal);
-        assert_eq!(legacy.router, RouterKind::Maze);
-        assert_eq!(legacy.name, "commercial");
     }
 
     #[test]

@@ -4,10 +4,10 @@ use super::{frame_into, Stage, StageState};
 use crate::pipeline::StageArtifact;
 use crate::run::{FlowConfig, FlowError};
 use crate::template::FlowStep;
-use chipforge_place::PlacementOptions;
-use chipforge_route::RouteOptions;
+use chipforge_place::{place_analytic, PlacementOptions};
+use chipforge_route::{route_steiner, RouteOptions};
 
-/// Floorplanning and placement via the profile-selected kernel.
+/// Floorplanning and analytic placement.
 pub(crate) struct PlaceStage;
 
 impl Stage for PlaceStage {
@@ -16,30 +16,26 @@ impl Stage for PlaceStage {
     }
 
     fn key_slice(&self, config: &FlowConfig, buf: &mut Vec<u8>) {
-        // The kernel name participates in the chained stage key so
-        // switching placers invalidates this and every later stage.
-        frame_into(buf, config.profile.placer.name().as_bytes());
+        // Which kernel runs is fixed at build time and pinned by
+        // `STAGE_KEY_SCHEMA`, not by a frame here. The seed stays in the
+        // key although the analytic kernel reads no RNG: job specs and
+        // hub bodies still carry it.
         frame_into(buf, &config.profile.utilization.to_bits().to_le_bytes());
         frame_into(buf, &config.seed.to_le_bytes());
-        frame_into(
-            buf,
-            &(config.profile.placement_moves_per_cell as u64).to_le_bytes(),
-        );
     }
 
     fn run(&self, state: &mut StageState<'_>, config: &FlowConfig) -> Result<String, FlowError> {
-        let placement = config.profile.placer.place(
+        let placement = place_analytic(
             state.netlist(),
             &state.lib,
             &PlacementOptions {
                 utilization: config.profile.utilization,
-                seed: config.seed,
-                moves_per_cell: config.profile.placement_moves_per_cell,
+                // Seed and move budget steer only the reference annealer.
+                ..PlacementOptions::default()
             },
         )?;
         let detail = format!(
-            "{} kernel, hpwl {:.1} um ({} rows)",
-            config.profile.placer,
+            "analytic kernel, hpwl {:.1} um ({} rows)",
             placement.hpwl_um(),
             placement.floorplan().rows()
         );
@@ -117,7 +113,7 @@ impl Stage for ClockTreeStage {
     }
 }
 
-/// Global routing.
+/// Steiner-tree global routing.
 pub(crate) struct RouteStage;
 
 impl Stage for RouteStage {
@@ -126,12 +122,11 @@ impl Stage for RouteStage {
     }
 
     fn key_slice(&self, config: &FlowConfig, buf: &mut Vec<u8>) {
-        frame_into(buf, config.profile.router.name().as_bytes());
         frame_into(buf, &(config.profile.route_iterations as u64).to_le_bytes());
     }
 
     fn run(&self, state: &mut StageState<'_>, config: &FlowConfig) -> Result<String, FlowError> {
-        let routing = config.profile.router.route(
+        let routing = route_steiner(
             state.netlist(),
             state.placement.as_ref().expect("place ran before route"),
             &state.lib,
@@ -141,8 +136,7 @@ impl Stage for RouteStage {
             },
         )?;
         let detail = format!(
-            "{} kernel, wl {:.1} um, {} vias, peak congestion {:.2}",
-            config.profile.router,
+            "steiner kernel, wl {:.1} um, {} vias, peak congestion {:.2}",
             routing.total_wirelength_um(),
             routing.total_vias(),
             routing.peak_congestion()

@@ -142,45 +142,6 @@ proptest! {
         }
     }
 
-    /// Kernel selection is pinned by the chained stage keys: switching
-    /// the placer invalidates place and everything downstream, switching
-    /// the router invalidates route onward, and identical kernel choices
-    /// produce identical keys.
-    #[test]
-    fn kernel_selection_is_pinned_by_the_backend_keys(
-        width in 3u8..9,
-        seed in 0u64..1000,
-    ) {
-        use chipforge_place::PlacerKind;
-        use chipforge_route::RouterKind;
-
-        let design = designs::counter(width);
-        let base = quick_config(100.0, seed);
-        let a = Pipeline::stage_keys(design.source(), &base);
-        let same = Pipeline::stage_keys(design.source(), &base);
-        prop_assert_eq!(a, same, "identical kernels share every key");
-
-        let mut analytic = quick_config(100.0, seed);
-        analytic.profile.placer = PlacerKind::Analytic;
-        let b = Pipeline::stage_keys(design.source(), &analytic);
-        for i in 0..FlowStep::Place.index() {
-            prop_assert_eq!(a[i].1, b[i].1, "placer choice moved front-end key {}", a[i].0);
-        }
-        for i in FlowStep::Place.index()..a.len() {
-            prop_assert_ne!(a[i].1, b[i].1, "placer choice missed key {}", a[i].0);
-        }
-
-        let mut steiner = quick_config(100.0, seed);
-        steiner.profile.router = RouterKind::Steiner;
-        let c = Pipeline::stage_keys(design.source(), &steiner);
-        for i in 0..FlowStep::Route.index() {
-            prop_assert_eq!(a[i].1, c[i].1, "router choice moved key {}", a[i].0);
-        }
-        for i in FlowStep::Route.index()..a.len() {
-            prop_assert_ne!(a[i].1, c[i].1, "router choice missed key {}", a[i].0);
-        }
-    }
-
     /// With zero sizing iterations the clock target first binds at
     /// signoff, so a clock sweep shares the six keys before it.
     #[test]
@@ -197,5 +158,37 @@ proptest! {
         }
         prop_assert_ne!(a[FlowStep::Signoff.index()].1, b[FlowStep::Signoff.index()].1);
         prop_assert_ne!(a[FlowStep::Export.index()].1, b[FlowStep::Export.index()].1);
+    }
+}
+
+/// Which kernels run is no longer a config field framed into the place
+/// and route slices: it is fixed at build time and pinned by
+/// `STAGE_KEY_SCHEMA`. So the keys of one fixed config are pinned here
+/// as literals, next to the values the last annealing binary (schema 1,
+/// kernel names and move budget framed) computed for the same config.
+/// They differ from the very first stage on, so a stage-cache directory
+/// or journal that binary wrote can only miss — never restore an
+/// annealed placement as this binary's result. Bump the schema, and
+/// these literals with it, whenever a stage's kernel changes.
+#[test]
+fn kernel_selection_is_pinned_by_the_backend_keys() {
+    const SCHEMA_1: [u128; 8] = [
+        0xf3767e4b5511ef014b6ad7acc1abb8eb,
+        0x66b53cc513150d469a8bceb5e6e8dcf5,
+        0xcbea0fcfe359472151ca7721008f3366,
+        0x907847c2d29a471ce155e77fcc102eca,
+        0xba7e0e6de98a512259bfbea139ed1070,
+        0x3f8bb5cf6dfd41adbe36aadba4646646,
+        0xc8e29ce2c563545178f825291b04592c,
+        0xd48de1c63f4923201ffea65c2397ea64,
+    ];
+    assert_eq!(chipforge_flow::STAGE_KEY_SCHEMA, 2);
+    let keys = Pipeline::stage_keys(designs::counter(8).source(), &quick_config(100.0, 3));
+    let key = |step: FlowStep| keys[step.index()].1;
+    assert_eq!(key(FlowStep::Place), 0x32eb7bd1139edf5bc53634bc0bb0f70c);
+    assert_eq!(key(FlowStep::Route), 0xd18707cb7fc921425716873ec209ed74);
+    assert_eq!(key(FlowStep::Export), 0x4f2dddf89c088667a88eec68a9662622);
+    for ((step, now), then) in keys.iter().zip(SCHEMA_1) {
+        assert_ne!(*now, then, "{step} key collides with the schema-1 binary's");
     }
 }

@@ -9,7 +9,9 @@ use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
-/// Options for [`place`].
+/// Options for [`crate::place_analytic`] and [`place`]. The analytic
+/// kernel reads only `utilization`; `seed` and `moves_per_cell` steer
+/// the reference annealer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlacementOptions {
     /// Target row utilization in `(0, 1]`.
@@ -186,6 +188,11 @@ impl Placement {
 }
 
 /// Places a netlist: row packing followed by simulated annealing.
+///
+/// This is the *reference* placer. The flow's place stage calls
+/// [`crate::place_analytic`] and no production path reaches this
+/// function; it is the oracle the differential tests, E22/A2 and the
+/// `kernel_compare` bench hold the production kernel against.
 ///
 /// # Errors
 ///

@@ -6,15 +6,18 @@
 //!
 //! 1. **Floorplanning** ([`Floorplan::for_netlist`]) — sizes the die from
 //!    total cell area and a utilization target, and lays out cell rows;
-//! 2. **Placement** — one of two pluggable kernels behind the [`Placer`]
-//!    trait, selected by [`PlacerKind`]:
-//!    * `anneal` ([`place`]) — packs cells into rows, then refines with
-//!      simulated annealing over cell swaps/moves, minimizing
-//!      half-perimeter wirelength (HPWL);
-//!    * `analytic` ([`place_analytic`]) — GORDIAN/FastPlace-style
-//!      quadratic-wirelength conjugate-gradient solve followed by row
-//!      legalization and a deterministic polish (RNG-free, typically
-//!      several times faster at comparable HPWL).
+//! 2. **Placement** — [`place_analytic`], the one kernel the flow's
+//!    place stage calls: a GORDIAN/FastPlace-style quadratic-wirelength
+//!    conjugate-gradient solve followed by row legalization and a
+//!    deterministic polish. It is RNG-free and reads no move budget, so
+//!    equal inputs give byte-identical placements whatever the seed.
+//!
+//!    [`place`] — row packing refined by seeded simulated annealing over
+//!    cell swaps/moves, minimizing half-perimeter wirelength (HPWL) — is
+//!    the *reference* kernel. No production path reaches it; it stays
+//!    public, with the same signature, as the oracle the differential
+//!    tests, experiments E22/A2 and the `kernel_compare` bench compare
+//!    the production kernel against.
 //!
 //!    Placements are legal by construction (cells are always kept
 //!    non-overlapping within rows).
@@ -29,13 +32,13 @@
 //! use chipforge_hdl::designs;
 //! use chipforge_pdk::{LibraryKind, StdCellLibrary, TechnologyNode};
 //! use chipforge_synth::{synthesize, SynthOptions};
-//! use chipforge_place::{place, PlacementOptions};
+//! use chipforge_place::{place_analytic, PlacementOptions};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let module = designs::counter(8).elaborate()?;
 //! let lib = StdCellLibrary::generate(TechnologyNode::N130, LibraryKind::Open);
 //! let netlist = synthesize(&module, &lib, &SynthOptions::default())?.netlist;
-//! let placement = place(&netlist, &lib, &PlacementOptions::default())?;
+//! let placement = place_analytic(&netlist, &lib, &PlacementOptions::default())?;
 //! assert!(placement.hpwl_um() > 0.0);
 //! assert!(placement.utilization() <= 0.85);
 //! # Ok(())
@@ -48,9 +51,7 @@
 mod analytic;
 mod anneal;
 mod floorplan;
-mod kernel;
 
 pub use analytic::place_analytic;
 pub use anneal::{place, PlaceError, PlacedCell, Placement, PlacementOptions};
 pub use floorplan::Floorplan;
-pub use kernel::{AnalyticPlacer, AnnealPlacer, Placer, PlacerKind};

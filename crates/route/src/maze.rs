@@ -135,6 +135,13 @@ pub(crate) enum InitialTopology {
 
 /// Globally routes a placed netlist with the maze (A*) kernel.
 ///
+/// This is the *reference* router. The flow's route stage calls
+/// [`crate::route_steiner`] and no production path reaches this
+/// function; it is the oracle the differential tests, E22 and the
+/// `kernel_compare` bench hold the production kernel against. (The
+/// shared negotiation driver and its A* search are production code:
+/// they are the Steiner kernel's rip-up rounds.)
+///
 /// # Errors
 ///
 /// Returns [`RouteError::PlacementMismatch`] if `placement` was produced

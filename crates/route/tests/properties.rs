@@ -3,7 +3,7 @@
 use chipforge_hdl::designs;
 use chipforge_pdk::{LibraryKind, StdCellLibrary, TechnologyNode};
 use chipforge_place::{place, PlacementOptions};
-use chipforge_route::{route, steiner_tree, GridCoord, RouteOptions, RouterKind};
+use chipforge_route::{route, route_steiner, steiner_tree, GridCoord, RouteOptions};
 use chipforge_synth::{synthesize, SynthOptions};
 use proptest::prelude::*;
 
@@ -211,10 +211,9 @@ proptest! {
             &PlacementOptions { seed, moves_per_cell: 20, ..PlacementOptions::default() },
         )
         .expect("places");
-        for kind in RouterKind::ALL {
-            let routing = kind
-                .route(&netlist, &placement, &lib, &RouteOptions::default())
-                .expect("routes");
+        let options = RouteOptions::default();
+        for (kind, kernel) in [("maze", route as fn(_, _, _, _) -> _), ("steiner", route_steiner)] {
+            let routing = kernel(&netlist, &placement, &lib, &options).expect("routes");
             prop_assert_eq!(
                 routing.overflowed_edges(),
                 0,

@@ -8,15 +8,16 @@
 //!
 //! ```json
 //! {"design": "counter8", "profile": "quick", "clock_mhz": 100, "seed": 7}
-//! {"source": "module m ... end", "name": "lab3", "node": 130, "router": "steiner"}
+//! {"source": "module m ... end", "name": "lab3", "node": 130, "deadline_ms": 60000}
 //! ```
 //!
-//! Parsing is strict: a field of the wrong JSON type is a named 400,
-//! never silently ignored — a student whose `"clock_mhz": "fast"` was
+//! Parsing is strict: a field of the wrong JSON type and a key this
+//! parser does not know are both a named 400, never silently ignored —
+//! a student whose `"clock_mhz": "fast"` or `"clock_mzh": 200` was
 //! dropped would otherwise get a default-clock GDS with no warning.
 
 use chipforge_exec::{Fault, JobSpec};
-use chipforge_flow::{OptimizationProfile, PlacerKind, RouterKind};
+use chipforge_flow::OptimizationProfile;
 use chipforge_pdk::TechnologyNode;
 use serde::Value;
 
@@ -35,6 +36,19 @@ fn typed<'a, T>(
         .ok_or_else(|| format!("`{name}` must be a {kind}, got {}", value.kind()))
 }
 
+/// Every key a job body may carry; anything else is refused by name.
+const KNOWN_KEYS: [&str; 9] = [
+    "design",
+    "source",
+    "name",
+    "node",
+    "profile",
+    "clock_mhz",
+    "seed",
+    "deadline_ms",
+    "fault",
+];
+
 /// Parses a job submission body into a [`JobSpec`].
 ///
 /// # Errors
@@ -42,16 +56,23 @@ fn typed<'a, T>(
 /// Returns a message naming the offending field; the server answers
 /// with it as a 400.
 pub fn job_from_json(body: &Value) -> Result<JobSpec, String> {
-    if !matches!(body, Value::Map(_)) {
+    let Value::Map(fields) = body else {
         return Err(format!("job must be a JSON object, got {}", body.kind()));
-    }
-    // Dropping these silently would run a different batch than the
-    // manifest describes: no file to read here, and one job per body.
-    for manifest_only in ["file", "copies"] {
-        if !matches!(body.get(manifest_only), Value::Null) {
+    };
+    for key in fields.iter().filter_map(|(key, _)| key.as_str()) {
+        // Dropping these silently would run a different batch than the
+        // manifest describes: no file to read here, one job per body,
+        // and the API key — not the body — decides the tier.
+        if matches!(key, "file" | "copies" | "tier") {
             return Err(format!(
-                "`{manifest_only}` is a `forge batch` manifest field the hub does not take \
-                 (send `source` inline; submit once per copy)"
+                "`{key}` is a `forge batch` manifest field the hub does not take \
+                 (send `source` inline; submit once per copy; the API key sets the tier)"
+            ));
+        }
+        if !KNOWN_KEYS.contains(&key) {
+            return Err(format!(
+                "unknown key `{key}` (known: {})",
+                KNOWN_KEYS.join(", ")
             ));
         }
     }
@@ -84,24 +105,12 @@ pub fn job_from_json(body: &Value) -> Result<JobSpec, String> {
             TechnologyNode::from_feature_nm(nm).ok_or_else(|| format!("unknown node {nm} nm"))?
         }
     };
-    let mut profile = match typed(body, "profile", "string", Value::as_str)? {
+    let profile = match typed(body, "profile", "string", Value::as_str)? {
         None | Some("open") => OptimizationProfile::open(),
         Some("commercial") => OptimizationProfile::commercial(),
         Some("quick") => OptimizationProfile::quick(),
         Some(other) => return Err(format!("unknown profile `{other}`")),
     };
-    if let Some(name) = typed(body, "placer", "string", Value::as_str)? {
-        profile.placer = PlacerKind::from_name(name).ok_or_else(|| {
-            let valid = PlacerKind::ALL.map(PlacerKind::name).join(", ");
-            format!("`placer`: unknown placer `{name}` (valid: {valid})")
-        })?;
-    }
-    if let Some(name) = typed(body, "router", "string", Value::as_str)? {
-        profile.router = RouterKind::from_name(name).ok_or_else(|| {
-            let valid = RouterKind::ALL.map(RouterKind::name).join(", ");
-            format!("`router`: unknown router `{name}` (valid: {valid})")
-        })?;
-    }
 
     let mut spec = JobSpec::new(name, source, node, profile);
     if let Some(clock) = typed(body, "clock_mhz", "number", Value::as_f64)? {
@@ -168,16 +177,22 @@ mod tests {
     }
 
     #[test]
-    fn kernels_are_honoured_and_unknown_ones_named() {
-        let spec = parse(r#"{"design": "counter8", "placer": "analytic", "router": "steiner"}"#)
-            .expect("ok");
-        assert_eq!(spec.profile.placer, PlacerKind::Analytic);
-        assert_eq!(spec.profile.router, RouterKind::Steiner);
-        let error = parse(r#"{"design": "counter8", "router": "teleport"}"#).unwrap_err();
-        assert!(error.contains("`router`") && error.contains("teleport"));
-        assert!(parse(r#"{"design": "counter8", "placer": 7}"#)
-            .unwrap_err()
-            .contains("`placer` must be a string"));
+    fn unknown_keys_are_refused_by_name() {
+        // The kernels are not selectable: a body that names one must not
+        // silently run the production kernel instead.
+        for (body, key) in [
+            (r#"{"design": "counter8", "placer": "anneal"}"#, "placer"),
+            (r#"{"design": "counter8", "router": "maze"}"#, "router"),
+            (r#"{"design": "counter8", "clock_mzh": 200}"#, "clock_mzh"),
+        ] {
+            let error = parse(body).unwrap_err();
+            assert!(error.contains(&format!("unknown key `{key}`")), "{error}");
+            assert!(error.contains("clock_mhz"), "lists the known keys: {error}");
+        }
+        let every_known = r#"{"source": "module m\nend", "name": "lab3", "node": 130,
+            "profile": "quick", "clock_mhz": 50, "seed": 3, "deadline_ms": 1000,
+            "fault": "panic"}"#;
+        parse(every_known).expect("every known key is accepted");
     }
 
     #[test]
@@ -190,6 +205,9 @@ mod tests {
         assert!(parse(r#"{"file": "lab3.fhdl"}"#)
             .unwrap_err()
             .contains("`file`"));
+        assert!(parse(r#"{"design": "counter8", "tier": "advanced"}"#)
+            .unwrap_err()
+            .contains("`tier`"));
         for clock in ["0", "-5"] {
             let body = format!(r#"{{"design": "counter8", "clock_mhz": {clock}}}"#);
             assert!(parse(&body).unwrap_err().contains("clock_mhz"), "{clock}");

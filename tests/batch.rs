@@ -420,7 +420,7 @@ fn manifest_only_fields_still_work_around_the_shared_parser() {
         "local.json",
         &format!(
             r#"{{"jobs": [
-                {{"file": "{}", "profile": "quick", "router": "steiner",
+                {{"file": "{}", "profile": "quick", "clock_mhz": 80,
                   "tier": "advanced", "copies": 2}},
                 {{"design": "gray8", "profile": "quick", "fault": "hang"}}
             ]}}"#,

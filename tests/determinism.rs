@@ -5,7 +5,7 @@
 use chipforge::cloud::{simulate_hub, WorkloadSpec};
 use chipforge::econ::workforce::{simulate, Interventions, PipelineConfig};
 use chipforge::exec::{BatchEngine, EngineConfig, JobSpec};
-use chipforge::flow::{run_flow, FlowConfig, OptimizationProfile};
+use chipforge::flow::{run_flow, FlowConfig, FlowStep, OptimizationProfile, Pipeline};
 use chipforge::hdl::designs;
 use chipforge::layout::gds;
 use chipforge::pdk::TechnologyNode;
@@ -35,19 +35,30 @@ fn gds_output_has_no_timestamps() {
     gds::read_gds(&a.gds).unwrap();
 }
 
+/// The seed still propagates into every key from place on (job specs
+/// and hub bodies carry it, and the reference annealer consumes it),
+/// but the production kernels read no RNG: through the flow two seeds
+/// give byte-identical GDS and PPA.
 #[test]
 fn seed_changes_propagate_but_stay_functional() {
     let design = designs::counter(8);
     let base = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open());
+    let reseeded = base.clone().with_seed(1234);
+    let keys = Pipeline::stage_keys(design.source(), &base);
+    let reseeded_keys = Pipeline::stage_keys(design.source(), &reseeded);
+    for (a, b) in keys.iter().zip(&reseeded_keys) {
+        assert_eq!(
+            a.1 != b.1,
+            a.0.index() >= FlowStep::Place.index(),
+            "seed enters the key chain at place, not at {}",
+            a.0
+        );
+    }
     let a = run_flow(design.source(), &base).unwrap();
-    let b = run_flow(design.source(), &base.clone().with_seed(1234)).unwrap();
-    assert_ne!(a.placement, b.placement, "seed must alter placement");
-    assert_eq!(
-        a.report.ppa.cells, b.report.ppa.cells,
-        "logic is unaffected"
-    );
+    let b = run_flow(design.source(), &reseeded).unwrap();
+    assert_eq!(a.gds, b.gds, "no production kernel reads the seed");
+    assert_eq!(a.report.ppa, b.report.ppa);
     assert_eq!(a.report.ppa.drc_violations, 0);
-    assert_eq!(b.report.ppa.drc_violations, 0);
 }
 
 #[test]

@@ -245,15 +245,14 @@ fn injected_faults_retry_without_hurting_the_next_job() {
 }
 
 /// One executor, two callers: the same job through a `BatchEngine` and
-/// through the hub must report the same PPA and GDS, kernels included,
-/// and an identical resubmission to the hub is an artifact-cache hit.
+/// through the hub must report the same PPA and GDS, and an identical
+/// resubmission to the hub is an artifact-cache hit.
 #[test]
 fn hub_and_batch_engine_agree_on_a_job() {
     use chipforge::exec::{BatchEngine, EngineConfig};
     use chipforge::serve::job_from_json;
 
-    let body = r#"{"design": "gray8", "profile": "quick", "seed": 51,
-                   "clock_mhz": 80, "placer": "analytic", "router": "steiner"}"#;
+    let body = r#"{"design": "gray8", "profile": "quick", "seed": 51, "clock_mhz": 80}"#;
     let spec = job_from_json(&serde::json::parse(body).expect("json")).expect("spec");
     let batch = BatchEngine::new(EngineConfig::with_workers(1)).run_batch(vec![spec]);
     let (ppa, gds_fnv) = batch.results[0].artifact_digests().expect("artifact");
