@@ -36,6 +36,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+/// The largest request body a hub reads (`chipforge_serve::http::MAX_BODY`;
+/// `serve` depends on this crate, so the figure is repeated here). A
+/// larger `PUT` is answered 413 before the body is read, which the
+/// sender sees as a broken pipe mid-write, not as an answer.
+const HUB_MAX_BODY: usize = 1024 * 1024;
+
 /// Tuning for the remote stage-cache tier.
 #[derive(Debug, Clone)]
 pub struct RemoteCacheConfig {
@@ -128,6 +134,7 @@ pub struct RemoteCache {
     retries: AtomicU64,
     corrupt: AtomicU64,
     stores: AtomicU64,
+    oversize: AtomicU64,
 }
 
 impl std::fmt::Debug for RemoteCache {
@@ -156,6 +163,7 @@ impl RemoteCache {
             retries: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             stores: AtomicU64::new(0),
+            oversize: AtomicU64::new(0),
         }
     }
 
@@ -227,10 +235,25 @@ impl RemoteCache {
     }
 
     /// Publishes `snapshot` under `key`. Failures are absorbed: a cache
-    /// store is an optimization, never an obligation.
+    /// store is an optimization, never an obligation. A body the hub is
+    /// bound to refuse is not sent at all: the refusal would look like a
+    /// transport failure and be retried, slept on and charged to the
+    /// breaker, once per large snapshot of every job.
     pub fn publish(&self, key: u128, snapshot: &StageSnapshot) {
         let path = format!("/cache/stage/{key:032x}");
         let body = frame_checksummed(&serde::json::to_string(snapshot));
+        if body.len() > HUB_MAX_BODY {
+            if self.oversize.fetch_add(1, Ordering::Relaxed) == 0 {
+                eprintln!(
+                    "warning: {} snapshot of {} bytes exceeds the remote cache's {} byte \
+                     body limit; snapshots this large stay local",
+                    snapshot.step,
+                    body.len(),
+                    HUB_MAX_BODY
+                );
+            }
+            return;
+        }
         let response = self.exchange(&self.put_breaker, "PUT", &path, Some(&body), key);
         if let Some((200, _)) = response {
             self.stores.fetch_add(1, Ordering::SeqCst);
@@ -349,10 +372,55 @@ pub fn http_exchange(
     );
     stream.write_all(request.as_bytes())?;
     let _ = stream.shutdown(Shutdown::Write);
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    parse_response(&raw)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed HTTP response"))
+    read_response(&mut stream)
+}
+
+/// Reads one `Connection: close` response off `stream`: the head, then
+/// the body straight into the buffer the caller gets, sized from
+/// `Content-Length` when the head names one. The peer closing early
+/// leaves a short body, as it always has: the checksum frame is what
+/// tells a whole body from a cut one.
+fn read_response(stream: &mut impl Read) -> io::Result<(u16, String)> {
+    let garbled = || io::Error::new(io::ErrorKind::InvalidData, "malformed HTTP response");
+    let mut raw = Vec::with_capacity(512);
+    let mut chunk = [0u8; 512];
+    let head_end = loop {
+        let scanned = raw.len().saturating_sub(3);
+        let n = stream.read(&mut chunk)?;
+        if n == 0 {
+            return Err(garbled());
+        }
+        raw.extend_from_slice(&chunk[..n]);
+        if let Some(at) = raw[scanned..].windows(4).position(|w| w == b"\r\n\r\n") {
+            break scanned + at;
+        }
+    };
+    let head = std::str::from_utf8(&raw[..head_end]).map_err(|_| garbled())?;
+    let status = parse_status(head).ok_or_else(garbled)?;
+    let expected = head
+        .lines()
+        .filter_map(|line| line.split_once(':'))
+        .find(|(name, _)| name.eq_ignore_ascii_case("content-length"))
+        .and_then(|(_, value)| value.trim().parse::<usize>().ok());
+    let mut body = raw.split_off(head_end + 4);
+    if let Some(expected) = expected {
+        // A hint from the peer, so bounded by what a hub takes in (and so
+        // has to give back); a longer body still grows.
+        body.reserve(expected.saturating_sub(body.len()).min(HUB_MAX_BODY));
+    }
+    stream.read_to_end(&mut body)?;
+    let body = String::from_utf8(body)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "response body is not UTF-8"))?;
+    Ok((status, body))
+}
+
+/// The status of an `HTTP/1.1 <status> ...` head.
+fn parse_status(head: &str) -> Option<u16> {
+    let mut parts = head.lines().next()?.split_whitespace();
+    if !parts.next()?.starts_with("HTTP/") {
+        return None;
+    }
+    parts.next()?.parse().ok()
 }
 
 /// Parses `HTTP/1.1 <status> ...` head + body. A truncated or garbled
@@ -360,14 +428,7 @@ pub fn http_exchange(
 #[must_use]
 pub fn parse_response(raw: &str) -> Option<(u16, String)> {
     let (head, body) = raw.split_once("\r\n\r\n")?;
-    let status_line = head.lines().next()?;
-    let mut parts = status_line.split_whitespace();
-    let version = parts.next()?;
-    if !version.starts_with("HTTP/") {
-        return None;
-    }
-    let status: u16 = parts.next()?.parse().ok()?;
-    Some((status, body.to_string()))
+    Some((parse_status(head)?, body.to_string()))
 }
 
 #[cfg(test)]
@@ -506,14 +567,80 @@ mod tests {
         );
     }
 
+    /// Bind-then-drop: the port is (almost surely) refused afterward.
+    fn dead_addr() -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.local_addr().expect("addr")
+    }
+
+    #[test]
+    fn oversize_publish_never_reaches_the_network() {
+        // Any attempt on this address is a transport failure, retried
+        // and charged to a breaker that one failure trips.
+        let mut config = quick_config(dead_addr());
+        config.retries = 2;
+        config.breaker_threshold = 1;
+        let cache = RemoteCache::new(config);
+        let mut big = snapshot(FlowStep::Export);
+        big.artifact = StageArtifact::Export {
+            gds: vec![200; HUB_MAX_BODY / 3],
+        };
+        cache.publish(1, &big);
+        cache.publish(2, &big);
+        assert_eq!(cache.oversize.load(Ordering::Relaxed), 2);
+        let counters = cache.counters();
+        assert_eq!(
+            (counters.retries, counters.trips, counters.stores),
+            (0, 0, 0)
+        );
+        cache.publish(3, &snapshot(FlowStep::Export));
+        assert_eq!(cache.counters().trips, 1, "a sendable body is still tried");
+    }
+
+    /// Hands out one byte per read, so every boundary falls between two.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.0.len().min(buf.len()).min(1);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn responses_are_read_head_first_and_garbled_ones_are_invalid_data() {
+        let whole = http(200, "payload|00");
+        for got in [
+            read_response(&mut whole.as_bytes()),
+            read_response(&mut Trickle(whole.as_bytes())),
+        ] {
+            assert_eq!(got.expect("reads"), (200, "payload|00".to_string()));
+        }
+        // Cut inside the body it is still an answer: the checksum frame,
+        // not the transport, tells a whole body from a short one.
+        let cut = &whole.as_bytes()[..whole.len() - 3];
+        assert_eq!(
+            read_response(&mut &*cut).expect("reads"),
+            (200, "payload".to_string())
+        );
+        for garbled in [
+            &b""[..],
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n",
+            b"not http\r\n\r\nbody",
+            b"HTTP/1.1 abc\r\n\r\nbody",
+            b"HTTP/1.1 200 \xff\r\n\r\nbody",
+            b"HTTP/1.1 200 OK\r\n\r\n\xff",
+        ] {
+            let error = read_response(&mut &*garbled).expect_err("garbled");
+            assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{garbled:?}");
+        }
+    }
+
     #[test]
     fn dead_remote_trips_the_breaker_then_fast_fails() {
-        // Bind-then-drop: the port is (almost surely) refused afterward.
-        let addr = {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-            listener.local_addr().expect("addr")
-        };
-        let mut config = quick_config(addr);
+        let mut config = quick_config(dead_addr());
         config.breaker_threshold = 2;
         config.breaker_cooldown = 8;
         config.backoff = Backoff {
@@ -537,11 +664,7 @@ mod tests {
 
     #[test]
     fn transport_retries_are_counted() {
-        let addr = {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-            listener.local_addr().expect("addr")
-        };
-        let mut config = quick_config(addr);
+        let mut config = quick_config(dead_addr());
         config.retries = 2;
         config.breaker_threshold = 100;
         config.backoff = Backoff {

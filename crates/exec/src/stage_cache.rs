@@ -65,7 +65,9 @@ pub struct StageCounters {
 /// attached to an attempt (degraded retries run without one, mirroring
 /// the whole-flow rule that degraded artifacts are never cached).
 pub struct StageCache {
-    memory: Mutex<HashMap<u128, StageSnapshot>>,
+    /// Entries are shared, so the lock covers the map operation only:
+    /// the deep copy a caller gets is made after it is released.
+    memory: Mutex<HashMap<u128, Arc<StageSnapshot>>>,
     disk: Option<PathBuf>,
     remote: Option<Arc<RemoteCache>>,
     hits: [AtomicU64; 8],
@@ -179,6 +181,21 @@ impl StageCache {
         }
     }
 
+    fn remember(&self, key: u128, snapshot: Arc<StageSnapshot>) {
+        self.memory
+            .lock()
+            .expect("stage cache lock")
+            .insert(key, snapshot);
+    }
+
+    fn recall(&self, key: u128) -> Option<Arc<StageSnapshot>> {
+        self.memory
+            .lock()
+            .expect("stage cache lock")
+            .get(&key)
+            .cloned()
+    }
+
     fn disk_path(&self, key: u128) -> Option<PathBuf> {
         self.disk
             .as_ref()
@@ -209,10 +226,7 @@ impl StageCache {
     /// the promotion path for remote hits, and the body of
     /// [`StageStore::store`] minus the remote publish.
     fn store_local(&self, key: u128, snapshot: &StageSnapshot) {
-        self.memory
-            .lock()
-            .expect("stage cache lock")
-            .insert(key, snapshot.clone());
+        self.remember(key, Arc::new(snapshot.clone()));
         if self.disk_disabled.load(Ordering::SeqCst) {
             return;
         }
@@ -248,13 +262,10 @@ impl StageCache {
     /// hit/miss accounting its own workers produce.
     #[must_use]
     pub fn peek(&self, key: u128) -> Option<StageSnapshot> {
-        let from_memory = self
-            .memory
-            .lock()
-            .expect("stage cache lock")
-            .get(&key)
-            .cloned();
-        from_memory.or_else(|| self.load_from_disk_any(key))
+        match self.recall(key) {
+            Some(shared) => Some(StageSnapshot::clone(&shared)),
+            None => self.load_from_disk_any(key),
+        }
     }
 
     /// Inserts a snapshot into the local tiers without touching the
@@ -268,18 +279,14 @@ impl StageCache {
 
 impl StageStore for StageCache {
     fn load(&self, key: u128, step: FlowStep) -> Option<StageSnapshot> {
-        let from_memory = {
-            let memory = self.memory.lock().expect("stage cache lock");
-            memory.get(&key).filter(|s| s.step == step).cloned()
-        };
-        let snapshot = from_memory
+        let snapshot = self
+            .recall(key)
+            .filter(|shared| shared.step == step)
+            .map(|shared| StageSnapshot::clone(&shared))
             .or_else(|| {
                 // Promote disk entries so repeat loads stay in memory.
                 let snapshot = self.load_from_disk(key, step)?;
-                self.memory
-                    .lock()
-                    .expect("stage cache lock")
-                    .insert(key, snapshot.clone());
+                self.remember(key, Arc::new(snapshot.clone()));
                 Some(snapshot)
             })
             .or_else(|| {

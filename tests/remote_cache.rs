@@ -4,13 +4,15 @@
 //! — may cost time and counters, but never job outcomes. Canonical
 //! reports must stay byte-identical to a run that never had a remote.
 
-use chipforge::exec::{BatchEngine, EngineConfig, JobSpec, RemoteCacheConfig, StageCacheMode};
-use chipforge::flow::OptimizationProfile;
+use chipforge::exec::{
+    BatchEngine, EngineConfig, JobSpec, RemoteCache, RemoteCacheConfig, StageCacheMode,
+};
+use chipforge::flow::{FlowStep, OptimizationProfile, StageArtifact, StageSnapshot};
 use chipforge::hdl::designs;
 use chipforge::pdk::TechnologyNode;
 use chipforge::resil::{Backoff, FlakyProxy, NetFaultPlan};
 use chipforge::serve::{Client, Hub, HubConfig, KeyRegistry, Server};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A small sweep sharing a front end: one design, two clocks per
 /// profile, so the stage cache has real prefix reuse to offer.
@@ -167,6 +169,51 @@ fn a_second_engine_restores_the_sweep_from_the_hub() {
         stages.full_restores > 0,
         "at least some jobs must be fully restored from remote snapshots"
     );
+}
+
+#[test]
+fn a_snapshot_over_the_hub_body_limit_is_not_sent() {
+    // The hub answers a `PUT` above `MAX_BODY` (1 MiB) with 413 before
+    // it reads the body, so the sender sees a broken pipe mid-write: a
+    // transport failure, retried after a back-off and charged to the
+    // breaker. The back-off here is long enough to show in the clock.
+    let server = start_hub();
+    let sleep = Duration::from_secs(2);
+    let cache = RemoteCache::new(RemoteCacheConfig {
+        backoff: Backoff {
+            base: sleep,
+            max: sleep,
+            seed: 0,
+        },
+        breaker_threshold: 1,
+        ..RemoteCacheConfig::new(format!("http://{}", server.addr()))
+    });
+    let export = |gds: Vec<u8>| StageSnapshot {
+        step: FlowStep::Export,
+        detail: format!("{} bytes GDSII", gds.len()),
+        artifact: StageArtifact::Export { gds },
+    };
+    let started = Instant::now();
+    // Each byte is written as `255,`: about 1.6 MB of JSON.
+    cache.publish(1, &export(vec![255; 400_000]));
+    let elapsed = started.elapsed();
+    cache.publish(2, &export(vec![255; 1_000]));
+
+    let counters = cache.counters();
+    assert_eq!(counters.retries, 0, "nothing to retry: nothing was sent");
+    assert_eq!(counters.trips, 0, "and nothing to charge the breaker with");
+    assert_eq!(counters.stores, 1, "the sendable snapshot is stored");
+    assert!(elapsed < sleep, "no back-off sleep, took {elapsed:?}");
+    let metrics = Client::new(server.addr().to_string(), "demo-beginner")
+        .metrics()
+        .expect("hub answers");
+    assert_eq!(
+        metrics.get("cache_protocol").get("puts").as_u64(),
+        Some(1),
+        "the hub saw one PUT"
+    );
+    assert!(!cache.has(1) && cache.has(2));
+    server.shutdown();
 }
 
 #[test]
