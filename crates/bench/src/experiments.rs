@@ -1544,6 +1544,7 @@ pub fn e20_remote_cache() -> String {
             "stage hits",
             "remote hits",
             "stored",
+            "requests",
             "timeouts",
             "retries",
             "fast-fails",
@@ -1567,6 +1568,7 @@ pub fn e20_remote_cache() -> String {
             stages.map_or_else(|| "-".into(), |r| r.hits.to_string()),
             remote_count(|r| r.hits),
             remote_count(|r| r.stores),
+            remote_count(|r| r.requests),
             remote_count(|r| r.timeouts),
             remote_count(|r| r.retries),
             remote_count(|r| r.breaker_open),
@@ -1584,7 +1586,7 @@ pub fn e20_remote_cache() -> String {
     t.note("canonical reports byte-identical across all four passes (asserted in e20_passes)");
     t.note(
         "clean-warm computes nothing: every stage of every job is fetched from the hub, \
-         checksum-verified and promoted to the local tiers",
+         checksum-verified and promoted to the local tiers, one chain lookup per job",
     );
     t.note(
         "the 30%-fault pass pays timeouts/retries and discards corrupt bodies as misses; \
@@ -2069,6 +2071,7 @@ mod tests {
             .remote_cache
             .expect("remote tier recorded");
         assert!(warm_remote.hits > 0, "warm pass must fetch from the hub");
+        assert_eq!(warm_remote.requests, jobs, "one chain lookup per warm job");
         assert_eq!(warm_remote.corrupt, 0, "clean network corrupts nothing");
         let cold_remote = passes
             .clean_cold

@@ -180,8 +180,10 @@ profile sweeps, edited resubmissions — restore the unchanged stage
 prefix instead of recomputing it, across runs and processes.
 
 Remote cache: `--remote-cache <url>` chains the stage cache to a
-running hub's `/cache/stage/<key>` endpoints (e.g.
-`http://127.0.0.1:8317`), so machines share warmed stages. The remote
+running hub's cache protocol (e.g. `http://127.0.0.1:8317`), so
+machines share warmed stages: one `/cache/chain` lookup per job fetches
+every stage the local tiers lack, and `/cache/stage/<key>` publishes
+what the job computed. The remote
 tier is strictly best-effort: per-request timeouts
 (`--remote-timeout-ms`, default 1000), capped-backoff retries, a
 per-endpoint circuit breaker and checksum verification on every fetch
@@ -750,14 +752,16 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     }
     if let Some(remote) = &batch.report.remote_cache {
         println!(
-            "remote: {} hits / {} misses, {} stored, {} timeout(s), {} retry(s), {} fast-fail(s), {} corrupt",
+            "remote: {} hits / {} misses, {} stored, {} request(s), {} timeout(s), {} retry(s), {} fast-fail(s), {} corrupt, {} oversize",
             remote.hits,
             remote.misses,
             remote.stores,
+            remote.requests,
             remote.timeouts,
             remote.retries,
             remote.breaker_open,
             remote.corrupt,
+            remote.oversize,
         );
         if remote.is_degraded() {
             eprintln!(

@@ -536,6 +536,7 @@ impl BatchEngine {
                     self.tracer.add("remote.timeouts", record.timeouts);
                     self.tracer.add("remote.retries", record.retries);
                     self.tracer.add("remote.breaker_open", record.breaker_open);
+                    self.tracer.add("remote.requests", record.requests);
                 }
                 Some(record)
             }
@@ -574,6 +575,8 @@ fn remote_record_delta(now: &RemoteCounters, base: &RemoteCounters) -> RemoteCac
         trips: now.trips - base.trips,
         corrupt: now.corrupt - base.corrupt,
         stores: now.stores - base.stores,
+        requests: now.requests - base.requests,
+        oversize: now.oversize - base.oversize,
     }
 }
 

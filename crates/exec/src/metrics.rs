@@ -199,6 +199,12 @@ pub struct RemoteCacheRecord {
     pub corrupt: u64,
     /// Snapshots accepted by the remote.
     pub stores: u64,
+    /// HTTP requests sent, retries included: the round trips the tier
+    /// cost. A run's whole stage chain is looked up in one.
+    pub requests: u64,
+    /// Snapshots kept local because their frame exceeds the hub's body
+    /// limit.
+    pub oversize: u64,
 }
 
 impl RemoteCacheRecord {

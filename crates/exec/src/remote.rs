@@ -1,5 +1,12 @@
 //! The remote stage-cache tier: a failure-first HTTP client for the
-//! content-addressed `/cache/stage/<key>` protocol `forge serve` hosts.
+//! content-addressed cache protocol `forge serve` hosts.
+//!
+//! * `GET /cache/chain/<key>,<key>,…` — the lookup a run makes: every key
+//!   of its stage chain the local tiers lack, in one request. The answer
+//!   is a count line, then one `<key> <frame>` line per entry the hub
+//!   holds ([`chain_body`]); keys it lacks are simply absent.
+//! * `GET` / `HEAD` / `PUT /cache/stage/<key>` — one entry: fetch, probe,
+//!   publish.
 //!
 //! A shared network cache turns one course's flow runs into the whole
 //! campus's warm start — but only if the network edge can fail without
@@ -19,7 +26,9 @@
 //! * **checksum verification on every fetched artifact** — bodies carry
 //!   the workspace-standard `payload|fnv64` frame; a corrupt or
 //!   truncated body is counted and treated as a miss, never
-//!   deserialized.
+//!   deserialized. A chain answer is taken whole or not at all: one
+//!   entry that fails its frame, a count that does not match, or a key
+//!   that was not asked for rejects every entry in it.
 //!
 //! The result is the invariant E20 proves: a batch pointed at a remote
 //! cache that is down, slow or lying produces the byte-identical
@@ -41,6 +50,62 @@ use std::time::Duration;
 /// larger `PUT` is answered 413 before the body is read, which the
 /// sender sees as a broken pipe mid-write, not as an answer.
 const HUB_MAX_BODY: usize = 1024 * 1024;
+
+/// The most keys one chain lookup may name: one flow's stage chain. A
+/// hub refuses longer lookups, so one request cannot ask it to copy out
+/// an unbounded share of its cache.
+pub const MAX_CHAIN_KEYS: usize = FlowStep::ALL.len();
+
+/// The checksum-framed JSON of `snapshot`: a disk entry's bytes and a
+/// protocol body's.
+pub(crate) fn encode(snapshot: &StageSnapshot) -> String {
+    frame_checksummed(&serde::json::to_string(snapshot))
+}
+
+/// The snapshot a frame carries, or `None` when it fails its checksum
+/// or does not parse.
+pub(crate) fn decode(frame: &str) -> Option<StageSnapshot> {
+    verify_checksummed(frame).and_then(|payload| serde::json::from_str(payload).ok())
+}
+
+/// The body of a chain-lookup answer: a line with the entry count, then
+/// one `<key> <frame>` line per entry. Frames hold compact JSON, so they
+/// never contain a newline.
+#[must_use]
+pub fn chain_body<'a>(entries: impl ExactSizeIterator<Item = (u128, &'a str)>) -> String {
+    let mut body = format!("{}\n", entries.len());
+    for (key, frame) in entries {
+        let _ = writeln!(body, "{key:032x} {frame}");
+    }
+    body
+}
+
+/// Splits a chain-lookup answer into `(index into asked, frame)` pairs,
+/// or `None` when it is not exactly a well-formed answer to `asked`: the
+/// count must match the lines, and every key must be one asked for, at
+/// most once. Frames are not verified here.
+fn parse_chain<'a>(body: &'a str, asked: &[(FlowStep, u128)]) -> Option<Vec<(usize, &'a str)>> {
+    let mut lines = body.strip_suffix('\n')?.split('\n');
+    let count: usize = lines.next()?.parse().ok()?;
+    if count > asked.len() {
+        return None;
+    }
+    let mut taken = vec![false; asked.len()];
+    let mut entries = Vec::with_capacity(count);
+    for line in lines {
+        let (hex, frame) = line.split_once(' ')?;
+        if hex.len() != 32 {
+            return None;
+        }
+        let key = u128::from_str_radix(hex, 16).ok()?;
+        let at = asked.iter().position(|&(_, asked)| asked == key)?;
+        if std::mem::replace(&mut taken[at], true) {
+            return None;
+        }
+        entries.push((at, frame));
+    }
+    (entries.len() == count).then_some(entries)
+}
 
 /// Tuning for the remote stage-cache tier.
 #[derive(Debug, Clone)]
@@ -120,6 +185,12 @@ pub struct RemoteCounters {
     pub corrupt: u64,
     /// Snapshots accepted by the remote.
     pub stores: u64,
+    /// HTTP requests sent, retries included: the round trips the tier
+    /// cost.
+    pub requests: u64,
+    /// Snapshots never published because their frame exceeds the hub's
+    /// body limit.
+    pub oversize: u64,
 }
 
 /// The remote cache client. One instance per engine (or hub), shared
@@ -134,6 +205,7 @@ pub struct RemoteCache {
     retries: AtomicU64,
     corrupt: AtomicU64,
     stores: AtomicU64,
+    requests: AtomicU64,
     oversize: AtomicU64,
 }
 
@@ -163,6 +235,7 @@ impl RemoteCache {
             retries: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             stores: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
             oversize: AtomicU64::new(0),
         }
     }
@@ -193,6 +266,8 @@ impl RemoteCache {
             trips: get_trips + put_trips,
             corrupt: self.corrupt.load(Ordering::SeqCst),
             stores: self.stores.load(Ordering::SeqCst),
+            requests: self.requests.load(Ordering::SeqCst),
+            oversize: self.oversize.load(Ordering::SeqCst),
         }
     }
 
@@ -203,17 +278,11 @@ impl RemoteCache {
     pub fn fetch(&self, key: u128, step: FlowStep) -> Option<StageSnapshot> {
         let path = format!("/cache/stage/{key:032x}");
         let response = self.exchange(&self.get_breaker, "GET", &path, None, key);
-        let Some((status, body)) = response else {
+        let Some((200, frame)) = response else {
             self.misses.fetch_add(1, Ordering::SeqCst);
             return None;
         };
-        if status != 200 {
-            self.misses.fetch_add(1, Ordering::SeqCst);
-            return None;
-        }
-        let snapshot = verify_checksummed(&body)
-            .and_then(|payload| serde::json::from_str::<StageSnapshot>(payload).ok());
-        match snapshot {
+        match decode(&frame) {
             Some(snapshot) if snapshot.step == step => {
                 self.hits.fetch_add(1, Ordering::SeqCst);
                 Some(snapshot)
@@ -234,27 +303,78 @@ impl RemoteCache {
         }
     }
 
+    /// Looks up every key of `chain` (at most [`MAX_CHAIN_KEYS`]: one
+    /// flow's chain) in one request and calls `found` with each verified
+    /// snapshot and the frame it came in, in chain order. Keys the remote
+    /// lacks — or all of them, when the answer is not a 200, fails
+    /// verification or never comes — are counted as misses and skipped.
+    pub fn fetch_chain(
+        &self,
+        chain: &[(FlowStep, u128)],
+        mut found: impl FnMut(u128, StageSnapshot, &str),
+    ) {
+        debug_assert!(chain.len() <= MAX_CHAIN_KEYS, "one flow's chain at most");
+        let Some(&(_, first)) = chain.first() else {
+            return;
+        };
+        let mut path = String::from("/cache/chain/");
+        for (i, (_, key)) in chain.iter().enumerate() {
+            let _ = write!(path, "{}{key:032x}", if i == 0 { "" } else { "," });
+        }
+        let missed = |n: usize| self.misses.fetch_add(n as u64, Ordering::SeqCst);
+        let Some((200, body)) = self.exchange(&self.get_breaker, "GET", &path, None, first) else {
+            missed(chain.len());
+            return;
+        };
+        // Verify everything before handing anything out: one bad entry
+        // means the answer as a whole cannot be trusted.
+        let verified: Option<Vec<(usize, StageSnapshot, &str)>> = parse_chain(&body, chain)
+            .and_then(|entries| {
+                entries
+                    .into_iter()
+                    .map(|(at, frame)| {
+                        let snapshot = decode(frame).filter(|s| s.step == chain[at].0)?;
+                        Some((at, snapshot, frame))
+                    })
+                    .collect()
+            });
+        let Some(mut verified) = verified else {
+            self.corrupt.fetch_add(1, Ordering::SeqCst);
+            missed(chain.len());
+            return;
+        };
+        self.hits.fetch_add(verified.len() as u64, Ordering::SeqCst);
+        missed(chain.len() - verified.len());
+        verified.sort_by_key(|&(at, _, _)| at);
+        for (at, snapshot, frame) in verified {
+            found(chain[at].1, snapshot, frame);
+        }
+    }
+
     /// Publishes `snapshot` under `key`. Failures are absorbed: a cache
-    /// store is an optimization, never an obligation. A body the hub is
-    /// bound to refuse is not sent at all: the refusal would look like a
-    /// transport failure and be retried, slept on and charged to the
-    /// breaker, once per large snapshot of every job.
+    /// store is an optimization, never an obligation.
     pub fn publish(&self, key: u128, snapshot: &StageSnapshot) {
-        let path = format!("/cache/stage/{key:032x}");
-        let body = frame_checksummed(&serde::json::to_string(snapshot));
-        if body.len() > HUB_MAX_BODY {
+        self.publish_frame(key, snapshot.step, &encode(snapshot));
+    }
+
+    /// Publishes an already framed snapshot of stage `step` under `key`.
+    /// A body the hub is bound to refuse is not sent at all: the refusal
+    /// would look like a transport failure and be retried, slept on and
+    /// charged to the breaker, once per large snapshot of every job.
+    pub fn publish_frame(&self, key: u128, step: FlowStep, frame: &str) {
+        if frame.len() > HUB_MAX_BODY {
             if self.oversize.fetch_add(1, Ordering::Relaxed) == 0 {
                 eprintln!(
-                    "warning: {} snapshot of {} bytes exceeds the remote cache's {} byte \
+                    "warning: {step} snapshot of {} bytes exceeds the remote cache's {} byte \
                      body limit; snapshots this large stay local",
-                    snapshot.step,
-                    body.len(),
+                    frame.len(),
                     HUB_MAX_BODY
                 );
             }
             return;
         }
-        let response = self.exchange(&self.put_breaker, "PUT", &path, Some(&body), key);
+        let path = format!("/cache/stage/{key:032x}");
+        let response = self.exchange(&self.put_breaker, "PUT", &path, Some(frame), key);
         if let Some((200, _)) = response {
             self.stores.fetch_add(1, Ordering::SeqCst);
         }
@@ -287,6 +407,7 @@ impl RemoteCache {
         let key_str = format!("{key:032x}");
         let mut attempt = 0u32;
         loop {
+            self.requests.fetch_add(1, Ordering::SeqCst);
             let answer = http_exchange(
                 self.config.addr(),
                 self.config.timeout,
@@ -423,12 +544,12 @@ fn parse_status(head: &str) -> Option<u16> {
     parts.next()?.parse().ok()
 }
 
-/// Parses `HTTP/1.1 <status> ...` head + body. A truncated or garbled
-/// response is a transport error, not an answer.
+/// Parses a whole `HTTP/1.1 <status> ...` response held in memory, with
+/// the reader every exchange uses. A truncated or garbled response is a
+/// transport error, not an answer.
 #[must_use]
 pub fn parse_response(raw: &str) -> Option<(u16, String)> {
-    let (head, body) = raw.split_once("\r\n\r\n")?;
-    Some((parse_status(head)?, body.to_string()))
+    read_response(&mut raw.as_bytes()).ok()
 }
 
 #[cfg(test)]
@@ -587,14 +708,139 @@ mod tests {
         };
         cache.publish(1, &big);
         cache.publish(2, &big);
-        assert_eq!(cache.oversize.load(Ordering::Relaxed), 2);
         let counters = cache.counters();
         assert_eq!(
-            (counters.retries, counters.trips, counters.stores),
-            (0, 0, 0)
+            (counters.oversize, counters.requests, counters.retries),
+            (2, 0, 0)
         );
+        assert_eq!((counters.trips, counters.stores), (0, 0));
         cache.publish(3, &snapshot(FlowStep::Export));
         assert_eq!(cache.counters().trips, 1, "a sendable body is still tried");
+    }
+
+    /// Three Export keys and the frames of their snapshots.
+    fn export_chain() -> (Vec<(FlowStep, u128)>, Vec<String>) {
+        let chain = vec![
+            (FlowStep::Export, 0xa1),
+            (FlowStep::Export, 0xb2),
+            (FlowStep::Export, 0xc3),
+        ];
+        let frames = (1..=3u8)
+            .map(|n| {
+                let mut snapshot = snapshot(FlowStep::Export);
+                snapshot.artifact = StageArtifact::Export { gds: vec![n; 4] };
+                encode(&snapshot)
+            })
+            .collect();
+        (chain, frames)
+    }
+
+    /// Runs one chain lookup and returns the keys and GDS handed out.
+    fn found_by(cache: &RemoteCache, chain: &[(FlowStep, u128)]) -> Vec<(u128, Vec<u8>)> {
+        let mut found = Vec::new();
+        cache.fetch_chain(chain, |key, snapshot, frame| {
+            assert_eq!(
+                decode(frame).map(|s| s.detail),
+                Some(snapshot.detail.clone())
+            );
+            if let StageArtifact::Export { gds } = snapshot.artifact {
+                found.push((key, gds));
+            }
+        });
+        found
+    }
+
+    #[test]
+    fn a_chain_is_looked_up_in_one_request() {
+        let (chain, frames) = export_chain();
+        // The hub holds the first and the last key, and answers in the
+        // order asked.
+        let body = chain_body([(0xa1, &*frames[0]), (0xc3, &*frames[2])].into_iter());
+        assert!(body.starts_with("2\n000000000000000000000000000000a1 "));
+        let (addr, server) = one_shot_server(vec![http(200, &body)]);
+        let cache = RemoteCache::new(quick_config(addr));
+        assert_eq!(
+            found_by(&cache, &chain),
+            vec![(0xa1, vec![1; 4]), (0xc3, vec![3; 4])]
+        );
+        let counters = cache.counters();
+        assert_eq!(
+            (
+                counters.requests,
+                counters.hits,
+                counters.misses,
+                counters.corrupt
+            ),
+            (1, 2, 1, 0)
+        );
+        let seen = server.join().expect("server");
+        assert!(seen[0].starts_with(
+            "GET /cache/chain/000000000000000000000000000000a1,\
+             000000000000000000000000000000b2,000000000000000000000000000000c3 "
+        ));
+    }
+
+    #[test]
+    fn a_chain_answer_is_taken_whole_or_not_at_all() {
+        let (chain, frames) = export_chain();
+        let line = |key: u128, frame: &str| format!("{key:032x} {frame}\n");
+        let mut tampered = frames[1].clone();
+        tampered.replace_range(2..3, "X");
+        let bad_answers = [
+            // One entry fails its checksum.
+            format!("2\n{}{}", line(0xa1, &frames[0]), line(0xb2, &tampered)),
+            // Cut at an entry boundary: the count gives it away.
+            format!("2\n{}", line(0xa1, &frames[0])),
+            // Cut inside an entry.
+            format!("1\n{}", &line(0xa1, &frames[0])[..40]),
+            // A key nobody asked for, and one asked for twice.
+            format!("1\n{}", line(0xd4, &frames[0])),
+            format!("2\n{}{}", line(0xa1, &frames[0]), line(0xa1, &frames[0])),
+            // The right frame under the wrong stage's key.
+            chain_body([(0xa1, &*encode(&snapshot(FlowStep::Route)))].into_iter()),
+            // Not a chain answer at all.
+            String::new(),
+            "many\n".to_string(),
+        ];
+        for answer in bad_answers {
+            let (addr, server) = one_shot_server(vec![http(200, &answer)]);
+            let cache = RemoteCache::new(quick_config(addr));
+            assert!(found_by(&cache, &chain).is_empty(), "{answer:?}");
+            let counters = cache.counters();
+            assert_eq!(
+                (counters.hits, counters.misses, counters.corrupt),
+                (0, 3, 1),
+                "{answer:?}"
+            );
+            server.join().expect("server");
+        }
+    }
+
+    #[test]
+    fn a_refused_chain_lookup_misses_every_key() {
+        let (chain, _) = export_chain();
+        let (addr, server) = one_shot_server(vec![http(404, "no route")]);
+        let cache = RemoteCache::new(quick_config(addr));
+        assert!(found_by(&cache, &chain).is_empty());
+        let counters = cache.counters();
+        assert_eq!(
+            (counters.requests, counters.misses, counters.corrupt),
+            (1, 3, 0),
+            "an HTTP refusal is an answer, not corruption, and is not retried"
+        );
+        server.join().expect("server");
+    }
+
+    #[test]
+    fn an_unanswered_chain_lookup_misses_every_key() {
+        let (chain, _) = export_chain();
+        let cache = RemoteCache::new(quick_config(dead_addr()));
+        assert!(found_by(&cache, &chain).is_empty());
+        let counters = cache.counters();
+        assert_eq!(
+            (counters.requests, counters.misses, counters.corrupt),
+            (1, 3, 0)
+        );
     }
 
     /// Hands out one byte per read, so every boundary falls between two.

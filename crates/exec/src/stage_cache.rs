@@ -17,22 +17,31 @@
 //! an atomic rename so concurrent workers (or a killed run) never leave
 //! a torn entry; unreadable, truncated or bit-flipped files fail the
 //! checksum, are deleted, and count as misses — the self-healing rule
-//! the whole-flow [`crate::cache::ArtifactCache`] already follows. The
-//! remote tier ([`crate::remote::RemoteCache`]) speaks the
-//! `/cache/stage/<key>` protocol a `forge serve` hub hosts; lookups
-//! fall through memory → disk → remote, and remote hits are promoted
-//! into the local tiers. The memory map is unbounded — snapshots live
-//! as long as the cache, which is the point of sharing one
+//! the whole-flow [`crate::cache::ArtifactCache`] already follows.
+//!
+//! The remote tier ([`crate::remote::RemoteCache`]) speaks the protocol
+//! a `forge serve` hub hosts, and it is asked once per run, not once per
+//! stage: [`StageStore::prefetch`] sends every key of the run's chain
+//! the local tiers lack in one request, promotes what comes back into
+//! the local tiers, and the stage-by-stage loads that follow read
+//! memory → disk only.
+//!
+//! A memory entry holds the snapshot, its frame (the exact bytes a disk
+//! entry or a protocol body carries), or both, and derives the missing
+//! one on first use: a hub serves `GET`s from the frames `PUT`s brought
+//! in without re-encoding them, and a worker restores from the snapshot
+//! it computed without decoding. The memory map is unbounded — entries
+//! live as long as the cache, which is the point of sharing one
 //! [`Arc<StageCache>`] across engines (E17's warm pass) or batches.
 
 use crate::metrics::{StageCacheRecord, StageCounter};
-use crate::remote::{RemoteCache, RemoteCacheConfig};
+use crate::remote::{decode, encode, RemoteCache, RemoteCacheConfig};
 use chipforge_flow::{FlowStep, StageSnapshot, StageStore};
-use chipforge_resil::{frame_checksummed, verify_checksummed};
+use chipforge_resil::verify_checksummed;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Where the engine keeps per-stage flow snapshots.
 #[derive(Debug, Clone, Default)]
@@ -58,6 +67,48 @@ pub struct StageCounters {
     disk_write_errors: u64,
 }
 
+/// One memory-tier entry: a snapshot, its checksum frame, or both.
+/// Whichever is missing is derived from the other the first time it is
+/// asked for, and kept.
+struct Entry {
+    snapshot: OnceLock<Option<Arc<StageSnapshot>>>,
+    frame: OnceLock<Arc<str>>,
+}
+
+impl Entry {
+    fn computed(snapshot: Arc<StageSnapshot>) -> Self {
+        Entry {
+            snapshot: OnceLock::from(Some(snapshot)),
+            frame: OnceLock::new(),
+        }
+    }
+
+    fn framed(frame: Arc<str>) -> Self {
+        Entry {
+            snapshot: OnceLock::new(),
+            frame: OnceLock::from(frame),
+        }
+    }
+
+    /// The snapshot, decoded from the frame on first use. Frames are
+    /// verified before they become entries, so `None` is a frame that
+    /// stopped decoding — a miss, never a panic.
+    fn snapshot(&self) -> Option<Arc<StageSnapshot>> {
+        self.snapshot
+            .get_or_init(|| decode(self.frame.get()?).map(Arc::new))
+            .clone()
+    }
+
+    /// The frame, encoded from the snapshot on first use.
+    fn frame(&self) -> Arc<str> {
+        let frame = self.frame.get_or_init(|| {
+            let snapshot = self.snapshot.get().and_then(Option::as_ref);
+            encode(snapshot.expect("an entry is built from a snapshot or a frame")).into()
+        });
+        Arc::clone(frame)
+    }
+}
+
 /// Content-addressed storage for finished flow-stage snapshots.
 ///
 /// Implements [`StageStore`], so the flow pipeline restores and stores
@@ -66,8 +117,8 @@ pub struct StageCounters {
 /// the whole-flow rule that degraded artifacts are never cached).
 pub struct StageCache {
     /// Entries are shared, so the lock covers the map operation only:
-    /// the deep copy a caller gets is made after it is released.
-    memory: Mutex<HashMap<u128, Arc<StageSnapshot>>>,
+    /// copies, encodes and decodes happen after it is released.
+    memory: Mutex<HashMap<u128, Arc<Entry>>>,
     disk: Option<PathBuf>,
     remote: Option<Arc<RemoteCache>>,
     hits: [AtomicU64; 8],
@@ -181,14 +232,15 @@ impl StageCache {
         }
     }
 
-    fn remember(&self, key: u128, snapshot: Arc<StageSnapshot>) {
+    fn remember(&self, key: u128, entry: Entry) {
+        let entry = Arc::new(entry);
         self.memory
             .lock()
             .expect("stage cache lock")
-            .insert(key, snapshot);
+            .insert(key, entry);
     }
 
-    fn recall(&self, key: u128) -> Option<Arc<StageSnapshot>> {
+    fn recall(&self, key: u128) -> Option<Arc<Entry>> {
         self.memory
             .lock()
             .expect("stage cache lock")
@@ -202,102 +254,122 @@ impl StageCache {
             .map(|dir| dir.join(format!("{key:032x}.json")))
     }
 
-    /// Reads and verifies the on-disk entry for `key`. A file that
-    /// fails its checksum frame or its parse — truncated, bit-flipped,
-    /// or written by a pre-frame version — is deleted so the slot heals
-    /// on the next store, and the load is a miss.
-    fn load_from_disk_any(&self, key: u128) -> Option<StageSnapshot> {
+    /// Reads the on-disk entry for `key` and hands its text to `accept`.
+    /// A file `accept` refuses — truncated, bit-flipped, or written by a
+    /// pre-frame version — is deleted so the slot heals on the next
+    /// store, and the read is a miss.
+    fn read_disk<T>(&self, key: u128, accept: impl FnOnce(String) -> Option<T>) -> Option<T> {
         let path = self.disk_path(key)?;
         let text = std::fs::read_to_string(&path).ok()?;
-        let snapshot = verify_checksummed(&text)
-            .and_then(|payload| serde::json::from_str::<StageSnapshot>(payload).ok());
-        if snapshot.is_none() {
+        let accepted = accept(text);
+        if accepted.is_none() {
             let _ = std::fs::remove_file(&path);
         }
-        snapshot
+        accepted
     }
 
-    fn load_from_disk(&self, key: u128, step: FlowStep) -> Option<StageSnapshot> {
-        let snapshot = self.load_from_disk_any(key)?;
-        (snapshot.step == step).then_some(snapshot)
+    /// Whether a disk write would be attempted.
+    fn writes_disk(&self) -> bool {
+        self.disk.is_some() && !self.disk_disabled.load(Ordering::SeqCst)
     }
 
-    /// Writes `snapshot` to the local tiers only (memory, then disk) —
-    /// the promotion path for remote hits, and the body of
-    /// [`StageStore::store`] minus the remote publish.
-    fn store_local(&self, key: u128, snapshot: &StageSnapshot) {
-        self.remember(key, Arc::new(snapshot.clone()));
+    /// Writes an entry to the local tiers only (memory, then `frame` to
+    /// disk) — the promotion path for remote hits, the serve side of a
+    /// `PUT`, and [`StageStore::store`] minus the publish. Callers pass
+    /// the frame whenever [`StageCache::writes_disk`] holds.
+    fn store_local(&self, key: u128, entry: Entry, frame: Option<&str>) {
+        self.remember(key, entry);
+        let (Some(frame), Some(path)) = (frame, self.disk_path(key)) else {
+            return;
+        };
         if self.disk_disabled.load(Ordering::SeqCst) {
             return;
         }
-        if let Some(path) = self.disk_path(key) {
-            // Unique temp name per write: two workers finishing the same
-            // stage concurrently must not interleave into one temp file.
-            let seq = self.tmp_seq.fetch_add(1, Ordering::SeqCst);
-            let tmp = path.with_extension(format!("{seq}.tmp"));
-            let text = frame_checksummed(&serde::json::to_string(snapshot));
-            let written =
-                std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, &path).is_ok();
-            if !written {
-                // A full or read-only disk must cost cache persistence,
-                // never jobs: count the failure, disable the disk tier
-                // for the life of the cache (memory keeps serving), and
-                // warn the operator exactly once.
-                let _ = std::fs::remove_file(&tmp);
-                self.disk_write_errors.fetch_add(1, Ordering::SeqCst);
-                if !self.disk_disabled.swap(true, Ordering::SeqCst) {
-                    eprintln!(
-                        "warning: stage cache disk tier at {} is not writable; \
-                         continuing memory-only",
-                        path.parent().unwrap_or(&path).display()
-                    );
-                }
+        // Unique temp name per write: two workers finishing the same
+        // stage concurrently must not interleave into one temp file.
+        let seq = self.tmp_seq.fetch_add(1, Ordering::SeqCst);
+        let tmp = path.with_extension(format!("{seq}.tmp"));
+        let written = std::fs::write(&tmp, frame).is_ok() && std::fs::rename(&tmp, &path).is_ok();
+        if !written {
+            // A full or read-only disk must cost cache persistence,
+            // never jobs: count the failure, disable the disk tier
+            // for the life of the cache (memory keeps serving), and
+            // warn the operator exactly once.
+            let _ = std::fs::remove_file(&tmp);
+            self.disk_write_errors.fetch_add(1, Ordering::SeqCst);
+            if !self.disk_disabled.swap(true, Ordering::SeqCst) {
+                eprintln!(
+                    "warning: stage cache disk tier at {} is not writable; \
+                     continuing memory-only",
+                    path.parent().unwrap_or(&path).display()
+                );
             }
         }
     }
 
-    /// A counter-free local lookup for the serve side of the protocol:
-    /// memory first, then verified disk, any step. The hub uses this to
-    /// answer `/cache/stage/<key>` GET/HEAD without skewing the batch
+    /// Whether the local tiers hold an entry under `key`: in memory, or
+    /// a file on disk — the answer to a hub `HEAD`. Nothing is read or
+    /// parsed, so a corrupt file still counts until a read finds it out
+    /// and deletes it.
+    #[must_use]
+    pub fn holds(&self, key: u128) -> bool {
+        self.memory
+            .lock()
+            .expect("stage cache lock")
+            .contains_key(&key)
+            || self.disk_path(key).is_some_and(|path| path.exists())
+    }
+
+    /// The serve side of the protocol: the checksum frame stored under
+    /// `key`, any step — the body a hub answers with — from memory
+    /// (encoded once, on the first request for an entry computed here)
+    /// or from a disk file that passes its checksum and parses, so a
+    /// file no snapshot can be read from is deleted, not served.
+    /// Counter-free, so the hub's protocol traffic never skews the batch
     /// hit/miss accounting its own workers produce.
     #[must_use]
-    pub fn peek(&self, key: u128) -> Option<StageSnapshot> {
+    pub fn peek(&self, key: u128) -> Option<Arc<str>> {
         match self.recall(key) {
-            Some(shared) => Some(StageSnapshot::clone(&shared)),
-            None => self.load_from_disk_any(key),
+            Some(entry) => Some(entry.frame()),
+            None => self.read_disk(key, |text| decode(&text).map(|_| text.into())),
         }
     }
 
-    /// Inserts a snapshot into the local tiers without touching the
-    /// remote — the serve side of a `/cache/stage/<key>` PUT. (Going
+    /// Reads `key`'s disk entry into memory, so repeat loads stay there.
+    fn promote_disk(&self, key: u128) -> Option<Arc<StageSnapshot>> {
+        let snapshot = Arc::new(self.read_disk(key, |text| decode(&text))?);
+        self.remember(key, Entry::computed(Arc::clone(&snapshot)));
+        Some(snapshot)
+    }
+
+    /// Stores a checksum frame received from elsewhere in the local tiers
+    /// only — the serve side of a `PUT`. The frame is kept as received,
+    /// so later `GET`s send these bytes back without an encode. (Going
     /// through [`StageStore::store`] would bounce the entry back to the
     /// remote that just sent it.)
-    pub fn insert_local(&self, key: u128, snapshot: &StageSnapshot) {
-        self.store_local(key, snapshot);
+    ///
+    /// # Errors
+    ///
+    /// A frame that fails its checksum or does not parse as a
+    /// [`StageSnapshot`] is refused and the cache is left untouched.
+    pub fn insert_frame(&self, key: u128, frame: &str) -> Result<(), String> {
+        let payload = verify_checksummed(frame).ok_or("checksum mismatch")?;
+        serde::json::from_str::<StageSnapshot>(payload)
+            .map_err(|e| format!("malformed snapshot: {e}"))?;
+        self.store_local(key, Entry::framed(frame.into()), Some(frame));
+        Ok(())
     }
 }
 
 impl StageStore for StageCache {
     fn load(&self, key: u128, step: FlowStep) -> Option<StageSnapshot> {
-        let snapshot = self
-            .recall(key)
+        let shared = match self.recall(key) {
+            Some(entry) => entry.snapshot(),
+            None => self.promote_disk(key),
+        };
+        let snapshot = shared
             .filter(|shared| shared.step == step)
-            .map(|shared| StageSnapshot::clone(&shared))
-            .or_else(|| {
-                // Promote disk entries so repeat loads stay in memory.
-                let snapshot = self.load_from_disk(key, step)?;
-                self.remember(key, Arc::new(snapshot.clone()));
-                Some(snapshot)
-            })
-            .or_else(|| {
-                // Remote tier last: every fetched byte is checksum-
-                // verified by the client before it counts as a hit.
-                // Promote into the local tiers so one remote round-trip
-                // serves all later loads.
-                let snapshot = self.remote.as_ref()?.fetch(key, step)?;
-                self.store_local(key, &snapshot);
-                Some(snapshot)
-            });
+            .map(|shared| StageSnapshot::clone(&shared));
         match &snapshot {
             Some(_) => self.hits[step.index()].fetch_add(1, Ordering::SeqCst),
             None => self.misses[step.index()].fetch_add(1, Ordering::SeqCst),
@@ -306,10 +378,34 @@ impl StageStore for StageCache {
     }
 
     fn store(&self, key: u128, snapshot: &StageSnapshot) {
-        self.store_local(key, snapshot);
-        if let Some(remote) = &self.remote {
-            remote.publish(key, snapshot);
+        // One encode serves both the disk tier and the remote publish.
+        let frame = (self.remote.is_some() || self.writes_disk()).then(|| encode(snapshot));
+        self.store_local(
+            key,
+            Entry::computed(Arc::new(snapshot.clone())),
+            frame.as_deref(),
+        );
+        if let (Some(remote), Some(frame)) = (&self.remote, &frame) {
+            remote.publish_frame(key, snapshot.step, frame);
         }
+    }
+
+    /// Asks the remote tier, in one request, for every key of the chain
+    /// the local tiers cannot serve, and promotes what it verifies. Disk
+    /// entries are read (and promoted) here rather than trusted by name,
+    /// so a corrupt file is deleted and its key asked for.
+    fn prefetch(&self, chain: &[(FlowStep, u128)]) {
+        let Some(remote) = &self.remote else {
+            return;
+        };
+        let wanted: Vec<(FlowStep, u128)> = chain
+            .iter()
+            .copied()
+            .filter(|&(_, key)| self.recall(key).is_none() && self.promote_disk(key).is_none())
+            .collect();
+        remote.fetch_chain(&wanted, |key, snapshot, frame| {
+            self.store_local(key, Entry::computed(Arc::new(snapshot)), Some(frame));
+        });
     }
 }
 
@@ -317,6 +413,7 @@ impl StageStore for StageCache {
 mod tests {
     use super::*;
     use chipforge_flow::StageArtifact;
+    use chipforge_resil::frame_checksummed;
 
     fn snapshot(step: FlowStep) -> StageSnapshot {
         StageSnapshot {
@@ -449,6 +546,72 @@ mod tests {
              stores must not retry the disk"
         );
         let _ = std::fs::remove_file(&dir);
+    }
+
+    #[test]
+    fn a_put_frame_is_served_back_as_received_and_restores() {
+        let cache = StageCache::in_memory();
+        let frame = encode(&snapshot(FlowStep::Export));
+        cache.insert_frame(41, &frame).expect("a valid frame");
+        let served = cache.peek(41).expect("held");
+        assert_eq!(&*served, frame);
+        assert!(
+            Arc::ptr_eq(&served, &cache.peek(41).expect("held")),
+            "later requests share the one frame"
+        );
+        let restored = cache.load(41, FlowStep::Export).expect("decoded on use");
+        assert_eq!(restored.detail, "42 bytes GDSII");
+        assert!(cache.load(41, FlowStep::Route).is_none());
+
+        let mut tampered = frame.clone();
+        tampered.replace_range(2..3, "X");
+        let unframed = r#"{"step":"export"}"#;
+        let wrong_shape = frame_checksummed(r#"{"step":"export"}"#);
+        for refused in [&*tampered, unframed, &wrong_shape, ""] {
+            assert!(cache.insert_frame(42, refused).is_err(), "{refused:?}");
+        }
+        assert!(!cache.holds(42), "a refused frame leaves nothing behind");
+    }
+
+    #[test]
+    fn a_computed_entry_encodes_its_frame_once() {
+        let cache = StageCache::in_memory();
+        cache.store(43, &snapshot(FlowStep::Export));
+        let first = cache.peek(43).expect("held");
+        assert_eq!(&*first, encode(&snapshot(FlowStep::Export)));
+        assert!(Arc::ptr_eq(&first, &cache.peek(43).expect("held")));
+        assert!(cache.peek(44).is_none());
+    }
+
+    #[test]
+    fn holds_and_peek_see_the_disk_tier() {
+        let mut dir = std::env::temp_dir();
+        dir.push(format!(
+            "chipforge-stage-cache-holds-{}",
+            std::process::id()
+        ));
+        let cache = StageCache::on_disk(&dir);
+        cache.store(45, &snapshot(FlowStep::Export));
+        drop(cache);
+        let fresh = StageCache::on_disk(&dir);
+        assert!(fresh.holds(45) && !fresh.holds(46));
+        let frame = fresh.peek(45).expect("the file is the frame");
+        assert_eq!(&*frame, encode(&snapshot(FlowStep::Export)));
+        assert_eq!(fresh.entries(), 0, "serving a file does not promote it");
+        let path = dir.join(format!("{:032x}.json", 45u128));
+        std::fs::write(&path, "torn").expect("corrupt the entry");
+        assert!(fresh.holds(45), "presence is not verification");
+        assert!(fresh.peek(45).is_none());
+        assert!(!path.exists(), "the failed read heals the slot");
+        // A frame that passes its checksum but holds no snapshot (another
+        // build's layout, say) is not served either.
+        std::fs::write(&path, frame_checksummed(r#"{"step":"export"}"#)).expect("rewrite");
+        assert!(
+            fresh.peek(45).is_none(),
+            "an unparsable frame is not served"
+        );
+        assert!(!path.exists(), "and its slot heals too");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::report::{FlowReport, PpaReport, StepRecord};
 use crate::run::{FlowConfig, FlowError, FlowOutcome};
-use crate::stages::{ModuleSlot, StageState, STAGES};
+use crate::stages::{ModuleSlot, Stage, StageState, STAGES};
 use crate::template::FlowStep;
 use chipforge_hdl::RtlModule;
 use chipforge_layout::Layout;
@@ -161,6 +161,12 @@ pub trait StageStore {
 
     /// Stores a freshly computed snapshot under `key`.
     fn store(&self, key: u128, snapshot: &StageSnapshot);
+
+    /// Called once per run, before the first [`StageStore::load`], with
+    /// every key the run will load, in stage order. A store with a slow
+    /// tier looks the whole chain up there in one request instead of one
+    /// per stage; the default does nothing.
+    fn prefetch(&self, _chain: &[(FlowStep, u128)]) {}
 }
 
 /// Observation and interruption points at stage boundaries. Hook errors
@@ -310,14 +316,8 @@ impl Pipeline {
     /// config field that can influence stage N's artifact.
     #[must_use]
     pub fn stage_keys(source: &str, config: &FlowConfig) -> [(FlowStep, u128); 8] {
-        let mut key = base_key(source.as_bytes());
-        let mut slice = Vec::new();
-        STAGES.map(|stage| {
-            slice.clear();
-            stage.key_slice(config, &mut slice);
-            key = chain_key(key, stage.step(), &slice);
-            (stage.step(), key)
-        })
+        let chain = key_chain(base_key(source.as_bytes()), config, &STAGES);
+        core::array::from_fn(|i| chain[i])
     }
 
     fn drive(
@@ -333,21 +333,17 @@ impl Pipeline {
         if skip_elaborate {
             root.set_detail(state.module().name());
         }
-        let mut key = base;
-        let mut slice = Vec::new();
+        let stages = &STAGES[usize::from(skip_elaborate)..];
+        let chain = key_chain(base, config, stages);
+        if let Some(store) = ctx.stages {
+            store.prefetch(&chain);
+        }
         let mut steps = Vec::new();
-        for stage in STAGES {
-            let step = stage.step();
-            if skip_elaborate && step == FlowStep::Elaborate {
-                continue;
-            }
+        for (stage, &(step, key)) in stages.iter().zip(&chain) {
             check_deadline(ctx.deadline, step)?;
             if let Some(hooks) = ctx.hooks {
                 hooks.before_stage(step)?;
             }
-            slice.clear();
-            stage.key_slice(config, &mut slice);
-            key = chain_key(key, step, &slice);
             let restored = ctx
                 .stages
                 .and_then(|store| store.load(key, step))
@@ -386,6 +382,21 @@ impl Pipeline {
         }
         Ok(assemble(state, config, steps))
     }
+}
+
+/// The key of each of `stages`, chained from `base` under `config`.
+fn key_chain(base: u128, config: &FlowConfig, stages: &[&dyn Stage]) -> Vec<(FlowStep, u128)> {
+    let mut key = base;
+    let mut slice = Vec::new();
+    stages
+        .iter()
+        .map(|stage| {
+            slice.clear();
+            stage.key_slice(config, &mut slice);
+            key = chain_key(key, stage.step(), &slice);
+            (stage.step(), key)
+        })
+        .collect()
 }
 
 /// Builds the final report and outcome from completed stage state.

@@ -17,15 +17,14 @@
 use crate::auth::Identity;
 use chipforge_admit::{Admission, ClassQueues, FairShare, OverflowPolicy, RateLimit, TokenBucket};
 use chipforge_cloud::AccessTier;
+use chipforge_exec::remote::chain_body;
 use chipforge_exec::{
     ArtifactCache, AttemptLimits, BatchContext, CacheKey, JobExecutor, JobSpec, JobStatus,
     QueuedJob, RemoteCacheConfig, StageCache, StageCacheMode, StageCounters,
 };
-use chipforge_flow::{PpaReport, StageSnapshot};
+use chipforge_flow::PpaReport;
 use chipforge_obs::Tracer;
-use chipforge_resil::{
-    frame_checksummed, verify_checksummed, Journal, JournalRecord, JournalWriter,
-};
+use chipforge_resil::{Journal, JournalRecord, JournalWriter};
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -62,10 +61,10 @@ pub struct HubConfig {
     /// Whether to attach a stage cache at all.
     pub stage_cache: bool,
     /// Upstream remote stage cache (`forge serve --remote-cache <url>`):
-    /// this hub's stage cache chains to another hub's
-    /// `/cache/stage/<key>` endpoints, so a fleet of hubs shares one
-    /// warm tier. Failure-first like any remote tier — an unreachable
-    /// upstream degrades to local-only caching.
+    /// this hub's stage cache chains to another hub's cache protocol
+    /// endpoints, so a fleet of hubs shares one warm tier. Failure-first
+    /// like any remote tier — an unreachable upstream degrades to
+    /// local-only caching.
     pub remote_cache: Option<String>,
 }
 
@@ -169,7 +168,8 @@ struct HubState {
     shed: [u64; 3],
 }
 
-/// Request counters for the `/cache/stage/<key>` protocol endpoints.
+/// Request counters for the `/cache/stage/<key>` and `/cache/chain/<key>,…`
+/// protocol endpoints.
 #[derive(Debug, Default)]
 struct CacheProtocol {
     gets: AtomicU64,
@@ -178,6 +178,9 @@ struct CacheProtocol {
     put_rejects: AtomicU64,
     heads: AtomicU64,
     head_hits: AtomicU64,
+    chains: AtomicU64,
+    chain_keys: AtomicU64,
+    chain_hits: AtomicU64,
 }
 
 struct HubInner {
@@ -287,47 +290,64 @@ impl Hub {
     }
 
     /// Serves `GET /cache/stage/<key>`: the checksum-framed snapshot
-    /// body, or `None` on a miss. Counter-free on the engine side
-    /// ([`StageCache::peek`]) so protocol traffic never skews the hub's
-    /// own hit-rate metrics.
+    /// body, or `None` on a miss. The body is the frame the hub holds —
+    /// as a `PUT` or a disk file brought it in, or as encoded once on the
+    /// first request for an entry its own workers computed — so serving
+    /// it costs a copy, not a codec pass. Counter-free on the engine side
+    /// ([`StageCache::peek`]) so protocol traffic never skews the
+    /// hub's own hit-rate metrics.
     #[must_use]
     pub fn cache_get(&self, key: u128) -> Option<String> {
         let stage_cache = self.inner.executor.stage_cache()?;
-        self.inner
-            .cache_protocol
-            .gets
-            .fetch_add(1, Ordering::Relaxed);
-        let snapshot = stage_cache.peek(key)?;
-        self.inner
-            .cache_protocol
-            .get_hits
-            .fetch_add(1, Ordering::Relaxed);
-        Some(frame_checksummed(&serde::json::to_string(&snapshot)))
+        let protocol = &self.inner.cache_protocol;
+        protocol.gets.fetch_add(1, Ordering::Relaxed);
+        let frame = stage_cache.peek(key)?;
+        protocol.get_hits.fetch_add(1, Ordering::Relaxed);
+        Some(String::from(&*frame))
     }
 
-    /// Serves `HEAD /cache/stage/<key>`: presence without the body.
+    /// Serves `GET /cache/chain/<key>,…`: one body with the frame of
+    /// every listed key the hub holds ([`chipforge_exec::remote::chain_body`]),
+    /// in the order asked. Keys it lacks are left out; `None` only when
+    /// the hub has no stage cache.
+    #[must_use]
+    pub fn cache_chain(&self, keys: &[u128]) -> Option<String> {
+        let stage_cache = self.inner.executor.stage_cache()?;
+        let held: Vec<(u128, Arc<str>)> = keys
+            .iter()
+            .filter_map(|&key| Some((key, stage_cache.peek(key)?)))
+            .collect();
+        let protocol = &self.inner.cache_protocol;
+        protocol.chains.fetch_add(1, Ordering::Relaxed);
+        protocol
+            .chain_keys
+            .fetch_add(keys.len() as u64, Ordering::Relaxed);
+        protocol
+            .chain_hits
+            .fetch_add(held.len() as u64, Ordering::Relaxed);
+        Some(chain_body(held.iter().map(|(key, frame)| (*key, &**frame))))
+    }
+
+    /// Serves `HEAD /cache/stage/<key>`: presence without the body, and
+    /// without reading or decoding the entry.
     #[must_use]
     pub fn cache_has(&self, key: u128) -> bool {
         let Some(stage_cache) = self.inner.executor.stage_cache() else {
             return false;
         };
-        self.inner
-            .cache_protocol
-            .heads
-            .fetch_add(1, Ordering::Relaxed);
-        let hit = stage_cache.peek(key).is_some();
+        let protocol = &self.inner.cache_protocol;
+        protocol.heads.fetch_add(1, Ordering::Relaxed);
+        let hit = stage_cache.holds(key);
         if hit {
-            self.inner
-                .cache_protocol
-                .head_hits
-                .fetch_add(1, Ordering::Relaxed);
+            protocol.head_hits.fetch_add(1, Ordering::Relaxed);
         }
         hit
     }
 
-    /// Serves `PUT /cache/stage/<key>`: verifies the checksum frame,
-    /// parses the snapshot and stores it in the hub's local tiers only
-    /// (never re-published upstream, so chained hubs cannot loop).
+    /// Serves `PUT /cache/stage/<key>`: verifies the checksum frame and
+    /// that it parses as a snapshot, then keeps the frame as received in
+    /// the hub's local tiers only (never re-published upstream, so
+    /// chained hubs cannot loop).
     ///
     /// # Errors
     ///
@@ -337,22 +357,11 @@ impl Hub {
         let Some(stage_cache) = self.inner.executor.stage_cache() else {
             return Err("stage cache disabled".into());
         };
-        self.inner
-            .cache_protocol
-            .puts
-            .fetch_add(1, Ordering::Relaxed);
-        let stored = verify_checksummed(body)
-            .ok_or_else(|| "checksum mismatch".to_string())
-            .and_then(|payload| {
-                serde::json::from_str::<StageSnapshot>(payload)
-                    .map_err(|e| format!("malformed snapshot: {e}"))
-            })
-            .map(|snapshot| stage_cache.insert_local(key, &snapshot));
+        let protocol = &self.inner.cache_protocol;
+        protocol.puts.fetch_add(1, Ordering::Relaxed);
+        let stored = stage_cache.insert_frame(key, body);
         if stored.is_err() {
-            self.inner
-                .cache_protocol
-                .put_rejects
-                .fetch_add(1, Ordering::Relaxed);
+            protocol.put_rejects.fetch_add(1, Ordering::Relaxed);
         }
         stored
     }
@@ -576,6 +585,9 @@ impl Hub {
                 ),
                 (Value::Str("heads".into()), count(&protocol.heads)),
                 (Value::Str("head_hits".into()), count(&protocol.head_hits)),
+                (Value::Str("chains".into()), count(&protocol.chains)),
+                (Value::Str("chain_keys".into()), count(&protocol.chain_keys)),
+                (Value::Str("chain_hits".into()), count(&protocol.chain_hits)),
             ]),
         ));
         drop(state);

@@ -10,6 +10,7 @@
 use crate::auth::{Identity, KeyRegistry};
 use crate::http::{error_body, read_request, write_response, HttpError, Request};
 use crate::hub::{Hub, SubmitOutcome};
+use chipforge_exec::remote::MAX_CHAIN_KEYS;
 use serde::Value;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -166,11 +167,15 @@ fn route(request: &Request, hub: &Hub, keys: &KeyRegistry) -> Result<(u16, Strin
         };
     }
 
-    // /cache/stage/<key> — the remote stage-cache protocol. Keyless by
-    // design, like /metrics: cache bodies are checksum-framed snapshots
-    // keyed by a 128-bit content hash, not tenant data.
+    // /cache/stage/<key> and /cache/chain/<key>,… — the remote
+    // stage-cache protocol. Keyless by design, like /metrics: cache
+    // bodies are checksum-framed snapshots keyed by a 128-bit content
+    // hash, not tenant data.
     if let Some(rest) = path.strip_prefix("/cache/stage/") {
         return cache_stage(method, rest, request, hub);
+    }
+    if let Some(rest) = path.strip_prefix("/cache/chain/") {
+        return cache_chain(method, rest, hub);
     }
 
     if matches!(path, "/healthz" | "/metrics" | "/api/v1/jobs") {
@@ -217,6 +222,30 @@ fn cache_stage(
         }
         _ => Err(HttpError::new(405, format!("{method} not allowed here"))),
     }
+}
+
+/// `/cache/chain/<key>,…`: GET answers with every listed entry the hub
+/// holds in one body — the lookup a run makes for its whole stage chain.
+/// At most [`MAX_CHAIN_KEYS`] keys; 409 when the hub runs without
+/// `--stage-cache`.
+fn cache_chain(method: &str, keys_text: &str, hub: &Hub) -> Result<(u16, String), HttpError> {
+    if method != "GET" {
+        return Err(HttpError::new(405, format!("{method} not allowed here")));
+    }
+    let keys = keys_text
+        .split(',')
+        .map(|key| u128::from_str_radix(key, 16))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|_| HttpError::bad_request(format!("bad key list `{keys_text}`")))?;
+    if keys.len() > MAX_CHAIN_KEYS {
+        return Err(HttpError::bad_request(format!(
+            "{} keys in one chain lookup; at most {MAX_CHAIN_KEYS}",
+            keys.len()
+        )));
+    }
+    hub.cache_chain(&keys)
+        .map(|body| (200, body))
+        .ok_or_else(|| HttpError::new(409, "stage cache disabled on this hub"))
 }
 
 fn submit(request: &Request, hub: &Hub, who: &Identity) -> Result<(u16, String), HttpError> {

@@ -172,6 +172,99 @@ fn a_second_engine_restores_the_sweep_from_the_hub() {
 }
 
 #[test]
+fn a_warm_restore_is_one_request_per_job() {
+    let server = start_hub();
+    // The default 1 s budget: this test counts requests, and a retry
+    // on a busy machine is one more.
+    let remote = RemoteCacheConfig::new(format!("http://{}", server.addr()));
+    let jobs = sweep().len() as u64;
+
+    // Cold: each job looks its chain up once (all misses), then
+    // publishes the stages it computed.
+    let cold = engine(Some(remote.clone())).run_batch(sweep());
+    let cold_remote = cold.report.remote_cache.expect("remote recorded");
+    assert_eq!(
+        cold_remote.requests - cold_remote.retries,
+        jobs + cold_remote.stores
+    );
+
+    // Warm, with empty local tiers: one lookup per job brings back
+    // every stage the job does not already share with an earlier one.
+    let warm = engine(Some(remote)).run_batch(sweep());
+    let metrics = Client::new(server.addr().to_string(), "demo-beginner")
+        .metrics()
+        .expect("hub answers");
+    server.shutdown();
+    let warm_remote = warm.report.remote_cache.expect("remote recorded");
+    let stages = warm
+        .report
+        .stage_cache
+        .as_ref()
+        .expect("stage cache recorded");
+    assert_eq!(stages.full_restores, jobs, "every warm job restores");
+    assert_eq!(
+        warm_remote.requests - warm_remote.retries,
+        jobs,
+        "one round trip per job"
+    );
+    assert_eq!((warm_remote.misses, warm_remote.corrupt), (0, 0));
+    assert_eq!(
+        (stages.hits, stages.misses),
+        (8 * jobs, 0),
+        "every stage loads from the local tiers once its chain is promoted"
+    );
+    assert_eq!(cold.canonical_report(), warm.canonical_report());
+    let protocol = metrics.get("cache_protocol");
+    assert_eq!(protocol.get("chains").as_u64(), Some(2 * jobs));
+    assert_eq!(protocol.get("chain_hits").as_u64(), Some(warm_remote.hits));
+    assert_eq!(protocol.get("gets").as_u64(), Some(0), "no per-key GET");
+}
+
+#[test]
+fn a_torn_disk_tier_restores_from_a_warm_hub() {
+    let server = start_hub();
+    let remote = fast_remote(format!("http://{}", server.addr()));
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("chipforge-remote-torn-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let disk_engine = || {
+        BatchEngine::new(EngineConfig {
+            stage_cache: StageCacheMode::Disk(dir.clone()),
+            remote_cache: Some(remote.clone()),
+            ..EngineConfig::with_workers(1)
+        })
+    };
+
+    // One run fills the disk tier and warms the hub; then every disk
+    // entry is torn, as a killed copy or a full disk would leave it.
+    let cold = disk_engine().run_batch(sweep());
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("disk tier written")
+        .map(|entry| entry.expect("dir entry").path())
+        .collect();
+    assert!(!files.is_empty());
+    for file in &files {
+        std::fs::write(file, "torn").expect("tear the entry");
+    }
+
+    // A fresh engine finds every file bad and asks the hub instead of
+    // recomputing, and the restores heal the disk tier.
+    let warm = disk_engine().run_batch(sweep());
+    server.shutdown();
+    let stages = warm.report.stage_cache.as_ref().expect("stage cache");
+    assert_eq!(stages.full_restores, sweep().len() as u64);
+    assert_eq!(stages.misses, 0, "no stage recomputes");
+    let warm_remote = warm.report.remote_cache.as_ref().expect("remote");
+    assert_eq!(warm_remote.hits, files.len() as u64);
+    assert_eq!(cold.canonical_report(), warm.canonical_report());
+    for file in &files {
+        let healed = std::fs::read_to_string(file).expect("rewritten");
+        assert_ne!(healed, "torn", "{}", file.display());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_snapshot_over_the_hub_body_limit_is_not_sent() {
     // The hub answers a `PUT` above `MAX_BODY` (1 MiB) with 413 before
     // it reads the body, so the sender sees a broken pipe mid-write: a

@@ -499,6 +499,66 @@ fn cache_protocol_round_trips_and_rejects_bad_entries() {
 }
 
 #[test]
+fn a_chain_lookup_answers_every_held_frame_in_one_body() {
+    let server = start_hub(HubConfig::default());
+    let addr = server.addr().to_string();
+    let framed = framed_snapshot();
+    let held = [
+        "00000000000000000000000000000abc",
+        "00000000000000000000000000000def",
+    ];
+    for key in held {
+        assert_eq!(status_of(&put_cache(&addr, key, &framed)), 200);
+    }
+    let get = |path: &str| {
+        String::from_utf8_lossy(&raw_send(
+            &addr,
+            format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes(),
+        ))
+        .into_owned()
+    };
+
+    // Asked for three keys, the hub answers with the two it holds, in
+    // the order asked, each with the exact frame it was sent.
+    let answer = get(&format!("/cache/chain/{},1,{}", held[1], held[0]));
+    assert_eq!(status_of(&answer), 200);
+    let body = answer.split("\r\n\r\n").nth(1).expect("body");
+    assert_eq!(
+        body,
+        format!("2\n{} {framed}\n{} {framed}\n", held[1], held[0])
+    );
+    let miss = get("/cache/chain/1");
+    assert_eq!(miss.split("\r\n\r\n").nth(1), Some("0\n"));
+
+    // Refusals: a key that is not hex, more keys than one flow has, and
+    // any method but GET.
+    assert_eq!(status_of(&get("/cache/chain/xyz")), 400);
+    assert_eq!(status_of(&get("/cache/chain/")), 400);
+    assert_eq!(status_of(&get("/cache/chain/1,2,3,4,5,6,7,8,9")), 400);
+    let posted = raw_send(&addr, b"POST /cache/chain/1 HTTP/1.1\r\n\r\n");
+    assert_eq!(status_of(&String::from_utf8_lossy(&posted)), 405);
+
+    let metrics = Client::new(&addr, "demo-beginner")
+        .metrics()
+        .expect("metrics");
+    assert_eq!(metrics_u64(&metrics, "cache_protocol", "chains"), 2);
+    assert_eq!(metrics_u64(&metrics, "cache_protocol", "chain_keys"), 4);
+    assert_eq!(metrics_u64(&metrics, "cache_protocol", "chain_hits"), 2);
+    server.shutdown();
+
+    let disabled = start_hub(HubConfig {
+        stage_cache: false,
+        ..HubConfig::default()
+    });
+    let response = raw_send(
+        &disabled.addr().to_string(),
+        b"GET /cache/chain/1 HTTP/1.1\r\n\r\n",
+    );
+    assert_eq!(status_of(&String::from_utf8_lossy(&response)), 409);
+    disabled.shutdown();
+}
+
+#[test]
 fn cache_protocol_is_a_409_without_a_stage_cache() {
     let server = start_hub(HubConfig {
         stage_cache: false,
