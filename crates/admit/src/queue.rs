@@ -94,6 +94,23 @@ impl<T> ClassQueues<T> {
             .map(|e| (e.item, e.enqueued_at))
     }
 
+    /// Puts a once-admitted `item` back into `class` at time `now`,
+    /// ahead of every entry with a larger `key`, so a queue kept in
+    /// `key` order stays in it. The capacity bound does not apply: the
+    /// item was counted when it was first offered.
+    pub fn requeue<K: Ord>(&mut self, class: usize, item: T, now: f64, key: impl Fn(&T) -> K) {
+        let queue = &mut self.queues[class];
+        let at = queue.partition_point(|e| key(&e.item) < key(&item));
+        queue.insert(
+            at,
+            Entry {
+                item,
+                enqueued_at: now,
+            },
+        );
+        self.peak_depth[class] = self.peak_depth[class].max(queue.len());
+    }
+
     /// How long the head-of-line entry of `class` has waited by `now`,
     /// if the queue is non-empty.
     pub fn head_wait(&self, class: usize, now: f64) -> Option<f64> {
@@ -178,6 +195,21 @@ mod tests {
             Admission::Shed("a")
         );
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn requeue_restores_key_order_past_the_bound() {
+        let mut q = ClassQueues::new(1);
+        q.offer(0, 1, 0.0, Some(2), OverflowPolicy::Reject);
+        q.offer(0, 4, 1.0, Some(2), OverflowPolicy::Reject);
+        q.requeue(0, 3, 5.0, |&k| k);
+        q.requeue(0, 0, 6.0, |&k| k);
+        assert_eq!(q.depth(0), 4, "a requeue ignores the capacity");
+        assert_eq!(q.peak_depth(0), 4);
+        assert_eq!(q.pop_front(0), Some((0, 6.0)));
+        assert_eq!(q.pop_front(0), Some((1, 0.0)));
+        assert_eq!(q.pop_front(0), Some((3, 5.0)));
+        assert_eq!(q.pop_front(0), Some((4, 1.0)));
     }
 
     #[test]

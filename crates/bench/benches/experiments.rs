@@ -4,7 +4,7 @@
 //! reproduction has a tracked regeneration cost; plus end-to-end flow
 //! benches per node/profile backing E6's runtime context.
 
-use chipforge::flow::{run_flow, FlowConfig, OptimizationProfile};
+use chipforge::flow::{FlowConfig, FlowCtx, OptimizationProfile, Pipeline};
 use chipforge::hdl::designs;
 use chipforge::pdk::TechnologyNode;
 use chipforge_bench::experiments;
@@ -29,7 +29,11 @@ fn bench_full_flow(c: &mut Criterion) {
         ),
     ] {
         group.bench_function(label, |b| {
-            b.iter(|| run_flow(design.source(), &config).expect("flows"));
+            b.iter(|| {
+                Pipeline::standard()
+                    .run(design.source(), &config, &FlowCtx::default())
+                    .expect("flows")
+            });
         });
     }
     group.finish();

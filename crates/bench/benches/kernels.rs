@@ -4,7 +4,7 @@
 //! milliseconds; enablement, not CPU, is the bottleneck) and provide
 //! regression tracking for the engines.
 
-use chipforge::flow::{run_flow, FlowConfig, OptimizationProfile};
+use chipforge::flow::{FlowConfig, FlowCtx, OptimizationProfile, Pipeline};
 use chipforge::hdl::designs;
 use chipforge::layout::{build_layout, drc, gds};
 use chipforge::pdk::{DesignRules, LibraryKind, StdCellLibrary, TechnologyNode};
@@ -98,7 +98,9 @@ fn bench_signoff(c: &mut Criterion) {
         .iter()
         .map(|spec| {
             let design = spec.generate();
-            let outcome = run_flow(design.source(), &config).expect("flows");
+            let outcome = Pipeline::standard()
+                .run(design.source(), &config, &FlowCtx::default())
+                .expect("flows");
             (design.elaborate().expect("elaborates"), outcome)
         })
         .collect();

@@ -6,7 +6,7 @@
 //! interleaved-median comparison so a noisy first round can retry
 //! instead of failing the build on scheduler jitter.
 
-use chipforge::flow::{run_flow_traced, FlowConfig, OptimizationProfile};
+use chipforge::flow::{FlowConfig, FlowCtx, OptimizationProfile, Pipeline};
 use chipforge::hdl::designs;
 use chipforge::obs::Tracer;
 use chipforge::pdk::TechnologyNode;
@@ -25,7 +25,9 @@ fn subject() -> (String, FlowConfig) {
 
 fn run_once(source: &str, config: &FlowConfig, tracer: &Tracer) -> f64 {
     let start = Instant::now();
-    let outcome = run_flow_traced(source, config, tracer).expect("alu(8) always flows");
+    let outcome = Pipeline::standard()
+        .run(source, config, &FlowCtx::new(tracer))
+        .expect("alu(8) always flows");
     assert!(outcome.report.ppa.cells > 0);
     start.elapsed().as_secs_f64()
 }
@@ -74,10 +76,18 @@ fn bench_trace_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_overhead");
     group.sample_size(10);
     group.bench_function("alu8_flow_untraced", |b| {
-        b.iter(|| run_flow_traced(&source, &config, &Tracer::disabled()).expect("flows"));
+        b.iter(|| {
+            Pipeline::standard()
+                .run(&source, &config, &FlowCtx::default())
+                .expect("flows")
+        });
     });
     group.bench_function("alu8_flow_traced", |b| {
-        b.iter(|| run_flow_traced(&source, &config, &Tracer::new()).expect("flows"));
+        b.iter(|| {
+            Pipeline::standard()
+                .run(&source, &config, &FlowCtx::new(&Tracer::new()))
+                .expect("flows")
+        });
     });
     group.finish();
 }

@@ -13,16 +13,17 @@ use chipforge::econ::productivity::{
 };
 use chipforge::econ::value_chain::ValueChain;
 use chipforge::econ::workforce::{cumulative_gap, simulate, Interventions, PipelineConfig};
-use chipforge::flow::{run_flow, FlowConfig, FlowTemplate, OptimizationProfile};
+use chipforge::flow::{FlowConfig, FlowCtx, FlowTemplate, OptimizationProfile, Pipeline};
 use chipforge::hdl::designs;
+use chipforge::obs::Tracer;
 use chipforge::pdk::{Pdk, TechnologyNode};
 use chipforge::synth::{synthesize, SynthEffort, SynthOptions};
 use chipforge::{EnablementComparison, EnablementHub, Tier, TierStrategy};
 
 /// All experiment identifiers accepted by [`run_experiment`].
-pub const EXPERIMENT_IDS: [&str; 25] = [
+pub const EXPERIMENT_IDS: [&str; 26] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e19", "e20", "e21", "e22", "a1", "a2", "a5",
+    "e15b", "e16", "e17", "e18", "e19", "e20", "e21", "e22", "a1", "a2", "a5",
 ];
 
 /// Runs one experiment by id (`"e1"`..`"e10"`, `"a1"`, `"a2"`).
@@ -46,6 +47,7 @@ pub fn run_experiment(id: &str) -> Option<String> {
         "e13" => e13_fpga_vs_asic(),
         "e14" => e14_calibrated_hub(),
         "e15" => e15_resilience(),
+        "e15b" => e15b_outages(),
         "e16" => e16_overload(),
         "e17" => e17_incremental(),
         "e18" => e18_hub_validation(),
@@ -101,7 +103,9 @@ pub fn e2_abstraction_gap() -> String {
     let config = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open());
     let mut ratios = Vec::new();
     for design in designs::suite() {
-        let outcome = run_flow(design.source(), &config).expect("suite designs always flow");
+        let outcome = Pipeline::standard()
+            .run(design.source(), &config, &FlowCtx::default())
+            .expect("suite designs always flow");
         let ratio = outcome.report.gates_per_rtl_line();
         ratios.push(ratio);
         t.row(vec![
@@ -163,11 +167,13 @@ pub fn e3_time_to_success() -> String {
         ]);
     }
     // The compute itself is cheap: show one measured flow wall time.
-    let outcome = run_flow(
-        designs::counter(8).source(),
-        &FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open()),
-    )
-    .expect("counter flows");
+    let outcome = Pipeline::standard()
+        .run(
+            designs::counter(8).source(),
+            &FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open()),
+            &FlowCtx::default(),
+        )
+        .expect("counter flows");
     t.note(format!(
         "the flow compute itself takes {:.0} ms — setup and access dominate, not CPU",
         outcome.report.total_wall_ms()
@@ -276,8 +282,12 @@ pub fn e6_ppa_gap() -> String {
         designs::popcount(8),
         designs::multiplier(8),
     ] {
-        let open = run_flow(design.source(), &open_cfg).expect("flows");
-        let comm = run_flow(design.source(), &comm_cfg).expect("flows");
+        let open = Pipeline::standard()
+            .run(design.source(), &open_cfg, &FlowCtx::default())
+            .expect("flows");
+        let comm = Pipeline::standard()
+            .run(design.source(), &comm_cfg, &FlowCtx::default())
+            .expect("flows");
         let area_gap = open.report.ppa.cell_area_um2 / comm.report.ppa.cell_area_um2;
         let fmax_gap = comm.report.ppa.fmax_mhz / open.report.ppa.fmax_mhz;
         let power_gap = open.report.ppa.power_uw / comm.report.ppa.power_uw;
@@ -358,7 +368,9 @@ pub fn e8_cloud_hub() -> String {
         ],
     );
     for servers in [6usize, 12, 24] {
-        let (local, central) = hub.adoption_scenarios(&spec, servers);
+        let (local, central) = hub
+            .adoption_scenarios(&spec, servers)
+            .expect("valid workload");
         if servers == 6 {
             t.row(vec![
                 "local (12 setups)".into(),
@@ -607,7 +619,9 @@ pub fn e13_fpga_vs_asic() -> String {
         let module = design.elaborate().expect("elaborates");
         let mapping = map_to_luts(&lower_to_aig(&module), 4);
         let proto = board.prototype(&mapping);
-        let asic = run_flow(design.source(), &asic_cfg).expect("flows");
+        let asic = Pipeline::standard()
+            .run(design.source(), &asic_cfg, &FlowCtx::default())
+            .expect("flows");
         t.row(vec![
             design.name().to_string(),
             proto.luts_used.to_string(),
@@ -699,8 +713,12 @@ pub fn a5_scan_overhead() -> String {
     let mut scan_cfg = base_cfg.clone();
     scan_cfg.insert_scan = true;
     for design in [designs::counter(8), designs::fir4(8), designs::uart_tx()] {
-        let base = run_flow(design.source(), &base_cfg).expect("flows");
-        let scanned = run_flow(design.source(), &scan_cfg).expect("flows");
+        let base = Pipeline::standard()
+            .run(design.source(), &base_cfg, &FlowCtx::default())
+            .expect("flows");
+        let scanned = Pipeline::standard()
+            .run(design.source(), &scan_cfg, &FlowCtx::default())
+            .expect("flows");
         let area_pct =
             (scanned.report.ppa.cell_area_um2 / base.report.ppa.cell_area_um2 - 1.0) * 100.0;
         let fmax_pct = (1.0 - scanned.report.ppa.fmax_mhz / base.report.ppa.fmax_mhz) * 100.0;
@@ -780,8 +798,10 @@ pub fn e14_calibrated_hub() -> String {
     let base = WorkloadSpec::new(12, 40, 24.0 * 9.0, 2_025);
     let calibrated = calibrate::calibrated_spec(&base, tier_hours);
     let hub = EnablementHub::new();
-    let (_, modelled) = hub.adoption_scenarios(&base, 12);
-    let (_, measured) = hub.adoption_scenarios(&calibrated, 12);
+    let (_, modelled) = hub.adoption_scenarios(&base, 12).expect("valid workload");
+    let (_, measured) = hub
+        .adoption_scenarios(&calibrated, 12)
+        .expect("valid workload");
     t.note(format!(
         "modelled service hours give hub mean turnaround {:.1} h",
         modelled.mean_turnaround_h
@@ -795,25 +815,19 @@ pub fn e14_calibrated_hub() -> String {
 }
 
 /// E15 — resilience: injected faults, checkpoint/resume and graceful
-/// degradation in the batch engine, plus server outages in the hub
-/// simulation.
+/// degradation in the batch engine.
 ///
-/// The exec half sweeps a seeded transient-fault rate across three
-/// policies (plain retry, quarantine, quarantine + degraded route/CTS
-/// retry) over a 24-job batch, then proves the checkpoint path: a run
-/// killed after 12 journaled jobs and resumed from its journal must
-/// reproduce the uninterrupted run's canonical report byte-for-byte.
-/// The cloud half sweeps server mean-uptime with and without requeueing
-/// interrupted jobs. Counts and turnarounds are fully deterministic,
-/// but wall-clock attempt timing keeps E15 out of the stable-table
-/// determinism test alongside E14.
+/// Sweeps a seeded transient-fault rate across three policies (plain
+/// retry, quarantine, quarantine + degraded route/CTS retry) over a
+/// 24-job batch, then proves the checkpoint path: a run killed after 12
+/// journaled jobs and resumed from its journal must reproduce the
+/// uninterrupted run's canonical report byte-for-byte. Counts are fully
+/// deterministic, but wall-clock attempt timing keeps E15 out of the
+/// stable-table determinism test alongside E14; its hub half is E15b.
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn e15_resilience() -> String {
-    use chipforge::cloud::{simulate_hub, simulate_hub_resilient, HubResilience};
     use chipforge::exec::{BatchEngine, EngineConfig, JobSpec, ResilienceOptions};
-    use chipforge::obs::Tracer;
-    use chipforge::resil::{FaultPlan, Journal, JournalWriter, OutagePlan, ResiliencePolicy};
+    use chipforge::resil::{FaultPlan, Journal, JournalWriter, ResiliencePolicy};
     use std::time::Duration;
 
     let jobs = || -> Vec<JobSpec> {
@@ -921,9 +935,21 @@ pub fn e15_resilience() -> String {
     ));
     let _ = std::fs::remove_file(&clean_path);
     let _ = std::fs::remove_file(&chaos_path);
-    let mut out = t.render();
+    t.render()
+}
 
-    let spec = WorkloadSpec::new(8, 30, 48.0, 7);
+/// E15b — server outages in the hub simulation: mean uptime swept with
+/// and without requeueing interrupted jobs, against the healthy hub.
+/// Pure DES, so the table is in the stable-table determinism test.
+#[must_use]
+pub fn e15b_outages() -> String {
+    use chipforge::cloud::{simulate_hub, HubModel};
+    use chipforge::resil::OutagePlan;
+
+    let trace = WorkloadSpec::new(8, 30, 48.0, 7).arrival_trace();
+    let run = |model: &HubModel| {
+        simulate_hub(&trace, model, &Tracer::disabled()).expect("valid trace and 4 servers")
+    };
     let mut c = Table::new(
         "E15b: hub server outages — requeue vs lose (240 jobs, 4 servers)",
         &[
@@ -936,7 +962,7 @@ pub fn e15_resilience() -> String {
             "p95 h",
         ],
     );
-    let healthy = simulate_hub(&spec, 4, 0.0, 1.0);
+    let healthy = run(&HubModel::new(4, 0.0));
     c.row(vec![
         "(no outages)".to_string(),
         "-".to_string(),
@@ -948,11 +974,11 @@ pub fn e15_resilience() -> String {
     ]);
     for uptime in [400.0, 200.0, 100.0] {
         for requeue in [true, false] {
-            let resilience = HubResilience {
+            let r = run(&HubModel {
                 outage: Some(OutagePlan::new(9, uptime, 24.0)),
                 requeue,
-            };
-            let r = simulate_hub_resilient(&spec, 4, 0.0, 1.0, &resilience, &Tracer::disabled());
+                ..HubModel::new(4, 0.0)
+            });
             c.row(vec![
                 f(uptime, 0),
                 if requeue { "yes" } else { "no" }.to_string(),
@@ -965,9 +991,7 @@ pub fn e15_resilience() -> String {
         }
     }
     c.note("requeueing trades turnaround for zero lost jobs; without it, outages lose work");
-    out.push('\n');
-    out.push_str(&c.render());
-    out
+    c.render()
 }
 
 /// One E16 sweep cell: `(arrival multiplier, policy name, result)`.
@@ -976,10 +1000,9 @@ pub fn e15_resilience() -> String {
 /// exactly the same runs. The grid is 3 arrival-rate multipliers of
 /// the 6-server saturation point × 3 admission policies.
 #[must_use]
-pub fn e16_sweep() -> Vec<(f64, &'static str, chipforge::cloud::AdmittedResult)> {
+pub fn e16_sweep() -> Vec<(f64, &'static str, chipforge::cloud::ScenarioResult)> {
     use chipforge::admit::AdmissionPolicy;
-    use chipforge::cloud::simulate_hub_admitted;
-    use chipforge::obs::Tracer;
+    use chipforge::cloud::{simulate_hub, Dispatch, HubModel};
 
     // Default tier mix 0.6/0.3/0.1 over 0.5/4/24 h services gives a
     // 3.9 h mean job; 12 universities saturate 6 servers when each
@@ -1003,9 +1026,15 @@ pub fn e16_sweep() -> Vec<(f64, &'static str, chipforge::cloud::AdmittedResult)>
     ];
     let mut cells = Vec::new();
     for multiplier in [0.5, 1.0, 2.0] {
-        let spec = WorkloadSpec::new(12, 150, saturation_interarrival_h / multiplier, 416);
+        let trace =
+            WorkloadSpec::new(12, 150, saturation_interarrival_h / multiplier, 416).arrival_trace();
         for (name, policy) in &policies {
-            let result = simulate_hub_admitted(&spec, 6, 0.0, 1.0, policy, &Tracer::disabled())
+            let model = HubModel {
+                admission: policy.clone(),
+                dispatch: Dispatch::FairShare,
+                ..HubModel::new(6, 0.0)
+            };
+            let result = simulate_hub(&trace, &model, &Tracer::disabled())
                 .expect("valid workload and 3-tier policy");
             cells.push((multiplier, *name, result));
         }
@@ -1060,10 +1089,10 @@ pub fn e16_overload() -> String {
         t.row(vec![
             f(*multiplier, 1),
             (*name).to_string(),
-            r.scenario.completed.to_string(),
+            r.completed.to_string(),
             f(rejected as f64 * 100.0 / offered.max(1) as f64, 1),
             f(shed as f64 * 100.0 / offered.max(1) as f64, 1),
-            f(r.scenario.completed as f64 / r.horizon_h.max(1e-9), 2),
+            f(r.completed as f64 / r.horizon_h.max(1e-9), 2),
             f(r.p99_turnaround_h, 1),
             f(r.tiers[0].max_wait_h, 1),
         ]);
@@ -1188,9 +1217,10 @@ pub fn e17_incremental() -> String {
     );
     let base = WorkloadSpec::new(12, 40, 24.0 * 9.0, 2_025);
     let hub = EnablementHub::new();
-    let (_, modelled) = hub.adoption_scenarios(&base, 12);
-    let (_, incremental) =
-        hub.adoption_scenarios(&calibrate::calibrated_spec(&base, tier_hours), 12);
+    let (_, modelled) = hub.adoption_scenarios(&base, 12).expect("valid workload");
+    let (_, incremental) = hub
+        .adoption_scenarios(&calibrate::calibrated_spec(&base, tier_hours), 12)
+        .expect("valid workload");
     t.note(format!(
         "tier-model service hours give hub mean turnaround {:.1} h",
         modelled.mean_turnaround_h
@@ -1229,11 +1259,10 @@ pub fn e18_prediction(
     service_ms: [f64; 3],
 ) -> (
     Vec<chipforge::cloud::HubArrival>,
-    Vec<(f64, chipforge::cloud::AdmittedResult)>,
+    Vec<(f64, chipforge::cloud::ScenarioResult)>,
 ) {
     use chipforge::admit::AdmissionPolicy;
-    use chipforge::cloud::{simulate_hub_admitted_trace, HubArrival};
-    use chipforge::obs::Tracer;
+    use chipforge::cloud::{simulate_hub, Dispatch, HubArrival, HubModel};
 
     const UNIVERSITIES: usize = 3;
     const JOBS_PER_UNIVERSITY: usize = 10;
@@ -1255,7 +1284,11 @@ pub fn e18_prediction(
         arrival.service_h = service_ms[arrival.tier.priority() as usize];
     }
 
-    let policy = AdmissionPolicy::bounded(3, 4).with_weights(vec![2.0, 1.5, 1.0]);
+    let model = HubModel {
+        admission: AdmissionPolicy::bounded(3, 4).with_weights(vec![2.0, 1.5, 1.0]),
+        dispatch: Dispatch::FairShare,
+        ..HubModel::new(WORKERS, 0.0)
+    };
     let mut envelope = Vec::new();
     for multiplier in [0.75, 1.0, 1.5] {
         let scaled: Vec<HubArrival> = trace
@@ -1265,9 +1298,8 @@ pub fn e18_prediction(
                 ..*a
             })
             .collect();
-        let result =
-            simulate_hub_admitted_trace(&scaled, WORKERS, 0.0, 1.0, &policy, &Tracer::disabled())
-                .expect("valid trace and 3-tier policy");
+        let result = simulate_hub(&scaled, &model, &Tracer::disabled())
+            .expect("valid trace and 3-tier policy");
         envelope.push((multiplier, result));
     }
     (trace, envelope)
@@ -1315,7 +1347,7 @@ pub fn e18_hub_validation() -> String {
                 tier.completed.to_string(),
                 f(result.p99_turnaround_h, 1),
                 f(
-                    result.scenario.completed as f64 / result.horizon_h.max(1e-9) * 1e3,
+                    result.completed as f64 / result.horizon_h.max(1e-9) * 1e3,
                     1,
                 ),
             ]);
@@ -1342,7 +1374,7 @@ pub fn e19_semester(
 ) -> (
     chipforge::gen::semester::SemesterSpec,
     usize,
-    chipforge::cloud::AdmittedResult,
+    chipforge::cloud::ScenarioResult,
 ) {
     use chipforge::gen::semester::SemesterSpec;
     let spec = SemesterSpec::tiered(students, seed);
@@ -1409,8 +1441,8 @@ pub fn e19_semester_scale() -> String {
         summaries.push(format!(
             "{students} students: {servers} servers, {:.1}% utilization, \
              {} of {} submissions completed, €{:.2}/enabled student",
-            result.scenario.utilization * 100.0,
-            result.scenario.completed,
+            result.utilization * 100.0,
+            result.completed,
             result.tiers.iter().map(|s| s.offered).sum::<usize>(),
             spec.cost_per_enabled_student_eur(servers, &result, &model),
         ));
@@ -1755,8 +1787,12 @@ pub fn e21_shard_fabric() -> String {
     let single_servers = 2usize;
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let sharded_servers = ((single_servers as f64) * speedup4).round().max(3.0) as usize;
-    let (_, single) = hub.adoption_scenarios(&base, single_servers);
-    let (_, sharded) = hub.adoption_scenarios(&base, sharded_servers);
+    let (_, single) = hub
+        .adoption_scenarios(&base, single_servers)
+        .expect("valid workload");
+    let (_, sharded) = hub
+        .adoption_scenarios(&base, sharded_servers)
+        .expect("valid workload");
     t.note(format!(
         "4 shards sustain {speedup4:.2}x the 1-shard throughput (acceptance floor 1.5x)"
     ));
@@ -2348,7 +2384,7 @@ mod tests {
         let live_goodput = live_completed as f64 / report.horizon_ms.max(1e-9);
         let des_goodput: Vec<f64> = envelope
             .iter()
-            .map(|(_, r)| r.scenario.completed as f64 / r.horizon_h.max(1e-9))
+            .map(|(_, r)| r.completed as f64 / r.horizon_h.max(1e-9))
             .collect();
         let goodput_min = des_goodput.iter().copied().fold(f64::INFINITY, f64::min);
         let goodput_max = des_goodput.iter().copied().fold(0.0f64, f64::max);
@@ -2483,9 +2519,9 @@ mod tests {
         );
         let offered: usize = result_a.tiers.iter().map(|s| s.offered).sum();
         assert!(
-            result_a.scenario.completed * 2 > offered,
+            result_a.completed * 2 > offered,
             "{} of {offered} completed",
-            result_a.scenario.completed
+            result_a.completed
         );
     }
 

@@ -16,7 +16,7 @@
 //! family.
 
 use chipforge::flow::{
-    run_flow, FlowConfig, FlowCtx, FlowError, FlowOutcome, FlowStep, OptimizationProfile, Pipeline,
+    FlowConfig, FlowCtx, FlowError, FlowOutcome, FlowStep, OptimizationProfile, Pipeline,
     StageArtifact, StageSnapshot, StageStore,
 };
 use chipforge::gen::{Family, GenSpec};
@@ -239,7 +239,9 @@ pub fn check_parity(spec: &GenSpec) -> ParityRow {
     let design = spec.module_name();
     let source = spec.generate();
     let config = parity_config();
-    let new = run_flow(source.source(), &config).expect("production flow");
+    let new = Pipeline::standard()
+        .run(source.source(), &config, &FlowCtx::default())
+        .expect("production flow");
     let old = run_reference_flow(source.source(), &config).expect("reference flow");
 
     // Placement: both kernels placed the same sized netlist.
@@ -321,7 +323,9 @@ mod tests {
     fn reference_flow_swaps_only_the_kernels_and_the_oracle_sees_misrouted_pins() {
         let design = designs::counter(8);
         let config = parity_config();
-        let new = run_flow(design.source(), &config).expect("production flow");
+        let new = Pipeline::standard()
+            .run(design.source(), &config, &FlowCtx::default())
+            .expect("production flow");
         let old = run_reference_flow(design.source(), &config).expect("reference flow");
         let detail = |o: &FlowOutcome, step: FlowStep| o.report.steps[step.index()].detail.clone();
         assert!(detail(&old, FlowStep::Place).starts_with("anneal kernel"));

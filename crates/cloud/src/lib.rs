@@ -12,7 +12,10 @@
 //!   distinct job profiles (Rec. 8);
 //! * [`simulate_local`] / [`simulate_hub`] — per-university tool setups
 //!   vs. a shared multi-server hub, with identical workloads (Rec. 7,
-//!   experiment E8);
+//!   experiment E8). The hub is one event loop configured by a
+//!   [`HubModel`]: admission through bounded per-tier queues and token
+//!   buckets, strict-priority or fair-share [`Dispatch`], and seeded
+//!   server outages with requeue (E15b, E16, E18, E19);
 //! * [`ShuttleSchedule`] — periodic MPW shuttle aggregation with per-seat
 //!   cost amortization (Sec. III-C, experiment E5).
 //!
@@ -21,13 +24,22 @@
 //! ## Example
 //!
 //! ```
-//! use chipforge_cloud::{simulate_hub, simulate_local, WorkloadSpec};
+//! use chipforge_cloud::{simulate_hub, simulate_local, HubModel, WorkloadSpec};
+//! use chipforge_obs::Tracer;
 //!
+//! # fn main() -> Result<(), chipforge_cloud::ConfigError> {
 //! let spec = WorkloadSpec::new(8, 20, 72.0, 42);
-//! let local = simulate_local(&spec, 400.0, 8.0);
-//! let hub = simulate_hub(&spec, 6, 400.0, 8.0);
+//! let local = simulate_local(&spec, 400.0)?;
+//! let hub = simulate_hub(
+//!     &spec.arrival_trace(),
+//!     &HubModel::new(6, 400.0),
+//!     &Tracer::disabled(),
+//! )?;
 //! // One shared setup instead of eight: far less total enablement effort.
 //! assert!(hub.setup_hours_total < local.setup_hours_total / 4.0);
+//! assert_eq!(hub.completed, local.completed);
+//! # Ok(())
+//! # }
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,9 +53,8 @@ mod tier;
 
 pub use error::ConfigError;
 pub use platform::{
-    simulate_hub, simulate_hub_admitted, simulate_hub_admitted_trace, simulate_hub_resilient,
-    simulate_hub_traced, simulate_local, AdmittedResult, HubArrival, HubResilience, ScenarioResult,
-    TierAdmitStats, WorkloadSpec, VIRTUAL_US_PER_HOUR,
+    simulate_hub, simulate_local, Dispatch, HubArrival, HubModel, ScenarioResult, TierAdmitStats,
+    WorkloadSpec, VIRTUAL_US_PER_HOUR,
 };
 pub use queue::EventQueue;
 pub use shuttle::{ShuttleOutcome, ShuttleSchedule};

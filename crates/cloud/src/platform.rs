@@ -9,6 +9,8 @@ use chipforge_resil::OutagePlan;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Scale for mapping simulated hours onto trace-time microseconds: one
 /// virtual hour renders as one second in a trace viewer.
@@ -70,6 +72,12 @@ impl WorkloadSpec {
     ///
     /// Returns the first offending field found.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.universities == 0 {
+            return Err(ConfigError::NonPositive {
+                field: "universities",
+                value: 0.0,
+            });
+        }
         let rate = self.mean_interarrival_h;
         if !rate.is_finite() {
             return Err(ConfigError::NonFinite {
@@ -129,33 +137,19 @@ impl WorkloadSpec {
         }
     }
 
-    /// The workload's arrival trace, sorted by arrival time. This is
-    /// the public face of the internal job generator: a load generator
-    /// can replay exactly the trace the DES consumed against a live
-    /// `forge serve` hub, making the model and the real system
-    /// comparable event for event (experiment E18).
+    /// The workload's arrival trace, sorted by arrival time. The hub
+    /// simulator consumes exactly this trace, and a load generator can
+    /// replay it against a live `forge serve` hub, making the model and
+    /// the real system comparable event for event (experiment E18).
     #[must_use]
     pub fn arrival_trace(&self) -> Vec<HubArrival> {
-        self.jobs()
-            .into_iter()
-            .map(|(university, arrival_h, tier, service_h)| HubArrival {
-                university,
-                arrival_h,
-                tier,
-                service_h,
-            })
-            .collect()
-    }
-
-    /// Generates the job list: `(university, arrival_h, tier, service_h)`.
-    fn jobs(&self) -> Vec<(usize, f64, AccessTier, f64)> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let total_mix: f64 = self.tier_mix.iter().sum();
-        let mut jobs = Vec::new();
-        for u in 0..self.universities {
-            let mut t = 0.0;
+        let mut trace = Vec::new();
+        for university in 0..self.universities {
+            let mut arrival_h = 0.0;
             for _ in 0..self.jobs_per_university {
-                t += exponential(&mut rng, self.mean_interarrival_h);
+                arrival_h += exponential(&mut rng, self.mean_interarrival_h);
                 let pick = rng.gen::<f64>() * total_mix;
                 let tier = if pick < self.tier_mix[0] {
                     AccessTier::Beginner
@@ -164,14 +158,19 @@ impl WorkloadSpec {
                 } else {
                     AccessTier::Advanced
                 };
-                let service = exponential(&mut rng, self.mean_service_hours(tier));
-                jobs.push((u, t, tier, service));
+                let service_h = exponential(&mut rng, self.mean_service_hours(tier));
+                trace.push(HubArrival {
+                    university,
+                    arrival_h,
+                    tier,
+                    service_h,
+                });
             }
         }
         // `total_cmp` keeps the sort total even on adversarial inputs;
         // `validate()` is how callers reject them with a useful error.
-        jobs.sort_by(|a, b| a.1.total_cmp(&b.1));
-        jobs
+        trace.sort_by(|a, b| a.arrival_h.total_cmp(&b.arrival_h));
+        trace
     }
 }
 
@@ -191,8 +190,49 @@ fn exponential(rng: &mut StdRng, mean: f64) -> f64 {
     -mean * u.ln()
 }
 
-/// Aggregate result of one scenario run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One job arrival in a hub workload trace: who submits, when, at
+/// which access tier, and how much service it needs.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct HubArrival {
+    /// Submitting university group (0-based).
+    pub university: usize,
+    /// Arrival time in simulated hours from workload start.
+    pub arrival_h: f64,
+    /// Access tier the job is billed against.
+    pub tier: AccessTier,
+    /// Service demand in simulated hours.
+    pub service_h: f64,
+}
+
+/// Per-tier accounting of one run, indexed by [`AccessTier::priority`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+pub struct TierAdmitStats {
+    /// Jobs that arrived for this tier.
+    pub offered: usize,
+    /// Jobs admitted into the queue (including ones later shed).
+    pub admitted: usize,
+    /// Jobs turned away — rate-limited or queue-full under
+    /// [`chipforge_admit::OverflowPolicy::Reject`].
+    pub rejected: usize,
+    /// Admitted jobs displaced by newer arrivals under
+    /// [`chipforge_admit::OverflowPolicy::ShedOldest`].
+    pub shed: usize,
+    /// Jobs that ran to completion.
+    pub completed: usize,
+    /// Longest queue wait any dispatched job of this tier endured, in
+    /// hours — the starvation indicator.
+    pub max_wait_h: f64,
+    /// High-water mark of this tier's queue depth.
+    pub peak_depth: usize,
+    /// Mean turnaround of this tier's completed jobs, in hours.
+    pub mean_turnaround_h: f64,
+    /// 99th-percentile turnaround of this tier's completed jobs, in
+    /// hours (nearest-rank).
+    pub p99_turnaround_h: f64,
+}
+
+/// Result of one simulated run, local or hub.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ScenarioResult {
     /// Jobs completed.
     pub completed: usize,
@@ -200,67 +240,196 @@ pub struct ScenarioResult {
     pub mean_turnaround_h: f64,
     /// 95th-percentile turnaround in hours.
     pub p95_turnaround_h: f64,
+    /// 99th-percentile turnaround in hours — the overload experiment's
+    /// headline statistic (p95 hides a diverging tail for longer).
+    pub p99_turnaround_h: f64,
     /// Total one-time enablement/setup effort across the system, in
     /// expert-hours.
     pub setup_hours_total: f64,
     /// Mean busy fraction of the compute resources.
     pub utilization: f64,
-    /// Jobs lost to server outages (only nonzero when requeueing is
-    /// disabled in [`HubResilience`]).
+    /// Jobs lost to server outages (only nonzero when
+    /// [`HubModel::requeue`] is off).
     pub lost: usize,
     /// Server outage episodes over the simulated horizon.
     pub outages: usize,
+    /// Simulated horizon (last event time) in hours; goodput is
+    /// `completed / horizon_h`.
+    pub horizon_h: f64,
+    /// Per-tier statistics, indexed by [`AccessTier::priority`].
+    pub tiers: [TierAdmitStats; 3],
 }
 
 /// Simulates per-university local setups: each group runs its own
 /// single-server flow installation and must first spend `setup_hours`
 /// bringing it up (the "availability is not enablement" cost).
-#[must_use]
+///
+/// # Errors
+///
+/// Returns a [`ConfigError`] if the workload fails
+/// [`WorkloadSpec::validate`].
 pub fn simulate_local(
     spec: &WorkloadSpec,
     setup_hours_per_university: f64,
-    compute_speed: f64,
-) -> ScenarioResult {
-    let jobs = spec.jobs();
+) -> Result<ScenarioResult, ConfigError> {
+    spec.validate()?;
+    let trace = spec.arrival_trace();
     let mut server_free_at = vec![setup_hours_per_university; spec.universities];
     let mut busy = vec![0.0f64; spec.universities];
-    let mut turnarounds = Vec::with_capacity(jobs.len());
+    let mut tiers = [TierAdmitStats::default(); 3];
+    let mut turnaround = Vec::with_capacity(trace.len());
     let mut horizon = 0.0f64;
-    for (u, arrival, _, service) in jobs {
-        let service = service / compute_speed.max(1e-9);
-        let start = arrival.max(server_free_at[u]);
-        let finish = start + service;
+    for job in &trace {
+        let u = job.university;
+        let start = job.arrival_h.max(server_free_at[u]);
+        let finish = start + job.service_h;
         server_free_at[u] = finish;
-        busy[u] += service;
-        turnarounds.push(finish - arrival);
+        busy[u] += job.service_h;
+        let stats = &mut tiers[job.tier.priority() as usize];
+        stats.offered += 1;
+        stats.admitted += 1;
+        stats.max_wait_h = stats.max_wait_h.max(start - job.arrival_h);
+        turnaround.push(finish - job.arrival_h);
         horizon = horizon.max(finish);
     }
-    summarize(
-        turnarounds,
-        setup_hours_per_university * spec.universities as f64,
-        busy.iter().sum::<f64>() / (horizon.max(1e-9) * spec.universities as f64),
-        0,
-        0,
-    )
+    Ok(ScenarioResult {
+        setup_hours_total: setup_hours_per_university * spec.universities as f64,
+        utilization: (busy.iter().sum::<f64>() / (horizon.max(1e-9) * spec.universities as f64))
+            .clamp(0.0, 1.0),
+        horizon_h: horizon,
+        ..summarize(&trace, &turnaround, tiers)
+    })
 }
 
-/// Resilience configuration for the hub simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HubResilience {
-    /// Seeded server outage/repair plan; `None` disables outages.
+/// How the hub picks the next waiting job when a server frees up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dispatch {
+    /// Lowest [`AccessTier::priority`] first (interactive beginner jobs
+    /// ahead of advanced batch jobs), FIFO within a class.
+    StrictPriority,
+    /// Weighted fair share with an anti-starvation aging bonus, from
+    /// [`AdmissionPolicy::weights`] and [`AdmissionPolicy::aging_rate`].
+    FairShare,
+}
+
+/// Everything the hub simulation is configured with besides its
+/// arrival trace. Build one with [`HubModel::new`] and set the fields
+/// that differ with struct-update syntax.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HubModel {
+    /// Parallel flow servers.
+    pub servers: usize,
+    /// The one shared setup effort, in expert-hours.
+    pub setup_hours: f64,
+    /// Per-tier queue bounds, overflow rule and rate limits; must cover
+    /// exactly the three hub tiers.
+    pub admission: AdmissionPolicy,
+    /// The dispatch rule.
+    pub dispatch: Dispatch,
+    /// Seeded server outage/repair plan; `None` keeps every server up.
     pub outage: Option<OutagePlan>,
-    /// Whether a job interrupted by an outage is requeued (keeping its
-    /// FIFO position within its priority class) or lost.
+    /// Whether a job interrupted by an outage goes back into its class
+    /// (in its original arrival order) or is lost.
     pub requeue: bool,
 }
 
-impl Default for HubResilience {
-    fn default() -> Self {
-        HubResilience {
+impl HubModel {
+    /// A strict-priority hub with unbounded queues and no outages.
+    #[must_use]
+    pub fn new(servers: usize, setup_hours: f64) -> Self {
+        HubModel {
+            servers,
+            setup_hours,
+            admission: AdmissionPolicy::unbounded(3),
+            dispatch: Dispatch::StrictPriority,
             outage: None,
             requeue: true,
         }
     }
+
+    fn validate(&self) -> Result<(), ConfigError> {
+        if self.servers == 0 {
+            return Err(ConfigError::NonPositive {
+                field: "servers",
+                value: 0.0,
+            });
+        }
+        if self.admission.classes() != 3 {
+            return Err(ConfigError::TierClassMismatch {
+                got: self.admission.classes(),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Simulates a centralized hub: one shared setup, `model.servers`
+/// parallel flow servers, and the jobs of `trace`.
+///
+/// Arrivals pass admission first — an optional per-tier token bucket,
+/// then a bounded per-tier queue that rejects or sheds on overflow. A
+/// free server (the lowest-indexed one) takes the next job by
+/// `model.dispatch`. Under an outage plan servers alternate seeded
+/// up/repair episodes; an outage interrupts the running job, which is
+/// requeued or lost, and its stale completion event is discarded.
+///
+/// With an enabled tracer, queue waits and service intervals become
+/// virtual-time spans (one track per university,
+/// [`VIRTUAL_US_PER_HOUR`] microseconds per simulated hour), arrivals,
+/// outages and requeues become instants, admission decisions count into
+/// `admit.rejected` / `admit.shed`, and per-tier queue depths are
+/// exported as `admit.queue_depth.<tier>` gauges. Tracing never changes
+/// the result.
+///
+/// # Errors
+///
+/// Returns a [`ConfigError`] for a model with no servers or an
+/// admission policy that does not cover exactly the three hub tiers,
+/// and for a trace with a non-finite or negative time.
+pub fn simulate_hub(
+    trace: &[HubArrival],
+    model: &HubModel,
+    tracer: &Tracer,
+) -> Result<ScenarioResult, ConfigError> {
+    model.validate()?;
+    validate_trace(trace)?;
+    let mut hub = Hub::new(trace, model, tracer);
+    while hub.remaining > 0 {
+        let Some((now, event)) = hub.events.pop() else {
+            break;
+        };
+        hub.horizon = hub.horizon.max(now);
+        match event {
+            HubEvent::Arrival(job) => hub.arrive(job, now),
+            HubEvent::Departure { server, epoch } => hub.depart(server, epoch, now),
+            HubEvent::ServerDown(server) => hub.server_down(server, now),
+            HubEvent::ServerUp(server) => hub.server_up(server, now),
+        }
+        hub.dispatch(now);
+        if tracer.is_enabled() {
+            for tier in AccessTier::ALL {
+                tracer.set_gauge(
+                    &format!("admit.queue_depth.{tier}"),
+                    hub.waiting.depth(tier.priority() as usize) as f64,
+                );
+            }
+        }
+    }
+    Ok(hub.finish())
+}
+
+fn validate_trace(trace: &[HubArrival]) -> Result<(), ConfigError> {
+    for job in trace {
+        for (field, value) in [("arrival_h", job.arrival_h), ("service_h", job.service_h)] {
+            if !value.is_finite() {
+                return Err(ConfigError::NonFinite { field, value });
+            }
+            if value < 0.0 {
+                return Err(ConfigError::Negative { field, value });
+            }
+        }
+    }
+    Ok(())
 }
 
 #[derive(Debug)]
@@ -277,607 +446,355 @@ enum HubEvent {
     ServerUp(usize),
 }
 
-/// One hub flow server in the discrete-event simulation.
+/// One hub flow server.
+#[derive(Default)]
 struct Server {
-    up: bool,
+    down: bool,
     /// Bumped on every outage so in-flight departures become stale.
     epoch: u64,
     /// Completed outage/repair cycles, indexing into the outage plan.
     episodes: u64,
-    running: Option<Running>,
+    /// The job being served and when its service started.
+    running: Option<(Waiting, f64)>,
 }
 
-struct Running {
+/// A job in a class queue or on a server, with its arrival order: a
+/// requeued job goes back in at that position.
+struct Waiting {
     job: usize,
-    start: f64,
-    /// The job's original FIFO sequence number, kept across requeues.
     seq: usize,
 }
 
-/// Simulates a centralized hub with `servers` parallel flow servers and a
-/// single shared setup. Jobs queue FIFO within priority class (advanced
-/// tiers are batch jobs and yield to interactive beginner jobs — the hub
-/// serves *lower* [`AccessTier::priority`] first).
-#[must_use]
-pub fn simulate_hub(
-    spec: &WorkloadSpec,
-    servers: usize,
-    hub_setup_hours: f64,
-    compute_speed: f64,
-) -> ScenarioResult {
-    simulate_hub_traced(
-        spec,
-        servers,
-        hub_setup_hours,
-        compute_speed,
-        &Tracer::disabled(),
-    )
+/// The state of one hub run; one method per event kind.
+struct Hub<'a> {
+    trace: &'a [HubArrival],
+    model: &'a HubModel,
+    tracer: &'a Tracer,
+    root: SpanId,
+    events: EventQueue<HubEvent>,
+    pool: Vec<Server>,
+    /// Lowest index on top. An entry goes stale when its server goes
+    /// down or takes a job; [`Hub::free_server`] drops stale tops, so a
+    /// lookup stays O(log servers).
+    free: BinaryHeap<Reverse<usize>>,
+    waiting: ClassQueues<Waiting>,
+    buckets: Vec<Option<TokenBucket>>,
+    fair: FairShare,
+    tiers: [TierAdmitStats; 3],
+    /// Per-job turnaround; NaN until the job completes.
+    turnaround: Vec<f64>,
+    arrivals: usize,
+    /// Jobs not yet completed, lost, rejected or shed.
+    remaining: usize,
+    busy: f64,
+    horizon: f64,
+    lost: usize,
+    outages: usize,
 }
 
-/// [`simulate_hub`] with trace recording: queue waits and service
-/// intervals become virtual-time spans (one trace track per
-/// university, [`VIRTUAL_US_PER_HOUR`] microseconds per simulated
-/// hour), arrivals become instants, and turnarounds feed the
-/// `cloud.turnaround_h` histogram. With a disabled tracer this is
-/// exactly [`simulate_hub`].
-#[must_use]
-pub fn simulate_hub_traced(
-    spec: &WorkloadSpec,
-    servers: usize,
-    hub_setup_hours: f64,
-    compute_speed: f64,
-    tracer: &Tracer,
-) -> ScenarioResult {
-    simulate_hub_resilient(
-        spec,
-        servers,
-        hub_setup_hours,
-        compute_speed,
-        &HubResilience::default(),
-        tracer,
-    )
-}
-
-/// [`simulate_hub_traced`] under a [`HubResilience`] configuration:
-/// servers alternate seeded up/repair episodes, an outage interrupts
-/// the running job (requeued with its original FIFO position, or lost),
-/// and stale completion events from before the outage are discarded.
-/// With the default (no-outage) configuration this is numerically
-/// identical to [`simulate_hub`].
-#[must_use]
-#[allow(clippy::too_many_lines)]
-pub fn simulate_hub_resilient(
-    spec: &WorkloadSpec,
-    servers: usize,
-    hub_setup_hours: f64,
-    compute_speed: f64,
-    resilience: &HubResilience,
-    tracer: &Tracer,
-) -> ScenarioResult {
-    let jobs = spec.jobs();
-    let root = tracer.reserve_span();
-    if tracer.is_enabled() {
-        tracer.set_track_name(0, "hub");
-        for u in 0..spec.universities {
-            tracer.set_track_name(u + 1, &format!("uni-{u}"));
+impl<'a> Hub<'a> {
+    fn new(trace: &'a [HubArrival], model: &'a HubModel, tracer: &'a Tracer) -> Self {
+        let mut events = EventQueue::new();
+        for (i, job) in trace.iter().enumerate() {
+            events.push(job.arrival_h, HubEvent::Arrival(i));
         }
-    }
-    let mut queue: EventQueue<HubEvent> = EventQueue::new();
-    for (i, (u, arrival, tier, _)) in jobs.iter().enumerate() {
-        queue.push(*arrival, HubEvent::Arrival(i));
-        if tracer.is_enabled() {
-            tracer.virtual_instant(
-                "arrival",
-                "des",
-                u + 1,
-                arrival * VIRTUAL_US_PER_HOUR,
-                &format!("job {i}, priority {}", tier.priority()),
-            );
+        if let Some(plan) = model.outage {
+            for s in 0..model.servers {
+                events.push(plan.uptime_h(s, 0), HubEvent::ServerDown(s));
+            }
         }
-    }
-    let mut pool: Vec<Server> = (0..servers)
-        .map(|_| Server {
-            up: true,
-            epoch: 0,
-            episodes: 0,
-            running: None,
-        })
-        .collect();
-    if let Some(plan) = resilience.outage {
-        for s in 0..servers {
-            queue.push(plan.uptime_h(s, 0), HubEvent::ServerDown(s));
-        }
-    }
-    // Waiting jobs: (priority, fifo seq, job index).
-    let mut waiting: Vec<(u8, usize, usize)> = Vec::new();
-    let mut turnarounds: Vec<Option<f64>> = vec![None; jobs.len()];
-    // When each job last became dispatchable: its arrival, or the
-    // moment an outage requeued it.
-    let mut ready: Vec<f64> = jobs.iter().map(|j| j.1).collect();
-    let mut busy = 0.0f64;
-    let mut horizon = 0.0f64;
-    let mut fifo = 0usize;
-    let mut remaining = jobs.len();
-    let mut lost = 0usize;
-    let mut outages = 0usize;
-
-    while remaining > 0 {
-        let Some((now, event)) = queue.pop() else {
-            break;
+        let hub = Hub {
+            trace,
+            model,
+            tracer,
+            root: tracer.reserve_span(),
+            events,
+            pool: std::iter::repeat_with(Server::default)
+                .take(model.servers)
+                .collect(),
+            free: (0..model.servers).map(Reverse).collect(),
+            waiting: ClassQueues::new(3),
+            buckets: model
+                .admission
+                .rate_limits
+                .iter()
+                .map(|limit| limit.map(TokenBucket::new))
+                .collect(),
+            fair: FairShare::new(model.admission.weights.clone(), model.admission.aging_rate),
+            tiers: [TierAdmitStats::default(); 3],
+            turnaround: vec![f64::NAN; trace.len()],
+            arrivals: 0,
+            remaining: trace.len(),
+            busy: 0.0,
+            horizon: 0.0,
+            lost: 0,
+            outages: 0,
         };
-        horizon = horizon.max(now);
-        match event {
-            HubEvent::Arrival(i) => {
-                let tier = jobs[i].2;
-                waiting.push((tier.priority(), fifo, i));
-                fifo += 1;
+        if tracer.is_enabled() {
+            tracer.set_track_name(0, "hub");
+            let universities = trace.iter().map(|a| a.university + 1).max().unwrap_or(0);
+            for u in 0..universities {
+                tracer.set_track_name(u + 1, &format!("uni-{u}"));
             }
-            HubEvent::Departure { server, epoch } => {
-                // Only the epoch the departure was scheduled under may
-                // complete it; outages have bumped it otherwise.
-                if pool[server].epoch == epoch {
-                    if let Some(run) = pool[server].running.take() {
-                        let (university, arrival, tier, raw_service) = jobs[run.job];
-                        let service = raw_service / compute_speed.max(1e-9);
-                        busy += service;
-                        let turnaround = now - arrival;
-                        turnarounds[run.job] = Some(turnaround);
-                        remaining -= 1;
-                        if tracer.is_enabled() {
-                            tracer.virtual_span(
-                                root,
-                                "service",
-                                "des",
-                                university + 1,
-                                run.start * VIRTUAL_US_PER_HOUR,
-                                service * VIRTUAL_US_PER_HOUR,
-                                &format!("job {}, priority {}", run.job, tier.priority()),
-                            );
-                            tracer.observe("cloud.turnaround_h", turnaround);
-                            tracer.add("cloud.jobs", 1);
-                        }
-                    }
-                }
-            }
-            HubEvent::ServerDown(s) => {
-                if pool[s].up {
-                    pool[s].up = false;
-                    pool[s].epoch += 1;
-                    outages += 1;
-                    if tracer.is_enabled() {
-                        tracer.virtual_instant(
-                            "server-down",
-                            "des",
-                            0,
-                            now * VIRTUAL_US_PER_HOUR,
-                            &format!("server {s}"),
-                        );
-                        tracer.add("cloud.outages", 1);
-                    }
-                    if let Some(run) = pool[s].running.take() {
-                        busy += now - run.start;
-                        if resilience.requeue {
-                            ready[run.job] = now;
-                            waiting.push((jobs[run.job].2.priority(), run.seq, run.job));
-                            if tracer.is_enabled() {
-                                tracer.virtual_instant(
-                                    "requeue",
-                                    "des",
-                                    jobs[run.job].0 + 1,
-                                    now * VIRTUAL_US_PER_HOUR,
-                                    &format!("job {}", run.job),
-                                );
-                                tracer.add("cloud.requeued", 1);
-                            }
-                        } else {
-                            lost += 1;
-                            remaining -= 1;
-                            if tracer.is_enabled() {
-                                tracer.virtual_instant(
-                                    "job-lost",
-                                    "des",
-                                    jobs[run.job].0 + 1,
-                                    now * VIRTUAL_US_PER_HOUR,
-                                    &format!("job {}", run.job),
-                                );
-                                tracer.add("cloud.jobs_lost", 1);
-                            }
-                        }
-                    }
-                    if let Some(plan) = resilience.outage {
-                        queue.push(
-                            now + plan.repair_h(s, pool[s].episodes),
-                            HubEvent::ServerUp(s),
-                        );
-                    }
-                }
-            }
-            HubEvent::ServerUp(s) => {
-                if !pool[s].up {
-                    pool[s].up = true;
-                    pool[s].episodes += 1;
-                    if tracer.is_enabled() {
-                        tracer.virtual_instant(
-                            "server-up",
-                            "des",
-                            0,
-                            now * VIRTUAL_US_PER_HOUR,
-                            &format!("server {s}"),
-                        );
-                    }
-                    // Only chain the next outage while work remains, so
-                    // an idle simulation terminates.
-                    if let Some(plan) = resilience.outage {
-                        if remaining > 0 {
-                            queue.push(
-                                now + plan.uptime_h(s, pool[s].episodes),
-                                HubEvent::ServerDown(s),
-                            );
-                        }
-                    }
-                }
+            for (i, job) in trace.iter().enumerate() {
+                let detail = format!("job {i}, priority {}", job.tier.priority());
+                hub.instant("arrival", job.university + 1, job.arrival_h, &detail);
             }
         }
-        // Dispatch waiting jobs onto free up servers: lowest priority
-        // value first (interactive tiers), FIFO within a class.
-        while !waiting.is_empty() {
-            let Some(server) = pool.iter().position(|s| s.up && s.running.is_none()) else {
+        hub
+    }
+
+    /// Admission: the tier's token bucket, then its bounded queue.
+    fn arrive(&mut self, job: usize, now: f64) {
+        let class = self.trace[job].tier.priority() as usize;
+        let item = Waiting {
+            job,
+            seq: self.arrivals,
+        };
+        self.arrivals += 1;
+        let within_rate = self.buckets[class]
+            .as_mut()
+            .is_none_or(|bucket| bucket.try_acquire(now));
+        let admission = if within_rate {
+            let policy = &self.model.admission;
+            self.waiting
+                .offer(class, item, now, policy.queue_capacity, policy.overflow)
+        } else {
+            Admission::Rejected(item)
+        };
+        let stats = &mut self.tiers[class];
+        stats.offered += 1;
+        match admission {
+            Admission::Admitted => stats.admitted += 1,
+            Admission::Rejected(_) => {
+                stats.rejected += 1;
+                self.remaining -= 1;
+                self.tracer.add("admit.rejected", 1);
+            }
+            Admission::Shed(_) => {
+                stats.admitted += 1;
+                stats.shed += 1;
+                self.remaining -= 1;
+                self.tracer.add("admit.shed", 1);
+            }
+        }
+    }
+
+    fn depart(&mut self, server: usize, epoch: u64, now: f64) {
+        // Only the epoch the departure was scheduled under may complete
+        // it; outages have bumped it otherwise.
+        if self.pool[server].epoch != epoch {
+            return;
+        }
+        let Some((run, start)) = self.pool[server].running.take() else {
+            return;
+        };
+        let job = &self.trace[run.job];
+        self.busy += job.service_h;
+        let turnaround = now - job.arrival_h;
+        self.turnaround[run.job] = turnaround;
+        self.remaining -= 1;
+        self.free.push(Reverse(server));
+        if self.tracer.is_enabled() {
+            self.tracer.virtual_span(
+                self.root,
+                "service",
+                "des",
+                job.university + 1,
+                start * VIRTUAL_US_PER_HOUR,
+                job.service_h * VIRTUAL_US_PER_HOUR,
+                &format!("job {}, priority {}", run.job, job.tier.priority()),
+            );
+            self.tracer.observe("cloud.turnaround_h", turnaround);
+            self.tracer.add("cloud.jobs", 1);
+        }
+    }
+
+    fn server_down(&mut self, s: usize, now: f64) {
+        let plan = self.model.outage.expect("outages come from a plan");
+        let server = &mut self.pool[s];
+        if server.down {
+            return;
+        }
+        server.down = true;
+        server.epoch += 1;
+        self.outages += 1;
+        self.events.push(
+            now + plan.repair_h(s, server.episodes),
+            HubEvent::ServerUp(s),
+        );
+        let interrupted = server.running.take();
+        self.instant("server-down", 0, now, &format!("server {s}"));
+        self.tracer.add("cloud.outages", 1);
+        let Some((run, start)) = interrupted else {
+            return;
+        };
+        self.busy += now - start;
+        let job = &self.trace[run.job];
+        let (track, detail) = (job.university + 1, format!("job {}", run.job));
+        if self.model.requeue {
+            let class = job.tier.priority() as usize;
+            self.waiting.requeue(class, run, now, |w| w.seq);
+            self.instant("requeue", track, now, &detail);
+            self.tracer.add("cloud.requeued", 1);
+        } else {
+            self.lost += 1;
+            self.remaining -= 1;
+            self.instant("job-lost", track, now, &detail);
+            self.tracer.add("cloud.jobs_lost", 1);
+        }
+    }
+
+    fn server_up(&mut self, s: usize, now: f64) {
+        let plan = self.model.outage.expect("outages come from a plan");
+        let server = &mut self.pool[s];
+        if !server.down {
+            return;
+        }
+        server.down = false;
+        server.episodes += 1;
+        // Only chain the next outage while work remains, so an idle
+        // simulation terminates.
+        if self.remaining > 0 {
+            let next = now + plan.uptime_h(s, server.episodes);
+            self.events.push(next, HubEvent::ServerDown(s));
+        }
+        self.free.push(Reverse(s));
+        self.instant("server-up", 0, now, &format!("server {s}"));
+    }
+
+    /// Hands waiting jobs to free servers until one side runs out.
+    fn dispatch(&mut self, now: f64) {
+        while let Some(server) = self.free_server() {
+            let class = match self.model.dispatch {
+                Dispatch::StrictPriority => (0..3).find(|&c| self.waiting.depth(c) > 0),
+                Dispatch::FairShare => self.fair.pick(&self.waiting, now),
+            };
+            let Some(class) = class else {
                 break;
             };
-            let best = waiting
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (p, s, _))| (*p, *s))
-                .map(|(i, _)| i)
-                .expect("nonempty");
-            let (_, seq, job_index) = waiting.remove(best);
-            let (university, _, _, raw_service) = jobs[job_index];
-            let service = raw_service / compute_speed.max(1e-9);
-            pool[server].running = Some(Running {
-                job: job_index,
-                start: now,
-                seq,
-            });
-            queue.push(
-                now + service,
-                HubEvent::Departure {
-                    server,
-                    epoch: pool[server].epoch,
-                },
-            );
-            if tracer.is_enabled() {
-                let wait = now - ready[job_index];
+            self.free.pop();
+            let (run, ready) = self
+                .waiting
+                .pop_front(class)
+                .expect("picked class has work");
+            let job = &self.trace[run.job];
+            let wait = now - ready;
+            let stats = &mut self.tiers[class];
+            stats.max_wait_h = stats.max_wait_h.max(wait);
+            self.fair.charge(class, job.service_h);
+            let epoch = self.pool[server].epoch;
+            self.events
+                .push(now + job.service_h, HubEvent::Departure { server, epoch });
+            if self.tracer.is_enabled() {
                 if wait > 0.0 {
-                    tracer.virtual_span(
-                        root,
+                    self.tracer.virtual_span(
+                        self.root,
                         "queue",
                         "des",
-                        university + 1,
-                        ready[job_index] * VIRTUAL_US_PER_HOUR,
+                        job.university + 1,
+                        ready * VIRTUAL_US_PER_HOUR,
                         wait * VIRTUAL_US_PER_HOUR,
-                        &format!("job {job_index}"),
+                        &format!("job {}", run.job),
                     );
                 }
-                tracer.observe("cloud.queue_wait_h", wait);
+                self.tracer.observe("cloud.queue_wait_h", wait);
             }
+            self.pool[server].running = Some((run, now));
         }
     }
-    if tracer.is_enabled() {
-        tracer.record_virtual_span(
-            root,
-            SpanId::NONE,
-            "hub",
-            "des",
-            0,
-            0.0,
-            horizon * VIRTUAL_US_PER_HOUR,
-            &format!("{servers} servers, {} jobs", jobs.len()),
-        );
+
+    /// The lowest-indexed server that is up and idle.
+    fn free_server(&mut self) -> Option<usize> {
+        while let Some(&Reverse(s)) = self.free.peek() {
+            if !self.pool[s].down && self.pool[s].running.is_none() {
+                return Some(s);
+            }
+            self.free.pop();
+        }
+        None
     }
-    summarize(
-        turnarounds.into_iter().flatten().collect(),
-        hub_setup_hours,
-        busy / (horizon.max(1e-9) * servers as f64),
-        lost,
-        outages,
-    )
+
+    fn instant(&self, name: &str, track: usize, at_h: f64, detail: &str) {
+        self.tracer
+            .virtual_instant(name, "des", track, at_h * VIRTUAL_US_PER_HOUR, detail);
+    }
+
+    fn finish(mut self) -> ScenarioResult {
+        if self.tracer.is_enabled() {
+            self.tracer.record_virtual_span(
+                self.root,
+                SpanId::NONE,
+                "hub",
+                "des",
+                0,
+                0.0,
+                self.horizon * VIRTUAL_US_PER_HOUR,
+                &format!("{} servers, {} jobs", self.model.servers, self.trace.len()),
+            );
+        }
+        for (class, stats) in self.tiers.iter_mut().enumerate() {
+            stats.peak_depth = self.waiting.peak_depth(class);
+        }
+        let capacity = self.horizon.max(1e-9) * self.model.servers as f64;
+        ScenarioResult {
+            setup_hours_total: self.model.setup_hours,
+            utilization: (self.busy / capacity).clamp(0.0, 1.0),
+            lost: self.lost,
+            outages: self.outages,
+            horizon_h: self.horizon,
+            ..summarize(self.trace, &self.turnaround, self.tiers)
+        }
+    }
 }
 
-/// One job arrival in a hub workload trace: who submits, when, at
-/// which access tier, and how much service it needs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HubArrival {
-    /// Submitting university group (0-based).
-    pub university: usize,
-    /// Arrival time in simulated hours from workload start.
-    pub arrival_h: f64,
-    /// Access tier the job is billed against.
-    pub tier: AccessTier,
-    /// Service demand in simulated hours (before compute speedup).
-    pub service_h: f64,
-}
-
-/// Per-tier admission accounting from [`simulate_hub_admitted`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct TierAdmitStats {
-    /// Jobs that arrived for this tier.
-    pub offered: usize,
-    /// Jobs admitted into the queue (including ones later shed).
-    pub admitted: usize,
-    /// Jobs turned away — rate-limited or queue-full under
-    /// [`chipforge_admit::OverflowPolicy::Reject`].
-    pub rejected: usize,
-    /// Admitted jobs displaced by newer arrivals under
-    /// [`chipforge_admit::OverflowPolicy::ShedOldest`].
-    pub shed: usize,
-    /// Jobs that ran to completion.
-    pub completed: usize,
-    /// Longest queue wait any completed job of this tier endured, in
-    /// hours — the starvation indicator.
-    pub max_wait_h: f64,
-    /// High-water mark of this tier's queue depth.
-    pub peak_depth: usize,
-    /// Mean turnaround of this tier's completed jobs, in hours.
-    pub mean_turnaround_h: f64,
-    /// 99th-percentile turnaround of this tier's completed jobs, in
-    /// hours (nearest-rank).
-    pub p99_turnaround_h: f64,
-}
-
-/// Result of an admission-controlled hub run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AdmittedResult {
-    /// Turnaround/utilization summary over the *completed* jobs.
-    pub scenario: ScenarioResult,
-    /// 99th-percentile turnaround in hours — the overload experiment's
-    /// headline statistic (p95 hides a diverging tail for longer).
-    pub p99_turnaround_h: f64,
-    /// Simulated horizon (last event time) in hours; goodput is
-    /// `scenario.completed / horizon_h`.
-    pub horizon_h: f64,
-    /// Per-tier admission statistics, indexed by
-    /// [`AccessTier::priority`].
-    pub tiers: [TierAdmitStats; 3],
-}
-
-/// Simulates the centralized hub under an [`AdmissionPolicy`]: bounded
-/// per-tier queues (reject or shed-oldest on overflow), optional
-/// per-tier token-bucket rate limiting, and weighted fair-share
-/// dispatch with an anti-starvation aging bonus in place of the strict
-/// priority rule of [`simulate_hub`].
-///
-/// This is the overload-robust counterpart of [`simulate_hub_traced`]:
-/// where the legacy scheduler grows its queue without bound and lets
-/// the heaviest tier monopolize servers, this one sheds load it cannot
-/// carry and shares service time by weight, so p99 turnaround stays
-/// bounded at arrival rates where the unbounded baseline diverges
-/// (experiment E16). Outage injection is deliberately not composed
-/// here; use [`simulate_hub_resilient`] for availability experiments.
-///
-/// With a tracer enabled, admission decisions surface as
-/// `admit.rejected` / `admit.shed` counters and per-tier
-/// `admit.queue_depth.<tier>` gauges.
-///
-/// # Errors
-///
-/// Returns a [`ConfigError`] if the workload fails
-/// [`WorkloadSpec::validate`] or the policy does not cover exactly the
-/// three hub tiers.
-pub fn simulate_hub_admitted(
-    spec: &WorkloadSpec,
-    servers: usize,
-    hub_setup_hours: f64,
-    compute_speed: f64,
-    policy: &AdmissionPolicy,
-    tracer: &Tracer,
-) -> Result<AdmittedResult, ConfigError> {
-    spec.validate()?;
-    simulate_hub_admitted_trace(
-        &spec.arrival_trace(),
-        servers,
-        hub_setup_hours,
-        compute_speed,
-        policy,
-        tracer,
-    )
-}
-
-/// [`simulate_hub_admitted`] over an explicit arrival trace instead of
-/// a generative [`WorkloadSpec`]. E18 uses this to feed the DES the
-/// *same* trace a load generator replays against a live `forge serve`
-/// hub — with per-tier measured service times substituted in — so the
-/// model's per-tier p99/rejection predictions can be checked against
-/// the running service.
-///
-/// # Errors
-///
-/// Returns a [`ConfigError`] if the policy does not cover exactly the
-/// three hub tiers.
-pub fn simulate_hub_admitted_trace(
+/// One pass over per-job turnarounds (NaN for jobs that never
+/// completed, in trace order) fills the turnaround totals and the
+/// per-tier numbers; the caller sets the run-level fields left at zero.
+fn summarize(
     trace: &[HubArrival],
-    servers: usize,
-    hub_setup_hours: f64,
-    compute_speed: f64,
-    policy: &AdmissionPolicy,
-    tracer: &Tracer,
-) -> Result<AdmittedResult, ConfigError> {
-    if policy.classes() != 3 {
-        return Err(ConfigError::TierClassMismatch {
-            got: policy.classes(),
-        });
-    }
-    let jobs: Vec<(usize, f64, AccessTier, f64)> = trace
-        .iter()
-        .map(|a| (a.university, a.arrival_h, a.tier, a.service_h))
-        .collect();
-    let mut queue: EventQueue<HubEvent> = EventQueue::new();
-    for (i, (_, arrival, _, _)) in jobs.iter().enumerate() {
-        queue.push(*arrival, HubEvent::Arrival(i));
-    }
-    let mut buckets: Vec<Option<TokenBucket>> = policy
-        .rate_limits
-        .iter()
-        .map(|limit| limit.map(TokenBucket::new))
-        .collect();
-    let mut waiting: ClassQueues<usize> = ClassQueues::new(3);
-    let mut fair = FairShare::new(policy.weights.clone(), policy.aging_rate);
-    let mut stats = [TierAdmitStats::default(); 3];
-    let mut server_running: Vec<Option<usize>> = vec![None; servers];
-    // Free servers as a min-heap of indices: `pop` yields the same
-    // lowest-free-index a linear `position(is_none)` scan would, in
-    // O(log servers) — the difference between minutes and seconds on
-    // million-arrival semester traces against hundreds of servers.
-    let mut free: std::collections::BinaryHeap<std::cmp::Reverse<usize>> =
-        (0..servers).map(std::cmp::Reverse).collect();
-    let mut turnarounds: Vec<f64> = Vec::new();
-    let mut class_turnarounds: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    let mut busy = 0.0f64;
-    let mut horizon = 0.0f64;
-
-    while let Some((now, event)) = queue.pop() {
-        horizon = horizon.max(now);
-        match event {
-            HubEvent::Arrival(i) => {
-                let tier = jobs[i].2;
-                let class = tier.priority() as usize;
-                stats[class].offered += 1;
-                let within_rate = buckets[class]
-                    .as_mut()
-                    .is_none_or(|bucket| bucket.try_acquire(now));
-                if !within_rate {
-                    stats[class].rejected += 1;
-                    if tracer.is_enabled() {
-                        tracer.add("admit.rejected", 1);
-                    }
-                } else {
-                    match waiting.offer(class, i, now, policy.queue_capacity, policy.overflow) {
-                        Admission::Admitted => stats[class].admitted += 1,
-                        Admission::Rejected(_) => {
-                            stats[class].rejected += 1;
-                            if tracer.is_enabled() {
-                                tracer.add("admit.rejected", 1);
-                            }
-                        }
-                        Admission::Shed(_) => {
-                            stats[class].admitted += 1;
-                            stats[class].shed += 1;
-                            if tracer.is_enabled() {
-                                tracer.add("admit.shed", 1);
-                            }
-                        }
-                    }
-                }
-            }
-            HubEvent::Departure { server, .. } => {
-                if let Some(job) = server_running[server].take() {
-                    let (_, arrival, tier, raw_service) = jobs[job];
-                    let service = raw_service / compute_speed.max(1e-9);
-                    busy += service;
-                    turnarounds.push(now - arrival);
-                    class_turnarounds[tier.priority() as usize].push(now - arrival);
-                    stats[tier.priority() as usize].completed += 1;
-                    free.push(std::cmp::Reverse(server));
-                    if tracer.is_enabled() {
-                        tracer.observe("cloud.turnaround_h", now - arrival);
-                        tracer.add("cloud.jobs", 1);
-                    }
-                }
-            }
-            HubEvent::ServerDown(_) | HubEvent::ServerUp(_) => {
-                unreachable!("no outage events are scheduled in the admitted path")
-            }
-        }
-        // Dispatch by weighted fair share with aging.
-        while let Some(std::cmp::Reverse(server)) = free.peek().copied() {
-            let Some(class) = fair.pick(&waiting, now) else {
-                break;
-            };
-            free.pop();
-            let (job, enqueued_at) = waiting.pop_front(class).expect("picked class has work");
-            let wait = now - enqueued_at;
-            stats[class].max_wait_h = stats[class].max_wait_h.max(wait);
-            let service = jobs[job].3 / compute_speed.max(1e-9);
-            fair.charge(class, service);
-            server_running[server] = Some(job);
-            queue.push(now + service, HubEvent::Departure { server, epoch: 0 });
-            if tracer.is_enabled() {
-                tracer.observe("cloud.queue_wait_h", wait);
-            }
-        }
-        if tracer.is_enabled() {
-            for tier in AccessTier::ALL {
-                let class = tier.priority() as usize;
-                tracer.set_gauge(
-                    &format!("admit.queue_depth.{tier}"),
-                    waiting.depth(class) as f64,
-                );
-            }
+    turnaround: &[f64],
+    mut tiers: [TierAdmitStats; 3],
+) -> ScenarioResult {
+    let mut all = Vec::with_capacity(turnaround.len());
+    let mut by_tier: [Vec<f64>; 3] = Default::default();
+    for (job, &t) in trace.iter().zip(turnaround) {
+        if !t.is_nan() {
+            all.push(t);
+            by_tier[job.tier.priority() as usize].push(t);
         }
     }
-    for tier in AccessTier::ALL {
-        let class = tier.priority() as usize;
-        stats[class].peak_depth = waiting.peak_depth(class);
-        let list = &mut class_turnarounds[class];
-        if !list.is_empty() {
-            stats[class].mean_turnaround_h = list.iter().sum::<f64>() / list.len() as f64;
-            list.sort_by(f64::total_cmp);
-            stats[class].p99_turnaround_h = percentile(list, 0.99);
-        }
+    for (stats, list) in tiers.iter_mut().zip(&mut by_tier) {
+        stats.completed = list.len();
+        stats.mean_turnaround_h = mean(list);
+        list.sort_by(f64::total_cmp);
+        stats.p99_turnaround_h = percentile(list, 0.99);
     }
-    let scenario = summarize(
-        turnarounds.clone(),
-        hub_setup_hours,
-        busy / (horizon.max(1e-9) * servers.max(1) as f64),
-        0,
-        0,
-    );
-    turnarounds.sort_by(f64::total_cmp);
-    let p99 = percentile(&turnarounds, 0.99);
-    Ok(AdmittedResult {
-        scenario,
-        p99_turnaround_h: p99,
-        horizon_h: horizon,
-        tiers: stats,
-    })
+    let mean_turnaround_h = mean(&all);
+    all.sort_by(f64::total_cmp);
+    ScenarioResult {
+        completed: all.len(),
+        mean_turnaround_h,
+        p95_turnaround_h: percentile(&all, 0.95),
+        p99_turnaround_h: percentile(&all, 0.99),
+        tiers,
+        ..ScenarioResult::default()
+    }
 }
 
-/// Percentile of an ascending-sorted sample (nearest-rank, matching
-/// the p95 computed by `summarize`).
+fn mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.iter().sum::<f64>() / values.len() as f64
+}
+
+/// Percentile of an ascending-sorted sample (nearest-rank).
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
     sorted[((sorted.len() as f64 * q) as usize).min(sorted.len() - 1)]
-}
-
-fn summarize(
-    mut turnarounds: Vec<f64>,
-    setup_hours: f64,
-    utilization: f64,
-    lost: usize,
-    outages: usize,
-) -> ScenarioResult {
-    let completed = turnarounds.len();
-    let mean = if completed == 0 {
-        0.0
-    } else {
-        turnarounds.iter().sum::<f64>() / completed as f64
-    };
-    turnarounds.sort_by(f64::total_cmp);
-    let p95 = if completed == 0 {
-        0.0
-    } else {
-        turnarounds[((completed as f64 * 0.95) as usize).min(completed - 1)]
-    };
-    ScenarioResult {
-        completed,
-        mean_turnaround_h: mean,
-        p95_turnaround_h: p95,
-        setup_hours_total: setup_hours,
-        utilization: utilization.clamp(0.0, 1.0),
-        lost,
-        outages,
-    }
 }
 
 #[cfg(test)]
@@ -888,22 +805,43 @@ mod tests {
         WorkloadSpec::new(8, 30, 48.0, 7)
     }
 
+    fn hub(spec: &WorkloadSpec, model: &HubModel) -> ScenarioResult {
+        simulate_hub(&spec.arrival_trace(), model, &Tracer::disabled()).unwrap()
+    }
+
+    fn local(spec: &WorkloadSpec, setup_hours: f64) -> ScenarioResult {
+        simulate_local(spec, setup_hours).unwrap()
+    }
+
+    fn fair_share(servers: usize, admission: AdmissionPolicy) -> HubModel {
+        HubModel {
+            admission,
+            dispatch: Dispatch::FairShare,
+            ..HubModel::new(servers, 0.0)
+        }
+    }
+
+    fn shaky(servers: usize, requeue: bool) -> HubModel {
+        HubModel {
+            outage: Some(OutagePlan::new(9, 150.0, 24.0)),
+            requeue,
+            ..HubModel::new(servers, 0.0)
+        }
+    }
+
     #[test]
     fn both_scenarios_complete_all_jobs() {
         let s = spec();
-        let local = simulate_local(&s, 400.0, 1.0);
-        let hub = simulate_hub(&s, 8, 400.0, 1.0);
-        assert_eq!(local.completed, 8 * 30);
-        assert_eq!(hub.completed, 8 * 30);
+        assert_eq!(local(&s, 400.0).completed, 8 * 30);
+        assert_eq!(hub(&s, &HubModel::new(8, 400.0)).completed, 8 * 30);
     }
 
     #[test]
     fn hub_needs_one_setup_instead_of_n() {
         let s = spec();
-        let local = simulate_local(&s, 400.0, 1.0);
-        let hub = simulate_hub(&s, 8, 400.0, 1.0);
-        assert!((local.setup_hours_total - 3200.0).abs() < 1e-9);
-        assert!((hub.setup_hours_total - 400.0).abs() < 1e-9);
+        let central = hub(&s, &HubModel::new(8, 400.0));
+        assert!((local(&s, 400.0).setup_hours_total - 3200.0).abs() < 1e-9);
+        assert!((central.setup_hours_total - 400.0).abs() < 1e-9);
     }
 
     #[test]
@@ -911,45 +849,35 @@ mod tests {
         // Statistical multiplexing: shared servers beat dedicated ones at
         // the same total capacity when load is bursty.
         let s = WorkloadSpec::new(8, 40, 24.0, 3);
-        let local = simulate_local(&s, 0.0, 1.0);
-        let hub = simulate_hub(&s, 8, 0.0, 1.0);
+        let dedicated = local(&s, 0.0);
+        let central = hub(&s, &HubModel::new(8, 0.0));
         assert!(
-            hub.mean_turnaround_h < local.mean_turnaround_h,
+            central.mean_turnaround_h < dedicated.mean_turnaround_h,
             "hub {} vs local {}",
-            hub.mean_turnaround_h,
-            local.mean_turnaround_h
+            central.mean_turnaround_h,
+            dedicated.mean_turnaround_h
         );
     }
 
     #[test]
     fn more_servers_reduce_turnaround() {
         let s = WorkloadSpec::new(12, 40, 12.0, 5);
-        let small = simulate_hub(&s, 2, 0.0, 1.0);
-        let big = simulate_hub(&s, 12, 0.0, 1.0);
+        let small = hub(&s, &HubModel::new(2, 0.0));
+        let big = hub(&s, &HubModel::new(12, 0.0));
         assert!(big.mean_turnaround_h < small.mean_turnaround_h);
         assert!(big.utilization < small.utilization);
     }
 
     #[test]
-    fn faster_compute_shortens_jobs() {
-        let s = spec();
-        let slow = simulate_hub(&s, 4, 0.0, 1.0);
-        let fast = simulate_hub(&s, 4, 0.0, 4.0);
-        assert!(fast.mean_turnaround_h < slow.mean_turnaround_h);
-    }
-
-    #[test]
     fn deterministic_for_fixed_seed() {
         let s = spec();
-        assert_eq!(
-            simulate_hub(&s, 4, 10.0, 1.0),
-            simulate_hub(&s, 4, 10.0, 1.0)
-        );
+        let model = HubModel::new(4, 10.0);
+        assert_eq!(hub(&s, &model), hub(&s, &model));
         let mut other = spec();
         other.seed = 99;
         assert_ne!(
-            simulate_hub(&s, 4, 10.0, 1.0).mean_turnaround_h,
-            simulate_hub(&other, 4, 10.0, 1.0).mean_turnaround_h
+            hub(&s, &model).mean_turnaround_h,
+            hub(&other, &model).mean_turnaround_h
         );
     }
 
@@ -961,9 +889,10 @@ mod tests {
         beginners.tier_mix = [1.0, 0.0, 0.0];
         let mut advanced = WorkloadSpec::new(6, 40, 4.0, 11);
         advanced.tier_mix = [0.0, 0.0, 1.0];
-        let b = simulate_hub(&beginners, 2, 0.0, 1.0);
-        let a = simulate_hub(&advanced, 2, 0.0, 1.0);
-        assert!(b.mean_turnaround_h < a.mean_turnaround_h);
+        let model = HubModel::new(2, 0.0);
+        assert!(
+            hub(&beginners, &model).mean_turnaround_h < hub(&advanced, &model).mean_turnaround_h
+        );
     }
 
     #[test]
@@ -981,20 +910,20 @@ mod tests {
             "uncalibrated specs keep the modelled hours"
         );
         // Shorter measured jobs must shorten simulated turnaround.
-        let modelled = simulate_hub(&s, 4, 0.0, 1.0);
-        let faster = simulate_hub(&calibrated, 4, 0.0, 1.0);
-        assert!(faster.mean_turnaround_h < modelled.mean_turnaround_h);
+        let model = HubModel::new(4, 0.0);
+        assert!(hub(&calibrated, &model).mean_turnaround_h < hub(&s, &model).mean_turnaround_h);
     }
 
     #[test]
     fn traced_hub_emits_virtual_time_spans() {
         let s = WorkloadSpec::new(3, 5, 12.0, 7);
+        let model = HubModel::new(2, 0.0);
         let tracer = Tracer::new();
-        let traced = simulate_hub_traced(&s, 2, 0.0, 1.0, &tracer);
-        assert_eq!(traced, simulate_hub(&s, 2, 0.0, 1.0), "tracing is inert");
+        let traced = simulate_hub(&s.arrival_trace(), &model, &tracer).unwrap();
+        assert_eq!(traced, hub(&s, &model), "tracing is inert");
 
         let spans = tracer.spans();
-        let hub = spans
+        let root = spans
             .iter()
             .find(|sp| sp.category == "des" && sp.name == "hub")
             .expect("hub root span");
@@ -1004,10 +933,10 @@ mod tests {
             .collect();
         assert_eq!(services.len(), 15, "one service span per job");
         for service in &services {
-            assert_eq!(service.parent, hub.id);
+            assert_eq!(service.parent, root.id);
             assert!(service.track >= 1 && service.track <= 3);
             assert!(service.dur_us > 0.0);
-            assert!(service.end_us() <= hub.end_us() + 1e-6);
+            assert!(service.end_us() <= root.end_us() + 1e-6);
         }
         // Queue spans only exist for jobs that actually waited, and
         // always precede their service on the same virtual timeline.
@@ -1035,37 +964,33 @@ mod tests {
 
     #[test]
     fn utilization_is_a_fraction() {
-        let s = spec();
-        let r = simulate_hub(&s, 3, 0.0, 1.0);
+        let r = hub(&spec(), &HubModel::new(3, 0.0));
         assert!((0.0..=1.0).contains(&r.utilization));
     }
 
     #[test]
-    fn default_resilience_is_numerically_inert() {
-        let s = spec();
-        let plain = simulate_hub(&s, 4, 10.0, 1.0);
-        let resilient = simulate_hub_resilient(
-            &s,
-            4,
-            10.0,
-            1.0,
-            &HubResilience::default(),
-            &Tracer::disabled(),
+    fn zero_servers_is_a_named_error_not_nan() {
+        let nobody = fair_share(0, AdmissionPolicy::bounded(3, 4));
+        let err = simulate_hub(&spec().arrival_trace(), &nobody, &Tracer::disabled());
+        let field = "servers";
+        assert_eq!(err, Err(ConfigError::NonPositive { field, value: 0.0 }));
+    }
+
+    #[test]
+    fn zero_universities_is_a_named_error_not_nan() {
+        let s = WorkloadSpec::new(0, 30, 48.0, 7);
+        let field = "universities";
+        assert_eq!(
+            simulate_local(&s, 400.0),
+            Err(ConfigError::NonPositive { field, value: 0.0 })
         );
-        assert_eq!(plain, resilient);
-        assert_eq!(plain.lost, 0);
-        assert_eq!(plain.outages, 0);
     }
 
     #[test]
     fn outages_with_requeue_complete_every_job_but_slower() {
         let s = spec();
-        let healthy = simulate_hub(&s, 4, 0.0, 1.0);
-        let shaky = HubResilience {
-            outage: Some(OutagePlan::new(9, 150.0, 24.0)),
-            requeue: true,
-        };
-        let r = simulate_hub_resilient(&s, 4, 0.0, 1.0, &shaky, &Tracer::disabled());
+        let healthy = hub(&s, &HubModel::new(4, 0.0));
+        let r = hub(&s, &shaky(4, true));
         assert_eq!(r.completed, 8 * 30, "requeueing loses no jobs");
         assert_eq!(r.lost, 0);
         assert!(r.outages > 0, "the outage plan fired");
@@ -1079,12 +1004,7 @@ mod tests {
 
     #[test]
     fn outages_without_requeue_lose_interrupted_jobs() {
-        let s = spec();
-        let brittle = HubResilience {
-            outage: Some(OutagePlan::new(9, 150.0, 24.0)),
-            requeue: false,
-        };
-        let r = simulate_hub_resilient(&s, 4, 0.0, 1.0, &brittle, &Tracer::disabled());
+        let r = hub(&spec(), &shaky(4, false));
         assert!(r.lost > 0, "interrupted jobs are lost without requeue");
         assert_eq!(r.completed + r.lost, 8 * 30, "every job is accounted for");
     }
@@ -1136,34 +1056,36 @@ mod tests {
     fn admitted_rejects_bad_specs_instead_of_panicking() {
         let mut bad = spec();
         bad.mean_interarrival_h = f64::NAN;
-        let policy = AdmissionPolicy::unbounded(3);
-        let err = simulate_hub_admitted(&bad, 4, 0.0, 1.0, &policy, &Tracer::disabled());
-        assert!(err.is_err(), "NaN spec must be a typed error, not a panic");
-        let wrong = AdmissionPolicy::unbounded(2);
-        assert_eq!(
-            simulate_hub_admitted(&spec(), 4, 0.0, 1.0, &wrong, &Tracer::disabled()),
-            Err(ConfigError::TierClassMismatch { got: 2 })
-        );
+        let model = HubModel::new(4, 0.0);
+        let err = simulate_hub(&bad.arrival_trace(), &model, &Tracer::disabled());
+        let field = "arrival_h";
+        assert!(matches!(err, Err(ConfigError::NonFinite { field: f, .. }) if f == field));
+        let wrong = HubModel {
+            admission: AdmissionPolicy::unbounded(2),
+            ..model
+        };
+        let err = simulate_hub(&spec().arrival_trace(), &wrong, &Tracer::disabled());
+        assert_eq!(err, Err(ConfigError::TierClassMismatch { got: 2 }));
     }
 
     #[test]
     fn unbounded_admission_completes_every_job() {
-        let s = spec();
-        let policy = AdmissionPolicy::unbounded(3);
-        let r = simulate_hub_admitted(&s, 4, 10.0, 1.0, &policy, &Tracer::disabled()).unwrap();
-        assert_eq!(r.scenario.completed, 8 * 30);
+        let r = hub(&spec(), &fair_share(4, AdmissionPolicy::unbounded(3)));
+        assert_eq!(r.completed, 8 * 30);
         let offered: usize = r.tiers.iter().map(|t| t.offered).sum();
         assert_eq!(offered, 8 * 30);
         assert_eq!(r.tiers.iter().map(|t| t.rejected).sum::<usize>(), 0);
-        assert!(r.p99_turnaround_h >= r.scenario.p95_turnaround_h);
+        assert!(r.p99_turnaround_h >= r.p95_turnaround_h);
     }
 
     #[test]
     fn bounded_queues_shed_load_under_saturation() {
         // 2 servers, fast arrivals: far more work than capacity.
         let s = WorkloadSpec::new(8, 40, 2.0, 13);
-        let bounded = AdmissionPolicy::bounded(3, 4).with_aging(0.1);
-        let r = simulate_hub_admitted(&s, 2, 0.0, 1.0, &bounded, &Tracer::disabled()).unwrap();
+        let r = hub(
+            &s,
+            &fair_share(2, AdmissionPolicy::bounded(3, 4).with_aging(0.1)),
+        );
         let rejected: usize = r.tiers.iter().map(|t| t.rejected).sum();
         assert!(rejected > 0, "saturation must reject work");
         for t in &r.tiers {
@@ -1179,8 +1101,7 @@ mod tests {
                 "every admitted job accounted"
             );
         }
-        let unbounded = AdmissionPolicy::unbounded(3);
-        let u = simulate_hub_admitted(&s, 2, 0.0, 1.0, &unbounded, &Tracer::disabled()).unwrap();
+        let u = hub(&s, &fair_share(2, AdmissionPolicy::unbounded(3)));
         assert!(
             r.p99_turnaround_h < u.p99_turnaround_h,
             "bounded p99 {} must beat unbounded {}",
@@ -1192,8 +1113,10 @@ mod tests {
     #[test]
     fn shed_oldest_prefers_fresh_work() {
         let s = WorkloadSpec::new(8, 40, 2.0, 13);
-        let policy = AdmissionPolicy::bounded(3, 4).with_shed_oldest();
-        let r = simulate_hub_admitted(&s, 2, 0.0, 1.0, &policy, &Tracer::disabled()).unwrap();
+        let r = hub(
+            &s,
+            &fair_share(2, AdmissionPolicy::bounded(3, 4).with_shed_oldest()),
+        );
         let shed: usize = r.tiers.iter().map(|t| t.shed).sum();
         assert!(shed > 0, "saturation must shed work");
         assert_eq!(
@@ -1214,7 +1137,7 @@ mod tests {
                 burst: 2.0,
             },
         );
-        let r = simulate_hub_admitted(&s, 4, 0.0, 1.0, &limited, &Tracer::disabled()).unwrap();
+        let r = hub(&s, &fair_share(4, limited));
         assert!(
             r.tiers[2].rejected > 0,
             "rate limiter must throttle the flood"
@@ -1233,8 +1156,8 @@ mod tests {
         let policy = AdmissionPolicy::unbounded(3)
             .with_weights(vec![6.0, 3.0, 1.0])
             .with_aging(0.2);
-        let r = simulate_hub_admitted(&s, 2, 0.0, 1.0, &policy, &Tracer::disabled()).unwrap();
-        assert_eq!(r.scenario.completed, 8 * 40);
+        let r = hub(&s, &fair_share(2, policy));
+        assert_eq!(r.completed, 8 * 40);
         assert!(
             r.tiers[0].max_wait_h < r.tiers[2].max_wait_h,
             "beginner max wait {} must stay below advanced {}",
@@ -1246,23 +1169,22 @@ mod tests {
     #[test]
     fn admitted_simulation_is_deterministic() {
         let s = WorkloadSpec::new(8, 40, 2.0, 13);
-        let policy = AdmissionPolicy::bounded(3, 4)
-            .with_shed_oldest()
-            .with_aging(0.1);
-        assert_eq!(
-            simulate_hub_admitted(&s, 2, 0.0, 1.0, &policy, &Tracer::disabled()),
-            simulate_hub_admitted(&s, 2, 0.0, 1.0, &policy, &Tracer::disabled())
+        let model = fair_share(
+            2,
+            AdmissionPolicy::bounded(3, 4)
+                .with_shed_oldest()
+                .with_aging(0.1),
         );
+        assert_eq!(hub(&s, &model), hub(&s, &model));
     }
 
     #[test]
     fn admitted_tracing_is_inert_and_counts_decisions() {
         let s = WorkloadSpec::new(6, 20, 2.0, 13);
-        let policy = AdmissionPolicy::bounded(3, 3);
+        let model = fair_share(2, AdmissionPolicy::bounded(3, 3));
         let tracer = Tracer::new();
-        let traced = simulate_hub_admitted(&s, 2, 0.0, 1.0, &policy, &tracer).unwrap();
-        let quiet = simulate_hub_admitted(&s, 2, 0.0, 1.0, &policy, &Tracer::disabled()).unwrap();
-        assert_eq!(traced, quiet, "tracing is inert");
+        let traced = simulate_hub(&s.arrival_trace(), &model, &tracer).unwrap();
+        assert_eq!(traced, hub(&s, &model), "tracing is inert");
         let snap = tracer.snapshot();
         let rejected: usize = traced.tiers.iter().map(|t| t.rejected).sum();
         let counted = snap
@@ -1282,13 +1204,6 @@ mod tests {
     #[test]
     fn outage_simulation_is_deterministic() {
         let s = spec();
-        let shaky = HubResilience {
-            outage: Some(OutagePlan::new(9, 150.0, 24.0)),
-            requeue: true,
-        };
-        assert_eq!(
-            simulate_hub_resilient(&s, 4, 0.0, 1.0, &shaky, &Tracer::disabled()),
-            simulate_hub_resilient(&s, 4, 0.0, 1.0, &shaky, &Tracer::disabled())
-        );
+        assert_eq!(hub(&s, &shaky(4, true)), hub(&s, &shaky(4, true)));
     }
 }

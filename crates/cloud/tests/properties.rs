@@ -1,7 +1,16 @@
 //! Property tests over the discrete-event core and the platform models.
 
-use chipforge_cloud::{simulate_hub, simulate_local, EventQueue, ShuttleSchedule, WorkloadSpec};
+use chipforge_cloud::{
+    simulate_hub, simulate_local, EventQueue, HubModel, ScenarioResult, ShuttleSchedule,
+    WorkloadSpec,
+};
+use chipforge_obs::Tracer;
 use proptest::prelude::*;
+
+fn hub(spec: &WorkloadSpec, servers: usize, setup_hours: f64) -> ScenarioResult {
+    let model = HubModel::new(servers, setup_hours);
+    simulate_hub(&spec.arrival_trace(), &model, &Tracer::disabled()).unwrap()
+}
 
 proptest! {
     #[test]
@@ -29,8 +38,8 @@ proptest! {
         servers in 1usize..10,
     ) {
         let spec = WorkloadSpec::new(universities, jobs, interarrival, seed);
-        let local = simulate_local(&spec, 100.0, 1.0);
-        let hub = simulate_hub(&spec, servers, 100.0, 1.0);
+        let local = simulate_local(&spec, 100.0).unwrap();
+        let hub = hub(&spec, servers, 100.0);
         prop_assert_eq!(local.completed, universities * jobs);
         prop_assert_eq!(hub.completed, universities * jobs);
         prop_assert!(local.mean_turnaround_h >= 0.0);
@@ -45,8 +54,8 @@ proptest! {
         servers in 1usize..6,
     ) {
         let spec = WorkloadSpec::new(6, 25, 24.0, seed);
-        let small = simulate_hub(&spec, servers, 0.0, 1.0);
-        let big = simulate_hub(&spec, servers * 2, 0.0, 1.0);
+        let small = hub(&spec, servers, 0.0);
+        let big = hub(&spec, servers * 2, 0.0);
         // Work-conserving priority scheduling: more capacity can only help
         // (tiny tolerance for tie-breaking reorderings).
         prop_assert!(big.mean_turnaround_h <= small.mean_turnaround_h * 1.001,

@@ -26,7 +26,7 @@ use chipforge::exec::{
     AdmissionControl, BatchEngine, EngineConfig, Fault, JobSpec, JobStatus, RemoteCacheConfig,
     ResilienceOptions, StageCacheMode,
 };
-use chipforge::flow::{run_flow_traced, FlowConfig, OptimizationProfile};
+use chipforge::flow::{FlowConfig, FlowCtx, OptimizationProfile, Pipeline};
 use chipforge::gen::{self, semester::SemesterSpec, GenSpec};
 use chipforge::hdl::designs;
 use chipforge::netlist::verilog;
@@ -376,8 +376,9 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let clock: f64 = parse_number(&flags, "clock", 100.0)?;
     let config = FlowConfig::new(node, profile).with_clock_mhz(clock);
     let tracer = tracer_for(&flags);
-    let outcome =
-        run_flow_traced(&source, &config, &tracer).map_err(|e| CliError::Jobs(e.to_string()))?;
+    let outcome = Pipeline::standard()
+        .run(&source, &config, &FlowCtx::new(&tracer))
+        .map_err(|e| CliError::Jobs(e.to_string()))?;
     print!("{}", outcome.report);
     write_trace_outputs(&tracer, &flags)?;
     if let Some(out) = flags.get("gds") {
@@ -1299,9 +1300,9 @@ fn cmd_semester(args: &[String]) -> Result<(), CliError> {
     }
     println!(
         "  completed {} of {} submissions, utilization {:.1}%, cost per enabled student €{:.2}",
-        result.scenario.completed,
+        result.completed,
         result.tiers.iter().map(|t| t.offered).sum::<usize>(),
-        result.scenario.utilization * 100.0,
+        result.utilization * 100.0,
         spec.cost_per_enabled_student_eur(servers, &result, &model)
     );
     Ok(())

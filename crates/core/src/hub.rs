@@ -2,8 +2,11 @@
 
 use crate::enablement::EnablementComparison;
 use crate::tiers::{Tier, TierStrategy};
-use chipforge_cloud::{simulate_hub, simulate_local, ScenarioResult, WorkloadSpec};
-use chipforge_flow::{run_flow, FlowError, FlowReport};
+use chipforge_cloud::{
+    simulate_hub, simulate_local, ConfigError, HubModel, ScenarioResult, WorkloadSpec,
+};
+use chipforge_flow::{FlowCtx, FlowError, FlowReport, Pipeline};
+use chipforge_obs::Tracer;
 use chipforge_pdk::TechnologyNode;
 use std::error::Error;
 use std::fmt;
@@ -99,7 +102,8 @@ impl EnablementHub {
     /// Returns [`HubError::Flow`] on flow failures (e.g. invalid RTL).
     pub fn run(&self, source: &str, tier: Tier) -> Result<TierRunReport, HubError> {
         let strategy = self.strategy(tier).clone();
-        let outcome = run_flow(source, &strategy.flow_config())?;
+        let outcome =
+            Pipeline::standard().run(source, &strategy.flow_config(), &FlowCtx::default())?;
         Ok(TierRunReport {
             seat_cost_eur: strategy.seat_cost_eur(),
             turnaround_weeks: strategy.turnaround_weeks(),
@@ -120,20 +124,27 @@ impl EnablementHub {
     /// vs. every university building its own environment (experiment E8).
     ///
     /// Setup efforts come from the enablement model of the intermediate
-    /// tier's node.
-    #[must_use]
+    /// tier's node; the hub dispatches by strict tier priority.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] for an invalid workload or zero servers.
     pub fn adoption_scenarios(
         &self,
         spec: &WorkloadSpec,
         servers: usize,
-    ) -> (ScenarioResult, ScenarioResult) {
+    ) -> Result<(ScenarioResult, ScenarioResult), ConfigError> {
         let node = self.strategy(Tier::Intermediate).node;
         let cmp = EnablementComparison::for_node(node);
         // Local groups script from scratch; the hub amortizes one
         // template-based setup.
-        let local = simulate_local(spec, cmp.from_scratch.hours, 1.0);
-        let central = simulate_hub(spec, servers, cmp.with_template.hours, 1.0);
-        (local, central)
+        let local = simulate_local(spec, cmp.from_scratch.hours)?;
+        let central = simulate_hub(
+            &spec.arrival_trace(),
+            &HubModel::new(servers, cmp.with_template.hours),
+            &Tracer::disabled(),
+        )?;
+        Ok((local, central))
     }
 }
 
@@ -187,7 +198,7 @@ mod tests {
     fn adoption_scenarios_favor_the_hub() {
         let hub = EnablementHub::new();
         let spec = WorkloadSpec::new(6, 15, 72.0, 17);
-        let (local, central) = hub.adoption_scenarios(&spec, 6);
+        let (local, central) = hub.adoption_scenarios(&spec, 6).unwrap();
         assert!(central.setup_hours_total < local.setup_hours_total / 5.0);
         assert_eq!(local.completed, central.completed);
     }

@@ -293,7 +293,7 @@ impl ArtifactCache {
 mod tests {
     use super::*;
     use crate::job::Fault;
-    use chipforge_flow::OptimizationProfile;
+    use chipforge_flow::{FlowCtx, OptimizationProfile, Pipeline};
     use chipforge_hdl::designs;
     use chipforge_pdk::TechnologyNode;
 
@@ -308,7 +308,8 @@ mod tests {
 
     fn outcome() -> Arc<FlowOutcome> {
         let job = spec();
-        Arc::new(chipforge_flow::run_flow(&job.source, &job.flow_config()).expect("flow runs"))
+        let flow = Pipeline::standard().run(&job.source, &job.flow_config(), &FlowCtx::default());
+        Arc::new(flow.expect("flow runs"))
     }
 
     #[test]

@@ -22,15 +22,22 @@
 //! ## Example
 //!
 //! ```
-//! use chipforge_flow::{run_flow, FlowConfig, OptimizationProfile};
+//! use chipforge_flow::{FlowConfig, FlowCtx, OptimizationProfile, Pipeline};
 //! use chipforge_hdl::designs;
+//! use chipforge_obs::Tracer;
 //! use chipforge_pdk::TechnologyNode;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let design = designs::counter(8);
 //! let config = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open())
 //!     .with_clock_mhz(50.0);
-//! let outcome = run_flow(design.source(), &config)?;
+//! // The context carries tracing, a deadline, stage hooks and a stage
+//! // store; a plain run needs only a (disabled) tracer.
+//! let outcome = Pipeline::standard().run(
+//!     design.source(),
+//!     &config,
+//!     &FlowCtx::default(),
+//! )?;
 //! assert!(outcome.report.ppa.cell_area_um2 > 0.0);
 //! assert!(!outcome.gds.is_empty());
 //! # Ok(())
@@ -55,8 +62,5 @@ pub use pipeline::{
 };
 pub use profile::OptimizationProfile;
 pub use report::{FlowReport, PpaReport, StepRecord};
-pub use run::{
-    run_flow, run_flow_deadline, run_flow_on_module, run_flow_on_module_traced, run_flow_traced,
-    FlowConfig, FlowError, FlowOutcome,
-};
+pub use run::{FlowConfig, FlowError, FlowOutcome};
 pub use template::{FlowStep, FlowTemplate, StepSpec};

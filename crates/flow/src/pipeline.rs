@@ -1,4 +1,4 @@
-//! The pipeline driver: one engine behind every `run_flow*` entry point.
+//! The pipeline driver: [`Pipeline::run`] is the one way to run a flow.
 //!
 //! [`Pipeline`] executes the typed [`crate::FlowStep`] stages in order
 //! under a single [`FlowCtx`] that carries the cross-cutting planes —
@@ -17,7 +17,7 @@
 
 use crate::report::{FlowReport, PpaReport, StepRecord};
 use crate::run::{FlowConfig, FlowError, FlowOutcome};
-use crate::stages::{ModuleSlot, Stage, StageState, STAGES};
+use crate::stages::{StageState, STAGES};
 use crate::template::FlowStep;
 use chipforge_hdl::RtlModule;
 use chipforge_layout::Layout;
@@ -66,12 +66,11 @@ impl Fnv128 {
     }
 }
 
-/// Base of the stage-key chain: schema version plus the design content
-/// (source text, or canonical module JSON for pre-elaborated runs).
-fn base_key(content: &[u8]) -> u128 {
+/// Base of the stage-key chain: schema version plus the source text.
+fn base_key(source: &str) -> u128 {
     let mut h = Fnv128::new();
     h.frame(&[STAGE_KEY_SCHEMA]);
-    h.frame(content);
+    h.frame(source.as_bytes());
     h.finish()
 }
 
@@ -234,6 +233,16 @@ impl<'a> FlowCtx<'a> {
     }
 }
 
+/// The tracer behind [`FlowCtx::default`].
+static QUIET: Tracer = Tracer::disabled();
+
+impl Default for FlowCtx<'_> {
+    /// A silent context: no tracing, deadline, store or hooks.
+    fn default() -> Self {
+        FlowCtx::new(&QUIET)
+    }
+}
+
 /// Fails with [`FlowError::DeadlineExceeded`] once `deadline` is in the
 /// past; `None` always passes.
 fn check_deadline(deadline: Option<Instant>, next: FlowStep) -> Result<(), FlowError> {
@@ -275,7 +284,9 @@ impl Pipeline {
         Pipeline
     }
 
-    /// Runs the full flow on ForgeHDL source under `ctx`.
+    /// Runs the full flow on ForgeHDL source under `ctx`: tracing,
+    /// deadline, stage hooks and the stage store all come from the
+    /// context, so this is the only flow entry point.
     ///
     /// # Errors
     ///
@@ -288,58 +299,15 @@ impl Pipeline {
         config: &FlowConfig,
         ctx: &FlowCtx<'_>,
     ) -> Result<FlowOutcome, FlowError> {
-        let mut state = StageState::new(config);
-        state.source = Some(source);
-        self.drive(state, config, ctx, base_key(source.as_bytes()), false)
-    }
-
-    /// Runs the flow on an already elaborated module (skips elaborate).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing stage as [`FlowError`].
-    pub fn run_on_module(
-        &self,
-        module: &RtlModule,
-        config: &FlowConfig,
-        ctx: &FlowCtx<'_>,
-    ) -> Result<FlowOutcome, FlowError> {
-        let mut state = StageState::new(config);
-        state.module = ModuleSlot::Borrowed(module);
-        state.rtl_lines = module.source_lines();
-        let base = base_key(serde::json::to_string(module).as_bytes());
-        self.drive(state, config, ctx, base, true)
-    }
-
-    /// The content-addressed key of every stage for `source` under
-    /// `config`, in canonical order. Key N pins, transitively, every
-    /// config field that can influence stage N's artifact.
-    #[must_use]
-    pub fn stage_keys(source: &str, config: &FlowConfig) -> [(FlowStep, u128); 8] {
-        let chain = key_chain(base_key(source.as_bytes()), config, &STAGES);
-        core::array::from_fn(|i| chain[i])
-    }
-
-    fn drive(
-        &self,
-        mut state: StageState<'_>,
-        config: &FlowConfig,
-        ctx: &FlowCtx<'_>,
-        base: u128,
-        skip_elaborate: bool,
-    ) -> Result<FlowOutcome, FlowError> {
+        let mut state = StageState::new(config, source);
         let mut root = ctx.tracer.span("flow", "flow");
         let scoped = ctx.tracer.at(root.id(), ctx.tracer.default_track());
-        if skip_elaborate {
-            root.set_detail(state.module().name());
-        }
-        let stages = &STAGES[usize::from(skip_elaborate)..];
-        let chain = key_chain(base, config, stages);
+        let chain = Self::stage_keys(source, config);
         if let Some(store) = ctx.stages {
             store.prefetch(&chain);
         }
         let mut steps = Vec::new();
-        for (stage, &(step, key)) in stages.iter().zip(&chain) {
+        for (stage, &(step, key)) in STAGES.iter().zip(&chain) {
             check_deadline(ctx.deadline, step)?;
             if let Some(hooks) = ctx.hooks {
                 hooks.before_stage(step)?;
@@ -382,21 +350,21 @@ impl Pipeline {
         }
         Ok(assemble(state, config, steps))
     }
-}
 
-/// The key of each of `stages`, chained from `base` under `config`.
-fn key_chain(base: u128, config: &FlowConfig, stages: &[&dyn Stage]) -> Vec<(FlowStep, u128)> {
-    let mut key = base;
-    let mut slice = Vec::new();
-    stages
-        .iter()
-        .map(|stage| {
+    /// The content-addressed key of every stage for `source` under
+    /// `config`, in canonical order. Key N pins, transitively, every
+    /// config field that can influence stage N's artifact.
+    #[must_use]
+    pub fn stage_keys(source: &str, config: &FlowConfig) -> [(FlowStep, u128); 8] {
+        let mut key = base_key(source);
+        let mut slice = Vec::new();
+        STAGES.map(|stage| {
             slice.clear();
             stage.key_slice(config, &mut slice);
             key = chain_key(key, stage.step(), &slice);
             (stage.step(), key)
         })
-        .collect()
+    }
 }
 
 /// Builds the final report and outcome from completed stage state.
@@ -419,7 +387,7 @@ fn assemble(state: StageState<'_>, config: &FlowConfig, steps: Vec<StepRecord>) 
     let report = FlowReport {
         design: state
             .module
-            .get()
+            .as_ref()
             .expect("elaborate completed")
             .name()
             .to_string(),

@@ -1,15 +1,11 @@
-//! Flow configuration, outcome and error types, plus the public
-//! `run_flow*` entry points — all thin wrappers over the one
-//! [`Pipeline`] driver in [`crate::pipeline`].
+//! Flow configuration, outcome and error types. The one way to run a
+//! flow is [`crate::Pipeline::run`].
 
-use crate::pipeline::{FlowCtx, Pipeline};
 use crate::profile::OptimizationProfile;
 use crate::report::FlowReport;
 use crate::template::{FlowStep, FlowTemplate};
-use chipforge_hdl::RtlModule;
 use chipforge_layout::Layout;
 use chipforge_netlist::Netlist;
-use chipforge_obs::Tracer;
 use chipforge_pdk::{Pdk, TechnologyNode};
 use chipforge_place::Placement;
 use chipforge_route::Routing;
@@ -17,7 +13,6 @@ use chipforge_sta::TimingReport;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
-use std::time::Instant;
 
 /// Configuration of one flow run.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,91 +183,23 @@ impl_from!(Route, chipforge_route::RouteError);
 impl_from!(Layout, chipforge_layout::BuildError);
 impl_from!(Power, chipforge_power::PowerError);
 
-/// Runs the complete flow on ForgeHDL source.
-///
-/// # Errors
-///
-/// Propagates the first failing step as [`FlowError`].
-pub fn run_flow(source: &str, config: &FlowConfig) -> Result<FlowOutcome, FlowError> {
-    Pipeline::standard().run(source, config, &FlowCtx::new(&Tracer::disabled()))
-}
-
-/// Runs the complete flow on ForgeHDL source, recording one span per
-/// stage (plus a `flow` root span) into `tracer`. With a disabled
-/// tracer this is exactly [`run_flow`].
-///
-/// # Errors
-///
-/// Propagates the first failing step as [`FlowError`].
-pub fn run_flow_traced(
-    source: &str,
-    config: &FlowConfig,
-    tracer: &Tracer,
-) -> Result<FlowOutcome, FlowError> {
-    Pipeline::standard().run(source, config, &FlowCtx::new(tracer))
-}
-
-/// [`run_flow_traced`] under an absolute deadline: before each stage
-/// starts, the remaining budget is checked, and an expired deadline
-/// aborts the run with [`FlowError::DeadlineExceeded`] naming the stage
-/// that would have run next. This is cooperative cancellation — a stage
-/// already in flight finishes — so the check costs nothing on the happy
-/// path and a cancelled job releases its worker at the next stage
-/// boundary rather than burning through the whole flow. `None` disables
-/// the checks entirely.
-///
-/// # Errors
-///
-/// Propagates the first failing step as [`FlowError`], or
-/// [`FlowError::DeadlineExceeded`] once `deadline` has passed.
-pub fn run_flow_deadline(
-    source: &str,
-    config: &FlowConfig,
-    tracer: &Tracer,
-    deadline: Option<Instant>,
-) -> Result<FlowOutcome, FlowError> {
-    Pipeline::standard().run(
-        source,
-        config,
-        &FlowCtx::new(tracer).with_deadline(deadline),
-    )
-}
-
-/// Runs the flow on an already elaborated module (skips the parse step).
-///
-/// # Errors
-///
-/// Propagates the first failing step as [`FlowError`].
-pub fn run_flow_on_module(
-    module: &RtlModule,
-    config: &FlowConfig,
-) -> Result<FlowOutcome, FlowError> {
-    Pipeline::standard().run_on_module(module, config, &FlowCtx::new(&Tracer::disabled()))
-}
-
-/// Traced variant of [`run_flow_on_module`]; see [`run_flow_traced`].
-///
-/// # Errors
-///
-/// Propagates the first failing step as [`FlowError`].
-pub fn run_flow_on_module_traced(
-    module: &RtlModule,
-    config: &FlowConfig,
-    tracer: &Tracer,
-) -> Result<FlowOutcome, FlowError> {
-    Pipeline::standard().run_on_module(module, config, &FlowCtx::new(tracer))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{FlowCtx, Pipeline};
     use chipforge_hdl::designs;
+    use chipforge_obs::Tracer;
+    use std::time::Instant;
+
+    fn flow(source: &str, config: &FlowConfig) -> Result<FlowOutcome, FlowError> {
+        Pipeline::standard().run(source, config, &FlowCtx::default())
+    }
 
     #[test]
     fn full_flow_on_counter_produces_everything() {
         let config =
             FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open()).with_clock_mhz(50.0);
-        let outcome = run_flow(designs::counter(8).source(), &config).unwrap();
+        let outcome = flow(designs::counter(8).source(), &config).unwrap();
         assert!(outcome.report.ppa.cells > 10);
         assert_eq!(outcome.report.ppa.flip_flops, 8);
         assert!(
@@ -288,12 +215,12 @@ mod tests {
     fn commercial_profile_beats_open_on_fmax() {
         let src_design = designs::alu(8);
         let src = src_design.source();
-        let open = run_flow(
+        let open = flow(
             src,
             &FlowConfig::new(TechnologyNode::N28, OptimizationProfile::open()),
         )
         .unwrap();
-        let comm = run_flow(
+        let comm = flow(
             src,
             &FlowConfig::new(TechnologyNode::N28, OptimizationProfile::commercial()),
         )
@@ -309,12 +236,12 @@ mod tests {
     #[test]
     fn newer_node_is_faster_and_smaller() {
         let design = designs::counter(16);
-        let old = run_flow(
+        let old = flow(
             design.source(),
             &FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open()),
         )
         .unwrap();
-        let new = run_flow(
+        let new = flow(
             design.source(),
             &FlowConfig::new(TechnologyNode::N16, OptimizationProfile::commercial()),
         )
@@ -328,7 +255,7 @@ mod tests {
         // Sec. III-B: one line of RTL typically yields 5-20 gates.
         let mut ratios = Vec::new();
         for design in designs::suite() {
-            let outcome = run_flow(
+            let outcome = flow(
                 design.source(),
                 &FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open()),
             )
@@ -345,7 +272,7 @@ mod tests {
     #[test]
     fn signoff_reports_formal_equivalence() {
         let config = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open());
-        let outcome = run_flow(designs::counter(8).source(), &config).unwrap();
+        let outcome = flow(designs::counter(8).source(), &config).unwrap();
         let signoff = outcome
             .report
             .steps
@@ -358,7 +285,7 @@ mod tests {
             signoff.detail
         );
         // Scanned netlists skip EC by design.
-        let scanned = run_flow(designs::counter(8).source(), &config.clone().with_scan()).unwrap();
+        let scanned = flow(designs::counter(8).source(), &config.clone().with_scan()).unwrap();
         let signoff = scanned
             .report
             .steps
@@ -372,7 +299,7 @@ mod tests {
     fn sequential_flows_meet_hold() {
         // With a balanced CTS the skew is small; clk-to-Q covers hold.
         let config = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open());
-        let outcome = run_flow(designs::counter(8).source(), &config).unwrap();
+        let outcome = flow(designs::counter(8).source(), &config).unwrap();
         assert!(
             outcome.report.ppa.hold_wns_ps > 0.0,
             "hold wns {}",
@@ -385,8 +312,8 @@ mod tests {
         let design = designs::counter(8);
         let base_cfg = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open());
         let scan_cfg = base_cfg.clone().with_scan();
-        let base = run_flow(design.source(), &base_cfg).unwrap();
-        let scanned = run_flow(design.source(), &scan_cfg).unwrap();
+        let base = flow(design.source(), &base_cfg).unwrap();
+        let scanned = flow(design.source(), &scan_cfg).unwrap();
         // Scan adds one mux per flip-flop and the scan ports.
         assert_eq!(
             scanned.report.ppa.cells,
@@ -401,11 +328,11 @@ mod tests {
     #[test]
     fn cts_populates_clock_metrics() {
         let config = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open());
-        let seq = run_flow(designs::fir4(8).source(), &config).unwrap();
+        let seq = flow(designs::fir4(8).source(), &config).unwrap();
         assert!(seq.report.ppa.clock_buffers >= 1);
         assert!(seq.report.ppa.clock_skew_ps >= 0.0);
         // Combinational design: no tree.
-        let comb = run_flow(designs::gray_encoder(8).source(), &config).unwrap();
+        let comb = flow(designs::gray_encoder(8).source(), &config).unwrap();
         assert_eq!(comb.report.ppa.clock_buffers, 0);
         assert_eq!(comb.report.ppa.clock_skew_ps, 0.0);
     }
@@ -414,7 +341,13 @@ mod tests {
     fn traced_flow_records_one_span_per_stage() {
         let tracer = Tracer::new();
         let config = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::quick());
-        let outcome = run_flow_traced(designs::counter(8).source(), &config, &tracer).unwrap();
+        let outcome = Pipeline::standard()
+            .run(
+                designs::counter(8).source(),
+                &config,
+                &FlowCtx::new(&tracer),
+            )
+            .unwrap();
         let spans = tracer.spans();
         let root = spans
             .iter()
@@ -454,13 +387,13 @@ mod tests {
     fn expired_deadline_cancels_before_the_first_stage() {
         let config = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::quick());
         let past = Instant::now() - std::time::Duration::from_millis(1);
-        let err = run_flow_deadline(
-            designs::counter(8).source(),
-            &config,
-            &Tracer::disabled(),
-            Some(past),
-        )
-        .unwrap_err();
+        let err = Pipeline::standard()
+            .run(
+                designs::counter(8).source(),
+                &config,
+                &FlowCtx::default().with_deadline(Some(past)),
+            )
+            .unwrap_err();
         assert!(
             matches!(
                 err,
@@ -477,14 +410,14 @@ mod tests {
     fn generous_deadline_changes_nothing() {
         let config = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::quick());
         let far = Instant::now() + std::time::Duration::from_secs(3600);
-        let with = run_flow_deadline(
-            designs::counter(8).source(),
-            &config,
-            &Tracer::disabled(),
-            Some(far),
-        )
-        .unwrap();
-        let without = run_flow(designs::counter(8).source(), &config).unwrap();
+        let with = Pipeline::standard()
+            .run(
+                designs::counter(8).source(),
+                &config,
+                &FlowCtx::default().with_deadline(Some(far)),
+            )
+            .unwrap();
+        let without = flow(designs::counter(8).source(), &config).unwrap();
         assert_eq!(
             with.gds, without.gds,
             "deadline checks are inert when the budget holds"
@@ -494,7 +427,7 @@ mod tests {
     #[test]
     fn bad_rtl_fails_at_elaborate() {
         let config = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::quick());
-        let err = run_flow("module broken() { output y; }", &config).unwrap_err();
+        let err = flow("module broken() { output y; }", &config).unwrap_err();
         assert!(matches!(err, FlowError::Hdl(_)));
     }
 
@@ -504,8 +437,8 @@ mod tests {
     fn seeds_change_neither_placement_nor_function() {
         let design = designs::counter(8);
         let config = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::quick());
-        let a = run_flow(design.source(), &config).unwrap();
-        let b = run_flow(design.source(), &config.clone().with_seed(7)).unwrap();
+        let a = flow(design.source(), &config).unwrap();
+        let b = flow(design.source(), &config.clone().with_seed(7)).unwrap();
         assert_eq!(a.placement, b.placement);
         assert_eq!(a.gds, b.gds);
         assert_eq!(a.report.ppa, b.report.ppa);

@@ -20,15 +20,14 @@ impl Stage for ElaborateStage {
     }
 
     fn run(&self, state: &mut StageState<'_>, _config: &FlowConfig) -> Result<String, FlowError> {
-        let source = state.source.expect("elaborate only runs in source mode");
-        let module = chipforge_hdl::parse(source)?;
-        state.rtl_lines = chipforge_hdl::rtl_line_count(source);
+        let module = chipforge_hdl::parse(state.source)?;
+        state.rtl_lines = chipforge_hdl::rtl_line_count(state.source);
         let detail = format!(
             "{} signals, {} lines",
             module.signals().len(),
             state.rtl_lines
         );
-        state.module = super::ModuleSlot::Owned(module);
+        state.module = Some(module);
         Ok(detail)
     }
 
@@ -43,7 +42,7 @@ impl Stage for ElaborateStage {
         match artifact {
             StageArtifact::Elaborate { module, rtl_lines } => {
                 state.rtl_lines = rtl_lines as usize;
-                state.module = super::ModuleSlot::Owned(module);
+                state.module = Some(module);
                 true
             }
             _ => false,

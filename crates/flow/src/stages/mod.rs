@@ -28,34 +28,13 @@ pub(crate) use backend::{ClockTreeStage, PlaceStage, RouteStage};
 pub(crate) use frontend::{ElaborateStage, SizeStage, SynthesizeStage};
 pub(crate) use signoff::{ExportStage, SignoffStage};
 
-/// The module being flowed: borrowed when the caller already elaborated
-/// it, owned once the elaborate stage produced (or restored) it.
-pub(crate) enum ModuleSlot<'a> {
-    /// No module yet (source-mode run before elaborate).
-    Empty,
-    /// Caller-provided, already elaborated module.
-    Borrowed(&'a RtlModule),
-    /// Module produced by the elaborate stage or a stage restore.
-    Owned(RtlModule),
-}
-
-impl ModuleSlot<'_> {
-    pub(crate) fn get(&self) -> Option<&RtlModule> {
-        match self {
-            ModuleSlot::Empty => None,
-            ModuleSlot::Borrowed(m) => Some(m),
-            ModuleSlot::Owned(m) => Some(m),
-        }
-    }
-}
-
 /// Artifact state threaded through the pipeline: every stage reads the
 /// fields earlier stages filled in and writes its own.
 pub(crate) struct StageState<'a> {
-    /// ForgeHDL source text (source-mode runs only).
-    pub source: Option<&'a str>,
+    /// ForgeHDL source text.
+    pub source: &'a str,
     /// The elaborated module.
-    pub module: ModuleSlot<'a>,
+    pub module: Option<RtlModule>,
     /// RTL line count for the report.
     pub rtl_lines: usize,
     /// The bound standard-cell library (node + profile).
@@ -84,11 +63,11 @@ pub(crate) struct StageState<'a> {
 }
 
 impl<'a> StageState<'a> {
-    pub(crate) fn new(config: &FlowConfig) -> Self {
+    pub(crate) fn new(config: &FlowConfig, source: &'a str) -> Self {
         let pdk = config.pdk();
         Self {
-            source: None,
-            module: ModuleSlot::Empty,
+            source,
+            module: None,
             rtl_lines: 0,
             lib: pdk.library(config.profile.library),
             clock_ps: 1e6 / config.clock_mhz,
@@ -107,7 +86,9 @@ impl<'a> StageState<'a> {
     /// The elaborated module; panics if elaborate has not run, which the
     /// pipeline's in-order sequencing makes impossible.
     pub(crate) fn module(&self) -> &RtlModule {
-        self.module.get().expect("elaborate ran before this stage")
+        self.module
+            .as_ref()
+            .expect("elaborate ran before this stage")
     }
 
     /// The mapped netlist; same invariant as [`StageState::module`].

@@ -3,14 +3,14 @@
 //! Compiles a student population — per-tier head counts, diurnal
 //! arrival curves, deadline-synchronized submission spikes and E17's
 //! incremental-resubmission pattern — into an explicit
-//! [`HubArrival`] trace for the admission-controlled hub DES
-//! ([`chipforge_cloud::simulate_hub_admitted_trace`]). Everything is a
+//! [`HubArrival`] trace for the admission-controlled, fair-share hub
+//! DES ([`chipforge_cloud::simulate_hub`]). Everything is a
 //! pure function of the seed: two runs of the same spec produce the
 //! same trace, the same simulation and byte-identical tables.
 
 use chipforge_admit::AdmissionPolicy;
 use chipforge_cloud::{
-    simulate_hub_admitted_trace, AccessTier, AdmittedResult, ConfigError, HubArrival,
+    simulate_hub, AccessTier, ConfigError, Dispatch, HubArrival, HubModel, ScenarioResult,
 };
 use chipforge_econ::infrastructure::InfrastructureCostModel;
 use chipforge_obs::Tracer;
@@ -200,21 +200,20 @@ impl SemesterSpec {
     }
 
     /// Runs the semester through the admission-controlled hub DES on
-    /// `servers` compute servers under [`SemesterSpec::policy`].
+    /// `servers` compute servers under [`SemesterSpec::policy`],
+    /// dispatching by weighted fair share.
     ///
     /// # Errors
     ///
-    /// Propagates [`ConfigError`] from the simulator (cannot occur for
-    /// the built-in 3-tier policy).
-    pub fn simulate(&self, servers: usize) -> Result<AdmittedResult, ConfigError> {
-        simulate_hub_admitted_trace(
-            &self.arrival_trace(),
-            servers,
-            0.0,
-            1.0,
-            &self.policy(),
-            &Tracer::disabled(),
-        )
+    /// Propagates [`ConfigError`] from the simulator (zero servers; the
+    /// built-in 3-tier policy always validates).
+    pub fn simulate(&self, servers: usize) -> Result<ScenarioResult, ConfigError> {
+        let model = HubModel {
+            admission: self.policy(),
+            dispatch: Dispatch::FairShare,
+            ..HubModel::new(servers, 0.0)
+        };
+        simulate_hub(&self.arrival_trace(), &model, &Tracer::disabled())
     }
 
     /// EUR per *enabled* student for the whole semester: the semester's
@@ -225,7 +224,7 @@ impl SemesterSpec {
     pub fn cost_per_enabled_student_eur(
         &self,
         servers: usize,
-        result: &AdmittedResult,
+        result: &ScenarioResult,
         model: &InfrastructureCostModel,
     ) -> f64 {
         let semester_cost =
@@ -244,7 +243,7 @@ impl SemesterSpec {
     pub fn tier_cost_per_enabled_student_eur(
         &self,
         servers: usize,
-        result: &AdmittedResult,
+        result: &ScenarioResult,
         model: &InfrastructureCostModel,
     ) -> [f64; 3] {
         let semester_cost =
@@ -353,6 +352,6 @@ mod tests {
         let result = spec.simulate(servers).expect("3-tier policy");
         let offered: usize = result.tiers.iter().map(|t| t.offered).sum();
         assert_eq!(offered, spec.arrival_trace().len());
-        assert!(result.scenario.completed > 0);
+        assert!(result.completed > 0);
     }
 }

@@ -312,12 +312,6 @@ impl RtlModule {
         &self.registers
     }
 
-    /// Number of non-comment source lines the module came from.
-    #[must_use]
-    pub fn source_lines(&self) -> usize {
-        self.source_lines
-    }
-
     /// Total state bits (sum of register widths).
     #[must_use]
     pub fn state_bits(&self) -> usize {

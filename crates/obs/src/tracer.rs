@@ -74,8 +74,12 @@ impl Tracer {
 
     /// A disabled tracer: every recording call is a no-op.
     #[must_use]
-    pub fn disabled() -> Self {
-        Tracer::default()
+    pub const fn disabled() -> Self {
+        Tracer {
+            inner: None,
+            parent: 0,
+            track: 0,
+        }
     }
 
     /// Whether events are actually being collected.

@@ -9,7 +9,7 @@
 
 use chipforge::econ::cost::DesignCostModel;
 use chipforge::econ::mpw::MpwPricing;
-use chipforge::flow::{run_flow, FlowConfig, OptimizationProfile};
+use chipforge::flow::{FlowConfig, FlowCtx, OptimizationProfile, Pipeline};
 use chipforge::hdl::designs;
 use chipforge::pdk::{Pdk, TechnologyNode};
 use std::error::Error;
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             OptimizationProfile::commercial()
         };
         let config = FlowConfig::new(node, profile).with_clock_mhz(100.0);
-        let outcome = run_flow(design.source(), &config)?;
+        let outcome = Pipeline::standard().run(design.source(), &config, &FlowCtx::default())?;
         let pdk = if node.has_open_pdk() {
             Pdk::open(node)
         } else {

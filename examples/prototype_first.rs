@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --example prototype_first --release`.
 
-use chipforge::flow::{run_flow, FlowConfig, OptimizationProfile};
+use chipforge::flow::{FlowConfig, FlowCtx, OptimizationProfile, Pipeline};
 use chipforge::fpga::{map_to_luts, FpgaDevice};
 use chipforge::hdl::designs;
 use chipforge::pdk::TechnologyNode;
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // --- afternoon: ASIC implementation ---
     let config =
         FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open()).with_clock_mhz(100.0);
-    let asic = run_flow(design.source(), &config)?;
+    let asic = Pipeline::standard().run(design.source(), &config, &FlowCtx::default())?;
     println!("\n== ASIC implementation ==");
     print!("{}", asic.report);
 

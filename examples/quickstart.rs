@@ -2,7 +2,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use chipforge::flow::{run_flow, FlowConfig, OptimizationProfile};
+use chipforge::flow::{FlowConfig, FlowCtx, OptimizationProfile, Pipeline};
 use chipforge::hdl::{parse, Simulator};
 use chipforge::pdk::TechnologyNode;
 use std::error::Error;
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // 2. Run the full RTL-to-GDSII flow on the open 130 nm PDK.
     let config =
         FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open()).with_clock_mhz(50.0);
-    let outcome = run_flow(COUNTER, &config)?;
+    let outcome = Pipeline::standard().run(COUNTER, &config, &FlowCtx::default())?;
 
     // 3. Inspect the report.
     println!("\n{}", outcome.report);

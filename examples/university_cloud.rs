@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("\n== 12 universities, 40 jobs each, one year ==");
     let spec = WorkloadSpec::new(12, 40, 24.0 * 9.0, 2_025);
     for servers in [6, 12, 24] {
-        let (local, central) = hub.adoption_scenarios(&spec, servers);
+        let (local, central) = hub.adoption_scenarios(&spec, servers)?;
         println!("  hub with {servers:>2} servers:");
         println!(
             "    local : mean turnaround {:>7.1} h, p95 {:>7.1} h, setup {:>7.0} h total",

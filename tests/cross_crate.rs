@@ -1,7 +1,7 @@
 //! Cross-crate consistency: the engines must agree with each other where
 //! their models overlap.
 
-use chipforge::flow::{run_flow, FlowConfig, OptimizationProfile};
+use chipforge::flow::{FlowConfig, FlowCtx, OptimizationProfile, Pipeline};
 use chipforge::hdl::designs;
 use chipforge::pdk::{LibraryKind, Pdk, StdCellLibrary, TechnologyNode};
 use chipforge::place::{place, PlacementOptions};
@@ -58,7 +58,9 @@ fn flow_report_matches_direct_engine_results() {
         .unwrap()
         .netlist;
     let config = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open());
-    let outcome = run_flow(design.source(), &config).unwrap();
+    let outcome = Pipeline::standard()
+        .run(design.source(), &config, &FlowCtx::default())
+        .unwrap();
     assert_eq!(outcome.report.ppa.cells, manual.cell_count());
     assert_eq!(
         outcome.report.ppa.flip_flops,
@@ -111,7 +113,9 @@ fn area_reported_by_flow_matches_library_sum() {
     let lib = open_lib();
     let design = designs::pwm(8);
     let config = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open());
-    let outcome = run_flow(design.source(), &config).unwrap();
+    let outcome = Pipeline::standard()
+        .run(design.source(), &config, &FlowCtx::default())
+        .unwrap();
     let manual: f64 = outcome
         .netlist
         .cells()
@@ -124,7 +128,9 @@ fn area_reported_by_flow_matches_library_sum() {
 fn utilization_consistent_between_place_and_flow_report() {
     let design = designs::fir4(8);
     let config = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open());
-    let outcome = run_flow(design.source(), &config).unwrap();
+    let outcome = Pipeline::standard()
+        .run(design.source(), &config, &FlowCtx::default())
+        .unwrap();
     let u = outcome.placement.utilization();
     // The flow's core area and cell area must reproduce the same ratio.
     let ratio = outcome.report.ppa.cell_area_um2 / outcome.report.ppa.core_area_um2;

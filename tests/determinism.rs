@@ -2,20 +2,25 @@
 //! the whole platform — a requirement for reproducible benchmarking, which
 //! the paper names as a key benefit of open infrastructure.
 
-use chipforge::cloud::{simulate_hub, WorkloadSpec};
+use chipforge::cloud::{simulate_hub, HubModel, WorkloadSpec};
 use chipforge::econ::workforce::{simulate, Interventions, PipelineConfig};
 use chipforge::exec::{BatchEngine, EngineConfig, JobSpec};
-use chipforge::flow::{run_flow, FlowConfig, FlowStep, OptimizationProfile, Pipeline};
+use chipforge::flow::{FlowConfig, FlowCtx, FlowStep, OptimizationProfile, Pipeline};
 use chipforge::hdl::designs;
 use chipforge::layout::gds;
+use chipforge::obs::Tracer;
 use chipforge::pdk::TechnologyNode;
 
 #[test]
 fn full_flow_is_bit_reproducible() {
     let design = designs::alu(8);
     let config = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open()).with_seed(42);
-    let a = run_flow(design.source(), &config).unwrap();
-    let b = run_flow(design.source(), &config).unwrap();
+    let a = Pipeline::standard()
+        .run(design.source(), &config, &FlowCtx::default())
+        .unwrap();
+    let b = Pipeline::standard()
+        .run(design.source(), &config, &FlowCtx::default())
+        .unwrap();
     assert_eq!(a.gds, b.gds, "GDSII streams must be byte-identical");
     assert_eq!(a.report.ppa, b.report.ppa);
     assert_eq!(a.placement, b.placement);
@@ -27,9 +32,13 @@ fn gds_output_has_no_timestamps() {
     // Regenerating the layout must not embed wall-clock time.
     let design = designs::counter(8);
     let config = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::quick());
-    let a = run_flow(design.source(), &config).unwrap();
+    let a = Pipeline::standard()
+        .run(design.source(), &config, &FlowCtx::default())
+        .unwrap();
     std::thread::sleep(std::time::Duration::from_millis(20));
-    let b = run_flow(design.source(), &config).unwrap();
+    let b = Pipeline::standard()
+        .run(design.source(), &config, &FlowCtx::default())
+        .unwrap();
     assert_eq!(a.gds, b.gds);
     // And the stream parses.
     gds::read_gds(&a.gds).unwrap();
@@ -54,8 +63,12 @@ fn seed_changes_propagate_but_stay_functional() {
             a.0
         );
     }
-    let a = run_flow(design.source(), &base).unwrap();
-    let b = run_flow(design.source(), &reseeded).unwrap();
+    let a = Pipeline::standard()
+        .run(design.source(), &base, &FlowCtx::default())
+        .unwrap();
+    let b = Pipeline::standard()
+        .run(design.source(), &reseeded, &FlowCtx::default())
+        .unwrap();
     assert_eq!(a.gds, b.gds, "no production kernel reads the seed");
     assert_eq!(a.report.ppa, b.report.ppa);
     assert_eq!(a.report.ppa.drc_violations, 0);
@@ -63,10 +76,11 @@ fn seed_changes_propagate_but_stay_functional() {
 
 #[test]
 fn simulations_are_seed_deterministic() {
-    let spec = WorkloadSpec::new(5, 20, 24.0, 77);
+    let trace = WorkloadSpec::new(5, 20, 24.0, 77).arrival_trace();
+    let model = HubModel::new(4, 10.0);
     assert_eq!(
-        simulate_hub(&spec, 4, 10.0, 1.0),
-        simulate_hub(&spec, 4, 10.0, 1.0)
+        simulate_hub(&trace, &model, &Tracer::disabled()),
+        simulate_hub(&trace, &model, &Tracer::disabled())
     );
 
     let config = PipelineConfig::europe_baseline();
@@ -191,7 +205,7 @@ fn batch_results_are_identical_across_shard_counts() {
 fn experiment_tables_are_stable() {
     // The harness output is part of the reproduction record; rendering the
     // pure-model experiments twice must give identical text.
-    for id in ["e1", "e4", "e5", "e7", "e8", "e10", "e16", "e18"] {
+    for id in ["e1", "e4", "e5", "e7", "e8", "e10", "e15b", "e16", "e18"] {
         let a = chipforge_bench::run_experiment(id).unwrap();
         let b = chipforge_bench::run_experiment(id).unwrap();
         assert_eq!(a, b, "{id} not stable");

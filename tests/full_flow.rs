@@ -1,7 +1,7 @@
 //! End-to-end integration: every suite design through the complete
 //! platform, with functional equivalence, GDSII round-trip and DRC checks.
 
-use chipforge::flow::{run_flow, FlowConfig, OptimizationProfile};
+use chipforge::flow::{FlowConfig, FlowCtx, OptimizationProfile, Pipeline};
 use chipforge::hdl::designs;
 use chipforge::layout::{drc, gds};
 use chipforge::netlist::verilog;
@@ -15,8 +15,9 @@ fn whole_suite_flows_to_clean_gds_at_130nm() {
         FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open()).with_clock_mhz(50.0);
     let rules = DesignRules::for_node(TechnologyNode::N130);
     for design in designs::suite() {
-        let outcome =
-            run_flow(design.source(), &config).unwrap_or_else(|e| panic!("{}: {e}", design.name()));
+        let outcome = Pipeline::standard()
+            .run(design.source(), &config, &FlowCtx::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", design.name()));
         // Functional equivalence RTL vs mapped netlist.
         let module = design.elaborate().expect("elaborates");
         assert!(
@@ -51,7 +52,9 @@ fn whole_suite_flows_to_clean_gds_at_130nm() {
 fn netlist_survives_verilog_round_trip_after_synthesis() {
     let config = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open());
     for design in [designs::alu(8), designs::fir4(8)] {
-        let outcome = run_flow(design.source(), &config).expect("flows");
+        let outcome = Pipeline::standard()
+            .run(design.source(), &config, &FlowCtx::default())
+            .expect("flows");
         let text = verilog::write_verilog(&outcome.netlist);
         let parsed = verilog::parse_verilog(&text).expect("parses back");
         parsed.validate().expect("valid");
@@ -86,7 +89,9 @@ fn flow_scales_to_a_bigger_design() {
     // make sure the flow handles a wider multiplier too.
     let design = designs::multiplier(12);
     let config = FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open());
-    let outcome = run_flow(design.source(), &config).expect("flows");
+    let outcome = Pipeline::standard()
+        .run(design.source(), &config, &FlowCtx::default())
+        .expect("flows");
     assert!(outcome.report.ppa.cells > 700, "12x12 multiplier is big");
     let module = design.elaborate().expect("elaborates");
     assert!(simulate_equivalent(&module, &outcome.netlist, 24, 5));
@@ -102,7 +107,9 @@ fn layouts_are_drc_clean_at_every_node() {
             OptimizationProfile::commercial()
         };
         let config = FlowConfig::new(node, profile);
-        let outcome = run_flow(design.source(), &config).unwrap_or_else(|e| panic!("{node}: {e}"));
+        let outcome = Pipeline::standard()
+            .run(design.source(), &config, &FlowCtx::default())
+            .unwrap_or_else(|e| panic!("{node}: {e}"));
         assert_eq!(
             outcome.report.ppa.drc_violations, 0,
             "{node}: DRC violations in generated layout"
@@ -115,16 +122,20 @@ fn cross_node_trends_hold_end_to_end() {
     // Scaling trends must survive the full flow, not just the models:
     // newer node -> smaller, faster, leakier (vs 130nm open).
     let design = designs::counter(16);
-    let old = run_flow(
-        design.source(),
-        &FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open()),
-    )
-    .expect("flows");
-    let new = run_flow(
-        design.source(),
-        &FlowConfig::new(TechnologyNode::N7, OptimizationProfile::commercial()),
-    )
-    .expect("flows");
+    let old = Pipeline::standard()
+        .run(
+            design.source(),
+            &FlowConfig::new(TechnologyNode::N130, OptimizationProfile::open()),
+            &FlowCtx::default(),
+        )
+        .expect("flows");
+    let new = Pipeline::standard()
+        .run(
+            design.source(),
+            &FlowConfig::new(TechnologyNode::N7, OptimizationProfile::commercial()),
+            &FlowCtx::default(),
+        )
+        .expect("flows");
     assert!(new.report.ppa.cell_area_um2 < old.report.ppa.cell_area_um2 / 20.0);
     assert!(new.report.ppa.fmax_mhz > 2.0 * old.report.ppa.fmax_mhz);
     assert!(new.report.ppa.leakage_uw > old.report.ppa.leakage_uw);
@@ -143,7 +154,9 @@ fn signoff_equivalence_reports_the_pinned_bdd_sizes() {
         .with_seed(1);
     let signoff_ec = |spec: &str| {
         let design = chipforge::gen::resolve(spec).expect("spec resolves");
-        let outcome = run_flow(design.source(), &config).expect("flows");
+        let outcome = Pipeline::standard()
+            .run(design.source(), &config, &FlowCtx::default())
+            .expect("flows");
         let module = design.elaborate().expect("elaborates");
         let detail = outcome
             .report
