@@ -83,6 +83,17 @@ fn bench_verify_and_fpga(c: &mut Criterion) {
     c.bench_function("formal_ec/counter8", |b| {
         b.iter(|| chipforge::verify::check_equivalence(&module, &netlist, 1_000_000));
     });
+    // Too large for the whole-AIG BDDs at signoff's budget: the sweep path.
+    let fir = chipforge::gen::resolve("gen:dsp/fir?width=16&depth=4&unroll=1&seed=1")
+        .expect("spec resolves")
+        .elaborate()
+        .expect("elaborates");
+    let fir_netlist = synthesize(&fir, &lib, &SynthOptions::default())
+        .expect("synth")
+        .netlist;
+    c.bench_function("formal_ec/fir_w16", |b| {
+        b.iter(|| chipforge::verify::check_equivalence(&fir, &fir_netlist, 500_000));
+    });
     let aig = chipforge::synth::lower::lower_to_aig(&module);
     c.bench_function("lut_map/counter8", |b| {
         b.iter(|| chipforge::fpga::map_to_luts(&aig, 4));

@@ -17,10 +17,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Bumped whenever the key encoding or the flow's artifact semantics
-/// change, so stale persisted keys can never alias fresh ones. 3: the
-/// flow always runs the analytic placer and the Steiner router (2
-/// framed the kernel names and the annealer's move budget).
-const KEY_SCHEMA_VERSION: u8 = 3;
+/// change, so stale persisted keys can never alias fresh ones. 4: signoff
+/// runs the staged equivalence prover, which proves designs the
+/// whole-AIG BDDs aborted on (3: the flow always runs the analytic
+/// placer and the Steiner router; 2 framed the kernel names and the
+/// annealer's move budget).
+const KEY_SCHEMA_VERSION: u8 = 4;
 
 /// A 128-bit content hash identifying one flow artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -340,10 +342,11 @@ mod tests {
         assert_ne!(CacheKey::of(&knobs), base, "route iterations");
     }
 
-    /// The whole-flow key of one fixed job, pinned beside the value the
+    /// The whole-flow key of one fixed job, pinned beside the values the
     /// last annealing binary (schema 2: kernel names and move budget
-    /// framed) computed for it: a journal or artifact that binary wrote
-    /// can never be restored as this binary's result.
+    /// framed) and the last whole-AIG-BDD binary (schema 3) computed for
+    /// it: a journal or artifact either wrote can never be restored as
+    /// this binary's result.
     #[test]
     fn key_schema_is_pinned_and_misses_the_annealing_binarys() {
         let job = JobSpec::new(
@@ -355,8 +358,9 @@ mod tests {
         .with_clock_mhz(100.0)
         .with_seed(3);
         let key = CacheKey::of(&job).to_string();
-        assert_eq!(KEY_SCHEMA_VERSION, 3);
-        assert_eq!(key, "93335587fb795efe78980c5df66881a5");
+        assert_eq!(KEY_SCHEMA_VERSION, 4);
+        assert_eq!(key, "2a4e521c2f991b18c879398575a6bbf4");
+        assert_ne!(key, "93335587fb795efe78980c5df66881a5", "schema-3 value");
         assert_ne!(key, "5ab4df6d9877c72f2b6e992e80cbe944", "schema-2 value");
     }
 

@@ -20,6 +20,8 @@ impl Stage for SignoffStage {
 
     fn key_slice(&self, config: &FlowConfig, buf: &mut Vec<u8>) {
         frame_into(buf, &config.clock_mhz.to_bits().to_le_bytes());
+        // The detail reports the EC verdict, which the engine decides.
+        frame_into(buf, &[chipforge_verify::ENGINE_VERSION]);
     }
 
     fn run(&self, state: &mut StageState<'_>, config: &FlowConfig) -> Result<String, FlowError> {

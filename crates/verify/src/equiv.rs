@@ -2,6 +2,7 @@
 
 use crate::bdd::{Bdd, BddRef};
 use crate::convert::netlist_to_aig;
+use crate::sweep;
 use chipforge_hdl::RtlModule;
 use chipforge_netlist::Netlist;
 use chipforge_synth::{lower, Aig, Lit};
@@ -26,7 +27,8 @@ pub enum Verdict {
     Inequivalent(Counterexample),
     /// The designs have different interfaces (missing output/state bit).
     InterfaceMismatch(String),
-    /// The BDD node budget was exhausted before a proof completed.
+    /// The BDD node budget was exhausted before a proof completed, even
+    /// after sweeping.
     Aborted,
 }
 
@@ -39,7 +41,8 @@ pub struct EquivalenceResult {
     pub proven: usize,
     /// Total functions to prove (outputs + next-state bits).
     pub total: usize,
-    /// BDD nodes allocated.
+    /// Nodes of the largest BDD table the check built (whole-AIG or
+    /// cone BDDs, whichever held more).
     pub bdd_nodes: usize,
 }
 
@@ -47,13 +50,17 @@ pub struct EquivalenceResult {
 ///
 /// Both designs are converted to AIGs; primary inputs and state bits are
 /// matched by their bit-blasted names; every primary output and every
-/// latch next-state function is compared as a canonical BDD. Because the
+/// latch next-state function is proven equal or refuted. Because the
 /// flow preserves the state encoding one-to-one, this is complete
 /// sequential equivalence, not a bounded check.
 ///
-/// `node_budget` caps BDD size; on exhaustion the verdict is
-/// [`Verdict::Aborted`] (multiplier-style functions are BDD-hostile — use
-/// the simulation-based check in `chipforge-synth` as a fallback there).
+/// `node_budget` caps BDD size. Whole-AIG BDDs get a sixteenth of it;
+/// where they run out, a simulation-guided sweep of one miter merges
+/// proven-equal nodes, and BDDs over the cones it leaves open get the
+/// full budget (see the crate docs). Only exhausting that is
+/// [`Verdict::Aborted`]. `bdd_nodes` in the result is the size of the
+/// largest BDD table the check built: the whole-AIG one, or the cone
+/// one if that grew larger.
 #[must_use]
 pub fn check_equivalence(
     module: &RtlModule,
@@ -76,16 +83,37 @@ pub fn check_equivalence(
 }
 
 /// Checks two AIGs with name-matched interfaces for equivalence.
+///
+/// Stage 1 builds whole-AIG BDDs under a sixteenth of `node_budget`;
+/// whatever it decides is the answer. Only when it runs out does
+/// `sweep::check` take over: one miter, simulation as the falsifier,
+/// simulation-guided merging proven on small cuts, and per-cone BDDs
+/// under the full budget for the output pairs merging leaves open.
 #[must_use]
 pub fn check_aig_equivalence(golden: &Aig, dut: &Aig, node_budget: usize) -> EquivalenceResult {
-    // --- variable order: interleave bits across buses ---
+    let names = variable_order(golden, dut);
+    let whole = whole_bdd_check(golden, dut, &names, node_budget / WHOLE_BDD_SHARE);
+    if whole.verdict != Verdict::Aborted {
+        return whole;
+    }
+    sweep::check(golden, dut, &names, node_budget, whole.bdd_nodes)
+}
+
+/// Stage 1 gets `node_budget / WHOLE_BDD_SHARE` nodes: enough for every
+/// design whose whole-AIG BDDs stay small, and a cheap abort for the
+/// multiplier-style ones the sweep proves instead.
+const WHOLE_BDD_SHARE: usize = 16;
+
+/// BDD variables, one per input or state-bit name of either AIG, bits
+/// interleaved across buses. DUT-only inputs (e.g. scan ports) still get
+/// a variable.
+pub(crate) fn variable_order(golden: &Aig, dut: &Aig) -> Vec<String> {
     let mut names: Vec<String> = golden
         .inputs()
         .iter()
         .map(|(n, _)| n.clone())
         .chain(golden.latches().iter().map(|l| l.name.clone()))
         .collect();
-    // DUT-only inputs (e.g. scan ports) still need variables.
     let mut seen: HashSet<&str> = golden
         .inputs()
         .iter()
@@ -106,14 +134,57 @@ pub fn check_aig_equivalence(golden: &Aig, dut: &Aig, node_budget: usize) -> Equ
         let (base, bit) = split_bit(n);
         (bit, base.to_string())
     });
+    names
+}
+
+/// A function both designs must agree on: its name in a verdict, the
+/// golden literal and the DUT literal.
+pub(crate) type Pair = (String, Lit, Lit);
+
+/// Every output and next-state function, paired by name, golden order;
+/// `Err` names the first one the DUT lacks.
+pub(crate) fn compared_pairs(golden: &Aig, dut: &Aig) -> Result<Vec<Pair>, String> {
+    let dut_outputs: HashMap<&str, Lit> = dut
+        .outputs()
+        .iter()
+        .map(|(n, l)| (n.as_str(), *l))
+        .collect();
+    let dut_next: HashMap<&str, Lit> = dut
+        .latches()
+        .iter()
+        .map(|l| (l.name.as_str(), l.d))
+        .collect();
+    let mut pairs = Vec::with_capacity(golden.outputs().len() + golden.latches().len());
+    for (name, lit) in golden.outputs() {
+        match dut_outputs.get(name.as_str()) {
+            Some(&d) => pairs.push((name.clone(), *lit, d)),
+            None => return Err(format!("output `{name}` missing")),
+        }
+    }
+    for latch in golden.latches() {
+        match dut_next.get(latch.name.as_str()) {
+            Some(&d) => pairs.push((format!("next({})", latch.name), latch.d, d)),
+            None => return Err(format!("state bit `{}` missing", latch.name)),
+        }
+    }
+    Ok(pairs)
+}
+
+/// Stage 1: every node of both AIGs as a BDD over the inputs, then each
+/// pair compared as canonical BDDs.
+pub(crate) fn whole_bdd_check(
+    golden: &Aig,
+    dut: &Aig,
+    names: &[String],
+    budget: usize,
+) -> EquivalenceResult {
     let var_of: HashMap<&str, u32> = names
         .iter()
         .enumerate()
         .map(|(i, n)| (n.as_str(), i as u32))
         .collect();
-    let var_name: Vec<&str> = names.iter().map(String::as_str).collect();
 
-    let mut bdd = Bdd::new(node_budget);
+    let mut bdd = Bdd::new(budget);
     let total = golden.outputs().len() + golden.latches().len();
     let abort = |bdd: &Bdd, proven: usize| EquivalenceResult {
         verdict: Verdict::Aborted,
@@ -149,63 +220,23 @@ pub fn check_aig_equivalence(golden: &Aig, dut: &Aig, node_budget: usize) -> Equ
         Some(table)
     }
 
-    fn lit_bdd(table: &[Option<BddRef>], bdd: &mut Bdd, lit: Lit) -> Option<BddRef> {
-        let base = table[lit.node().index()]?;
-        if lit.is_complemented() {
-            bdd.not(base)
-        } else {
-            Some(base)
-        }
-    }
-
     let Some(golden_table) = build(golden, &mut bdd, &var_of) else {
         return abort(&bdd, 0);
     };
     let Some(dut_table) = build(dut, &mut bdd, &var_of) else {
         return abort(&bdd, 0);
     };
-
-    // Collect the functions to compare: outputs and next-states by name.
-    let dut_outputs: HashMap<&str, Lit> = dut
-        .outputs()
-        .iter()
-        .map(|(n, l)| (n.as_str(), *l))
-        .collect();
-    let dut_next: HashMap<&str, Lit> = dut
-        .latches()
-        .iter()
-        .map(|l| (l.name.as_str(), l.d))
-        .collect();
-    let mut to_check: Vec<(String, Lit, Lit)> = Vec::new();
-    for (name, lit) in golden.outputs() {
-        match dut_outputs.get(name.as_str()) {
-            Some(&d) => to_check.push((name.clone(), *lit, d)),
-            None => {
-                return EquivalenceResult {
-                    verdict: Verdict::InterfaceMismatch(format!("output `{name}` missing")),
-                    proven: 0,
-                    total,
-                    bdd_nodes: bdd.node_count(),
-                }
+    let to_check = match compared_pairs(golden, dut) {
+        Ok(pairs) => pairs,
+        Err(missing) => {
+            return EquivalenceResult {
+                verdict: Verdict::InterfaceMismatch(missing),
+                proven: 0,
+                total,
+                bdd_nodes: bdd.node_count(),
             }
         }
-    }
-    for latch in golden.latches() {
-        match dut_next.get(latch.name.as_str()) {
-            Some(&d) => to_check.push((format!("next({})", latch.name), latch.d, d)),
-            None => {
-                return EquivalenceResult {
-                    verdict: Verdict::InterfaceMismatch(format!(
-                        "state bit `{}` missing",
-                        latch.name
-                    )),
-                    proven: 0,
-                    total,
-                    bdd_nodes: bdd.node_count(),
-                }
-            }
-        }
-    }
+    };
 
     let mut proven = 0usize;
     for (name, g_lit, d_lit) in to_check {
@@ -219,17 +250,8 @@ pub fn check_aig_equivalence(golden: &Aig, dut: &Aig, node_budget: usize) -> Equ
             return abort(&bdd, proven);
         };
         if diff != BddRef::FALSE {
-            let assignment = bdd
-                .satisfying_assignment(diff)
-                .expect("non-false BDD is satisfiable")
-                .into_iter()
-                .map(|(var, value)| (var_name[var as usize].to_string(), value))
-                .collect();
             return EquivalenceResult {
-                verdict: Verdict::Inequivalent(Counterexample {
-                    signal: name,
-                    assignment,
-                }),
+                verdict: Verdict::Inequivalent(bdd_counterexample(&bdd, diff, name, names)),
                 proven,
                 total,
                 bdd_nodes: bdd.node_count(),
@@ -243,6 +265,32 @@ pub fn check_aig_equivalence(golden: &Aig, dut: &Aig, node_budget: usize) -> Equ
         total,
         bdd_nodes: bdd.node_count(),
     }
+}
+
+/// The BDD of a literal whose node is already in `table`.
+pub(crate) fn lit_bdd(table: &[Option<BddRef>], bdd: &mut Bdd, lit: Lit) -> Option<BddRef> {
+    let base = table[lit.node().index()]?;
+    if lit.is_complemented() {
+        bdd.not(base)
+    } else {
+        Some(base)
+    }
+}
+
+/// The counterexample a non-false difference BDD encodes for `signal`.
+pub(crate) fn bdd_counterexample(
+    bdd: &Bdd,
+    diff: BddRef,
+    signal: String,
+    names: &[String],
+) -> Counterexample {
+    let assignment = bdd
+        .satisfying_assignment(diff)
+        .expect("non-false BDD is satisfiable")
+        .into_iter()
+        .map(|(var, value)| (names[var as usize].clone(), value))
+        .collect();
+    Counterexample { signal, assignment }
 }
 
 fn split_bit(name: &str) -> (&str, u32) {
@@ -276,20 +324,8 @@ mod tests {
                 .unwrap()
                 .netlist;
             let result = check_equivalence(&module, &netlist, 2_000_000);
-            match result.verdict {
-                Verdict::Equivalent => {
-                    assert_eq!(result.proven, result.total, "{}", design.name());
-                }
-                // Multipliers are BDD-hostile; abort is acceptable there.
-                Verdict::Aborted => {
-                    assert!(
-                        design.name().starts_with("mul") || design.name().starts_with("fir"),
-                        "{} aborted unexpectedly",
-                        design.name()
-                    );
-                }
-                other => panic!("{}: {other:?}", design.name()),
-            }
+            assert_eq!(result.verdict, Verdict::Equivalent, "{}", design.name());
+            assert_eq!(result.proven, result.total, "{}", design.name());
         }
     }
 
@@ -330,16 +366,57 @@ mod tests {
         assert!(matches!(result.verdict, Verdict::InterfaceMismatch(_)));
     }
 
+    /// An 8×8 multiplier as rows of partial products summed by ripple
+    /// adders, the rows taken along `b` or along `a` and the carries
+    /// written as majority or as generate/propagate. Two such AIGs share
+    /// little past the partial products, so the sweep leaves product bits
+    /// open for the cone BDDs.
+    fn multiplier_aig(along_b: bool, majority_carry: bool) -> Aig {
+        let mut aig = Aig::new("mul8");
+        let a: Vec<Lit> = (0..8).map(|i| aig.add_input(format!("a[{i}]"))).collect();
+        let b: Vec<Lit> = (0..8).map(|i| aig.add_input(format!("b[{i}]"))).collect();
+        let (rows, cols) = if along_b { (&b, &a) } else { (&a, &b) };
+        let mut acc = [Lit::FALSE; 16];
+        for (shift, &row) in rows.iter().enumerate() {
+            let mut carry = Lit::FALSE;
+            for (offset, sum) in acc[shift..].iter_mut().enumerate() {
+                let partial = match cols.get(offset) {
+                    Some(&col) => aig.and(row, col),
+                    None => Lit::FALSE,
+                };
+                let x = *sum;
+                let half = aig.xor(x, partial);
+                *sum = aig.xor(half, carry);
+                carry = if majority_carry {
+                    let xy = aig.and(x, partial);
+                    let xc = aig.and(x, carry);
+                    let yc = aig.and(partial, carry);
+                    let either = aig.or(xy, xc);
+                    aig.or(either, yc)
+                } else {
+                    let generate = aig.and(x, partial);
+                    let propagate = aig.and(half, carry);
+                    aig.or(generate, propagate)
+                };
+            }
+        }
+        for (bit, &lit) in acc.iter().enumerate() {
+            aig.add_output(format!("p[{bit}]"), lit);
+        }
+        aig
+    }
+
     #[test]
     fn tiny_budget_aborts_gracefully() {
-        let module = designs::alu(8).elaborate().unwrap();
-        let lib = lib();
-        let netlist = synthesize(&module, &lib, &SynthOptions::default())
-            .unwrap()
-            .netlist;
-        let result = check_equivalence(&module, &netlist, 50);
+        let golden = multiplier_aig(false, false);
+        let dut = multiplier_aig(true, true);
+        let result = check_aig_equivalence(&golden, &dut, 50);
         assert_eq!(result.verdict, Verdict::Aborted);
         assert!(result.bdd_nodes <= 50);
+        assert!(result.proven < result.total);
+        // The same pair with room to spare is proven.
+        let full = check_aig_equivalence(&golden, &dut, 2_000_000);
+        assert_eq!(full.verdict, Verdict::Equivalent);
     }
 
     #[test]

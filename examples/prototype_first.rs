@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("\n== ASIC implementation ==");
     print!("{}", asic.report);
 
-    // --- formal signoff: BDD equivalence RTL vs mapped netlist ---
+    // --- formal signoff: equivalence of RTL and mapped netlist ---
     let ec = check_equivalence(&module, &asic.netlist, 1_000_000);
     println!("\n== formal equivalence ==");
     match &ec.verdict {
