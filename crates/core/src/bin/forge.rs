@@ -791,12 +791,6 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
             admit.peak_queue_depth,
         );
     }
-    if batch.report.detached_threads > 0 {
-        println!(
-            "warning: {} detached attempt thread(s) from timed-out jobs still running",
-            batch.report.detached_threads
-        );
-    }
     for worker in &batch.report.workers {
         println!(
             "worker {}: {} jobs, busy {:>8.1} ms, {:>5.1}% utilized",

@@ -1,15 +1,17 @@
 //! The per-job execution path: one [`JobExecutor`] that both the batch
 //! fabric's shard workers and the hub's workers call to run one job.
 //!
-//! A job passes the batch's gates (failure budget, deadlines, circuit
+//! A job passes the batch's gates (failure budget, job deadline, circuit
 //! breakers, quarantine), then the whole-flow artifact cache, then the
-//! retry/degrade loop. Each attempt runs on a dedicated thread so the
-//! per-job timeout can abandon a wedged flow (`recv_timeout`) without
-//! killing the calling worker; panics inside a job are contained by
-//! `catch_unwind` and surface as a retryable attempt failure.
+//! retry/degrade loop. Each attempt runs on the calling worker under one
+//! deadline — the earlier of the job's own deadline and the attempt's
+//! timeout — which the pipeline checks before every stage, so a timed-out
+//! attempt stops at the next stage boundary and holds nothing afterwards.
+//! Panics inside a job are contained by `catch_unwind` and surface as a
+//! retryable attempt failure.
 //!
 //! The executor is long-lived: it owns the artifact cache, the optional
-//! stage cache, the detached-thread gauge and the timeout/retry limits.
+//! stage cache and the timeout/retry limits.
 //! What changes per call — the job, the tracer its spans go to, and the
 //! [`BatchContext`] it is judged against — is passed to
 //! [`JobExecutor::run`].
@@ -26,8 +28,7 @@ use chipforge_resil::{is_degradable_stage, Backoff, Disruption, FaultPlan, Resil
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -35,8 +36,9 @@ use std::time::{Duration, Instant};
 /// Timeout and retry limits an executor applies to every job.
 #[derive(Debug, Clone)]
 pub struct AttemptLimits {
-    /// Wall-time budget per attempt; exceeding it reports
-    /// [`JobStatus::TimedOut`].
+    /// Wall-time budget per attempt, checked before every flow stage;
+    /// exceeding it reports [`JobStatus::TimedOut`]. An attempt that
+    /// finishes after its budget is still timed out and is not cached.
     pub timeout: Duration,
     /// Extra attempts after a retryable (panicked or transient) attempt
     /// failure. Flow *errors* are deterministic and never retried;
@@ -79,20 +81,17 @@ pub struct QueuedJob {
     pub enqueued: Instant,
 }
 
-/// The batch a job runs in: its fault plan, resilience policy, deadline
-/// and circuit breakers, plus the state jobs of one batch share
+/// The batch a job runs in: its fault plan, resilience policy and
+/// circuit breakers, plus the state jobs of one batch share
 /// (quarantined keys, the failure budget, stage-cache tallies).
 ///
 /// [`BatchContext::default`] is inert — no injected faults, the plain
-/// retry policy, no deadline, no breakers — which is what a hub passes:
+/// retry policy, no breakers — which is what a hub passes:
 /// its jobs are independent submissions, not members of a batch.
 #[derive(Debug, Default)]
 pub struct BatchContext {
     pub(crate) plan: FaultPlan,
     pub(crate) policy: ResiliencePolicy,
-    /// Batch-wide deadline: jobs not yet started when it expires are
-    /// reported as [`JobStatus::Cancelled`].
-    pub(crate) deadline: Option<Instant>,
     pub(crate) breakers: Option<StageBreakers>,
     pub(crate) quarantined: Mutex<HashSet<CacheKey>>,
     pub(crate) failures: AtomicUsize,
@@ -195,15 +194,11 @@ impl StageBreakers {
 }
 
 /// Runs single jobs to a terminal [`JobResult`]: gates, artifact cache,
-/// retry/degrade loop, per-attempt timeout thread.
+/// retry/degrade loop, per-attempt deadline.
 pub struct JobExecutor {
     limits: AttemptLimits,
     cache: Arc<ArtifactCache>,
     stage_cache: Option<Arc<StageCache>>,
-    /// Attempt threads abandoned by timeouts that are still running.
-    /// Incremented when an attempt is detached, decremented when the
-    /// stray thread eventually exits.
-    detached: Arc<AtomicI64>,
 }
 
 impl JobExecutor {
@@ -218,7 +213,6 @@ impl JobExecutor {
             limits,
             cache,
             stage_cache,
-            detached: Arc::new(AtomicI64::new(0)),
         }
     }
 
@@ -232,12 +226,6 @@ impl JobExecutor {
     #[must_use]
     pub fn stage_cache(&self) -> Option<&Arc<StageCache>> {
         self.stage_cache.as_ref()
-    }
-
-    /// Attempt threads abandoned by timeouts that are still running.
-    #[must_use]
-    pub fn detached_threads(&self) -> u64 {
-        u64::try_from(self.detached.load(Ordering::SeqCst).max(0)).unwrap_or(0)
     }
 
     /// Runs `job` to a terminal result on behalf of `worker`, wrapped
@@ -281,12 +269,6 @@ impl JobExecutor {
         if batch.budget_blown.load(Ordering::SeqCst) {
             return JobResult {
                 error: Some("batch failure budget exhausted before the job started".into()),
-                ..base
-            };
-        }
-        if batch.deadline.is_some_and(|d| Instant::now() >= d) {
-            return JobResult {
-                error: Some("batch deadline expired before the job started".into()),
                 ..base
             };
         }
@@ -401,9 +383,9 @@ impl JobExecutor {
             } else {
                 plan.disruption = batch.plan.disruption(&key_hex, attempts);
                 job.spec.fault.apply(&mut plan.disruption, attempts);
-                plan.stage_store.clone_from(&self.stage_cache);
+                plan.stage_store = self.stage_cache.as_deref();
             }
-            match self.run_attempt(plan) {
+            match self.run_attempt(&plan) {
                 Attempt::Done(outcome, tally) => {
                     if let Some(breakers) = &batch.breakers {
                         breakers.record_success(tracer);
@@ -497,47 +479,33 @@ impl JobExecutor {
         }
     }
 
-    /// Runs one attempt on a dedicated thread so a wedged flow can be
-    /// abandoned. On timeout the attempt thread is detached: it finishes
-    /// (or dies) on its own and its late result is discarded — but it is
-    /// counted on the `exec.detached_threads` gauge until it exits, so
-    /// leaked threads are visible instead of silent.
-    fn run_attempt(&self, plan: AttemptPlan) -> Attempt {
-        let (tx, rx) = mpsc::channel();
-        let state = Arc::new(AtomicU8::new(ATTEMPT_RUNNING));
-        let thread_state = Arc::clone(&state);
-        let gauge = Arc::clone(&self.detached);
-        let builder = thread::Builder::new().name(format!("exec-job-{}", plan.spec.name));
-        let handle = builder
-            .spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| execute(&plan)));
-                // If the waiter already abandoned us, the gauge counted
-                // this thread; un-count it on the way out.
-                if thread_state.swap(ATTEMPT_FINISHED, Ordering::SeqCst) == ATTEMPT_ABANDONED {
-                    gauge.fetch_sub(1, Ordering::SeqCst);
-                }
-                let _ = tx.send(result);
-            })
-            .expect("spawn attempt thread");
-        match rx.recv_timeout(self.limits.timeout) {
-            Ok(finished) => {
-                let _ = handle.join();
-                match finished {
-                    Ok(Ok((outcome, tally))) => Attempt::Done(Box::new(outcome), tally),
-                    Ok(Err(ExecError::Transient(stage))) => Attempt::Transient(stage),
-                    Ok(Err(ExecError::Deadline(stage))) => Attempt::DeadlineExceeded(stage),
-                    Ok(Err(ExecError::Flow(message))) => Attempt::FlowError(message),
-                    Err(payload) => Attempt::Panicked(panic_message(payload.as_ref())),
-                }
+    /// Runs one attempt on the calling worker under one deadline: the
+    /// earlier of the job's deadline and `now + timeout`. The pipeline
+    /// stops at the first stage boundary past it; the stage it declined
+    /// reports as the job's deadline or as a timeout, whichever deadline
+    /// was the earlier. An attempt that ends past its timeout for any
+    /// other reason is timed out too, so a late artifact is never cached.
+    fn run_attempt(&self, plan: &AttemptPlan<'_>) -> Attempt {
+        let timeout_at = Instant::now().checked_add(self.limits.timeout);
+        let job_deadline_first = plan
+            .deadline
+            .is_some_and(|d| timeout_at.is_none_or(|t| d < t));
+        let deadline = if job_deadline_first {
+            plan.deadline
+        } else {
+            timeout_at
+        };
+        let finished = catch_unwind(AssertUnwindSafe(|| execute(plan, deadline)));
+        match finished {
+            Ok(Err(ExecError::Deadline(stage))) if job_deadline_first => {
+                Attempt::DeadlineExceeded(stage)
             }
-            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-                // Detach: if the thread has not finished yet, it is now
-                // leaked until it exits on its own — make that visible.
-                if state.swap(ATTEMPT_ABANDONED, Ordering::SeqCst) != ATTEMPT_FINISHED {
-                    self.detached.fetch_add(1, Ordering::SeqCst);
-                }
-                Attempt::TimedOut
-            }
+            Ok(Err(ExecError::Deadline(_))) => Attempt::TimedOut,
+            _ if timeout_at.is_some_and(|t| Instant::now() >= t) => Attempt::TimedOut,
+            Ok(Ok((outcome, tally))) => Attempt::Done(Box::new(outcome), tally),
+            Ok(Err(ExecError::Transient(stage))) => Attempt::Transient(stage),
+            Ok(Err(ExecError::Flow(message))) => Attempt::FlowError(message),
+            Err(payload) => Attempt::Panicked(panic_message(payload.as_ref())),
         }
     }
 }
@@ -577,27 +545,27 @@ fn exhausted(failed: JobResult, key: CacheKey, batch: &BatchContext, tracer: &Tr
     }
 }
 
-/// Everything one attempt needs, owned so the attempt thread can
-/// outlive a waiter that timed out.
-struct AttemptPlan {
-    spec: JobSpec,
+/// Everything one attempt needs, borrowed from the job being run.
+struct AttemptPlan<'a> {
+    spec: &'a JobSpec,
     flow_config: FlowConfig,
     disruption: Disruption,
-    stage_store: Option<Arc<StageCache>>,
+    stage_store: Option<&'a StageCache>,
+    /// The job's own deadline; the attempt adds its timeout.
     deadline: Option<Instant>,
-    tracer: Tracer,
+    tracer: &'a Tracer,
 }
 
-impl AttemptPlan {
+impl<'a> AttemptPlan<'a> {
     /// A full-effort, undisrupted attempt of `job` without a stage store.
-    fn of(job: &QueuedJob, tracer: &Tracer) -> Self {
+    fn of(job: &'a QueuedJob, tracer: &'a Tracer) -> Self {
         AttemptPlan {
-            spec: job.spec.clone(),
+            spec: &job.spec,
             flow_config: job.spec.flow_config(),
             disruption: Disruption::none(),
             stage_store: None,
             deadline: job.deadline,
-            tracer: tracer.clone(),
+            tracer,
         }
     }
 }
@@ -674,14 +642,19 @@ enum ExecError {
     Flow(String),
 }
 
-/// Attempt-thread lifecycle states for the detached-thread gauge.
-const ATTEMPT_RUNNING: u8 = 0;
-const ATTEMPT_FINISHED: u8 = 1;
-const ATTEMPT_ABANDONED: u8 = 2;
-
-fn execute(plan: &AttemptPlan) -> Result<(FlowOutcome, StageTally), ExecError> {
+/// Runs the flow of `plan`, cancelled at the first stage boundary past
+/// `deadline`.
+fn execute(
+    plan: &AttemptPlan<'_>,
+    deadline: Option<Instant>,
+) -> Result<(FlowOutcome, StageTally), ExecError> {
     if let Some(ms) = plan.disruption.slow_ms {
-        thread::sleep(Duration::from_millis(ms));
+        // An injected hang or slow-down ends at the deadline: the first
+        // stage check then cancels the attempt.
+        let pause = Duration::from_millis(ms);
+        thread::sleep(deadline.map_or(pause, |d| {
+            pause.min(d.saturating_duration_since(Instant::now()))
+        }));
     }
     if plan.disruption.panic {
         panic!("injected fault in job `{}`", plan.spec.name);
@@ -690,10 +663,10 @@ fn execute(plan: &AttemptPlan) -> Result<(FlowOutcome, StageTally), ExecError> {
     // named stage boundary, via the hooks — so a faulted attempt still
     // snapshots (and on retry restores) the stages before the fault.
     let hooks = AttemptHooks::new(plan.disruption.transient_stage);
-    let mut ctx = FlowCtx::new(&plan.tracer)
-        .with_deadline(plan.deadline)
+    let mut ctx = FlowCtx::new(plan.tracer)
+        .with_deadline(deadline)
         .with_hooks(&hooks);
-    if let Some(store) = plan.stage_store.as_deref() {
+    if let Some(store) = plan.stage_store {
         ctx = ctx.with_stages(store as &dyn StageStore);
     }
     match Pipeline::standard().run(&plan.spec.source, &plan.flow_config, &ctx) {
@@ -753,7 +726,6 @@ mod tests {
         assert_eq!((first.attempts, first.cache_hit), (1, false));
         assert!(second.cache_hit, "the executor's cache outlives the call");
         assert_eq!(second.index, 1);
-        assert_eq!(executor.detached_threads(), 0);
         // The job span is the root of what the tracer saw: no batch,
         // supervisor or worker spans are recorded around a single job.
         let spans = tracer.spans();

@@ -47,8 +47,8 @@ pub struct EngineConfig {
     /// by canonical cache key; idle shards steal pending work, and the
     /// supervisor restarts a shard that dies or goes silent.
     pub shards: usize,
-    /// Wall-time budget per attempt; exceeding it reports
-    /// [`JobStatus::TimedOut`].
+    /// Wall-time budget per attempt, checked before every flow stage;
+    /// exceeding it reports [`JobStatus::TimedOut`].
     pub job_timeout: Duration,
     /// Extra attempts after a retryable (panicked or transient) attempt
     /// failure (flow *errors* are deterministic and never retried;
@@ -62,9 +62,6 @@ pub struct EngineConfig {
     pub retry_backoff: Duration,
     /// Ceiling on any single retry delay.
     pub max_backoff: Duration,
-    /// Batch-wide deadline: jobs not yet started when it expires are
-    /// reported as [`JobStatus::Cancelled`].
-    pub batch_deadline: Option<Duration>,
     /// Artifact-cache capacity.
     pub cache_capacity: usize,
     /// Per-stage snapshot caching: restores the shared prefix of a
@@ -90,7 +87,6 @@ impl Default for EngineConfig {
             max_retries: limits.max_retries,
             retry_backoff: limits.retry_backoff,
             max_backoff: limits.max_backoff,
-            batch_deadline: None,
             cache_capacity: 4096,
             stage_cache: StageCacheMode::Disabled,
             remote_cache: None,
@@ -306,13 +302,6 @@ impl BatchEngine {
         self.executor.stage_cache()
     }
 
-    /// Attempt threads abandoned by timeouts that are still running;
-    /// persists across batches.
-    #[must_use]
-    pub fn detached_threads(&self) -> u64 {
-        self.executor.detached_threads()
-    }
-
     /// Runs `jobs` to completion across the worker pool and returns
     /// per-job results (in submission order) plus the execution report.
     #[must_use]
@@ -455,7 +444,6 @@ impl BatchEngine {
                 batch: BatchContext {
                     plan: options.plan,
                     policy: options.policy,
-                    deadline: self.config.batch_deadline.map(|d| started + d),
                     breakers: options.admission.breaker_threshold.map(|threshold| {
                         StageBreakers::new(threshold, options.admission.breaker_cooldown)
                     }),
@@ -487,11 +475,8 @@ impl BatchEngine {
 
         let batch = &fabric.shared.batch;
         let halted = fabric.shared.checkpoint.is_halted();
-        let detached_threads = self.detached_threads();
         let shard_records = fabric.shard_records();
         if self.tracer.is_enabled() {
-            self.tracer
-                .set_gauge("exec.detached_threads", detached_threads as f64);
             for record in &shard_records {
                 self.tracer.set_gauge(
                     &format!("exec.shard.{}.jobs_run", record.shard),
@@ -547,7 +532,6 @@ impl BatchEngine {
             workers,
             self.cache().stats(),
             makespan_ms,
-            detached_threads,
             admission_record,
             stage_cache_record,
             remote_cache_record,
@@ -848,18 +832,6 @@ mod tests {
             .find(|h| h.name == "exec.run_ms")
             .expect("run_ms histogram");
         assert_eq!(run_ms.summary.count, 2);
-    }
-
-    #[test]
-    fn expired_batch_deadline_cancels_unstarted_jobs() {
-        let engine = BatchEngine::new(EngineConfig {
-            workers: 1,
-            batch_deadline: Some(Duration::ZERO),
-            ..EngineConfig::default()
-        });
-        let batch = engine.run_batch(vec![job("late", 1)]);
-        assert_eq!(batch.results[0].status, JobStatus::Cancelled);
-        assert_eq!(batch.report.totals.cancelled, 1);
     }
 
     #[test]
@@ -1305,16 +1277,64 @@ mod tests {
     }
 
     #[test]
-    fn detached_threads_gauge_counts_abandoned_attempts() {
+    fn a_timed_out_attempt_releases_everything_it_held() {
         let engine = BatchEngine::new(EngineConfig {
             workers: 1,
             job_timeout: Duration::from_millis(50),
+            stage_cache: StageCacheMode::Memory,
             ..EngineConfig::default()
         });
+        let stage_cache = || engine.stage_cache().expect("in-memory stage cache");
+        let held = Arc::strong_count(stage_cache());
         let batch = engine.run_batch(vec![job("wedged", 1).with_fault(Fault::Hang(60_000))]);
         assert_eq!(batch.results[0].status, JobStatus::TimedOut);
-        assert!(engine.detached_threads() >= 1);
-        assert_eq!(batch.report.detached_threads, engine.detached_threads());
+        assert_eq!(
+            Arc::strong_count(stage_cache()),
+            held,
+            "nothing of the timed-out attempt outlives the batch"
+        );
+    }
+
+    #[test]
+    fn an_overrunning_flow_times_out_inside_its_job_span() {
+        let tracer = Tracer::new();
+        let engine = BatchEngine::with_tracer(
+            EngineConfig {
+                workers: 1,
+                job_timeout: Duration::from_millis(1),
+                ..EngineConfig::default()
+            },
+            tracer.clone(),
+        );
+        // A 16-bit multiplier takes tens of milliseconds even in an
+        // optimised build: the 1 ms budget runs out mid-flow, with no
+        // injected fault.
+        let spec = JobSpec::new(
+            "mul16",
+            designs::multiplier(16).source(),
+            TechnologyNode::N130,
+            OptimizationProfile::open(),
+        );
+        let batch = engine.run_batch(vec![spec]);
+        assert_eq!(batch.results[0].status, JobStatus::TimedOut);
+        assert_eq!(
+            batch.results[0].error.as_deref(),
+            Some("exceeded the 1 ms job timeout")
+        );
+        assert_eq!(engine.cache().stats().entries, 0, "never cached");
+
+        let at_return = tracer.spans().len();
+        thread::sleep(Duration::from_millis(200));
+        let spans = tracer.spans();
+        assert_eq!(spans.len(), at_return, "no flow work after the job ended");
+        let job = spans
+            .iter()
+            .find(|s| s.category == "job")
+            .expect("job span");
+        assert!(spans
+            .iter()
+            .filter(|s| s.category == "flow")
+            .all(|s| s.end_us() <= job.end_us()));
     }
 
     fn shard_jobs(n: usize) -> Vec<JobSpec> {

@@ -127,8 +127,7 @@ pub enum JobStatus {
     Failed,
     /// The job exceeded the per-job timeout.
     TimedOut,
-    /// The batch deadline expired (or the failure budget was exhausted)
-    /// before the job started.
+    /// The batch failure budget was exhausted before the job started.
     Cancelled,
     /// The job exhausted the resilience policy's attempt limit and was
     /// quarantined; identical resubmissions in the same batch are

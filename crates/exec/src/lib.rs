@@ -7,10 +7,12 @@
 //! resubmissions. This crate supplies the hub's execution layer:
 //!
 //! - [`JobExecutor`] — runs *one* job to a terminal result: batch gates,
-//!   artifact cache, the retry/degrade loop and the per-attempt timeout
-//!   thread with panic isolation. It owns the caches and is the only
-//!   retry loop in the workspace; the batch fabric's shard workers and
-//!   the `chipforge-serve` hub's workers both call it.
+//!   artifact cache, the retry/degrade loop and panic isolation. Each
+//!   attempt runs on the calling worker under one deadline (job
+//!   deadline or attempt timeout, whichever is earlier) that the
+//!   pipeline checks before every stage. It owns the caches and is the
+//!   only retry loop in the workspace; the batch fabric's shard workers
+//!   and the `chipforge-serve` hub's workers both call it.
 //! - [`BatchEngine`] — the batch coordinator: journal resume, admission
 //!   control and reporting around a supervised, sharded work-stealing
 //!   fabric of OS worker threads (`--shards N`) with supervisor-driven

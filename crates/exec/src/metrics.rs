@@ -101,7 +101,8 @@ pub struct BatchTotals {
     pub failed: usize,
     /// Jobs that hit the per-job timeout.
     pub timed_out: usize,
-    /// Jobs cancelled by the batch deadline or failure budget.
+    /// Jobs cancelled because the batch failure budget was exhausted
+    /// before they started.
     pub cancelled: usize,
     /// Jobs quarantined by the resilience policy's attempt limit.
     pub quarantined: usize,
@@ -231,9 +232,6 @@ pub struct ExecutionReport {
     /// Remote stage-cache tier accounting; `None` when no remote cache
     /// was configured.
     pub remote_cache: Option<RemoteCacheRecord>,
-    /// Attempt threads abandoned by timeouts and still running when the
-    /// batch finished (the `exec.detached_threads` gauge).
-    pub detached_threads: u64,
     /// Per-worker accounting.
     pub workers: Vec<WorkerRecord>,
     /// Per-shard fabric accounting, in shard order.
@@ -251,7 +249,6 @@ impl ExecutionReport {
         mut workers: Vec<WorkerRecord>,
         cache: CacheStats,
         makespan_ms: f64,
-        detached_threads: u64,
         admission: AdmissionRecord,
         stage_cache: Option<StageCacheRecord>,
         remote_cache: Option<RemoteCacheRecord>,
@@ -272,7 +269,6 @@ impl ExecutionReport {
             cache,
             stage_cache,
             remote_cache,
-            detached_threads,
             workers,
             shards,
             jobs,
@@ -498,7 +494,6 @@ mod tests {
             workers,
             stats,
             100.0,
-            0,
             AdmissionRecord::default(),
             None,
             None,
@@ -512,7 +507,6 @@ mod tests {
         assert_eq!(report.totals.failed, 1);
         assert_eq!(report.totals.timed_out, 1);
         assert_eq!(report.totals.quarantined, 0);
-        assert_eq!(report.detached_threads, 0);
         assert!((report.totals.throughput_jobs_per_s - 20.0).abs() < 1e-9);
         assert!((report.workers[0].utilization - 0.4).abs() < 1e-9);
         let json = report.to_json();
@@ -523,7 +517,6 @@ mod tests {
             "queue_wait_ms",
             "hits",
             "corrupted",
-            "detached_threads",
             "quarantined",
             "heartbeat_age_ms",
             "steals",

@@ -47,7 +47,8 @@ pub enum Fault {
     None,
     /// Panic inside the job (exercises `catch_unwind` isolation).
     Panic,
-    /// Sleep this many milliseconds before running (exercises timeouts).
+    /// Sleep this many milliseconds before running, or until the
+    /// attempt's deadline if that comes first (exercises timeouts).
     Hang(u64),
     /// Fail the first `n` attempts with a transient route-stage error
     /// (exercises retry, degradation and quarantine paths).
@@ -78,9 +79,11 @@ impl Fault {
 /// [`Fault`]; consumed by the engine just before the flow runs.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Disruption {
-    /// Sleep this long before running (slow-down / hang).
+    /// Sleep this long before running (slow-down / hang); the sleep
+    /// ends early at the attempt's deadline.
     pub slow_ms: Option<u64>,
-    /// Panic inside the attempt thread.
+    /// Panic inside the attempt, on the worker that runs it; the
+    /// executor's `catch_unwind` contains it.
     pub panic: bool,
     /// Fail with a transient error at this stage instead of running.
     pub transient_stage: Option<FlowStep>,

@@ -7,7 +7,7 @@
 //! bounded [`ClassQueues`] slot until a worker thread's
 //! [`FairShare::pick`] selects its class; the worker then hands it to
 //! the hub's one long-lived [`JobExecutor`] — the same per-job path
-//! (artifact and stage caches, retry loop, timeout thread) the batch
+//! (artifact and stage caches, retry loop, per-attempt deadline) the batch
 //! engine's workers call, with no engine, shard fabric or supervisor
 //! built around it — and charges the measured service seconds back to
 //! the fair share. Completed jobs append to the
@@ -188,8 +188,7 @@ struct HubInner {
     started: Instant,
     state: Mutex<HubState>,
     work_ready: Condvar,
-    /// Runs every job; owns the hub-wide artifact and stage caches and
-    /// the detached-thread gauge.
+    /// Runs every job; owns the hub-wide artifact and stage caches.
     executor: JobExecutor,
     cache_protocol: CacheProtocol,
     shutdown: AtomicBool,
@@ -565,10 +564,6 @@ impl Hub {
         fields.push((
             Value::Str("exec".into()),
             Value::Map(vec![
-                (
-                    Value::Str("detached_threads".into()),
-                    Value::U64(self.inner.executor.detached_threads()),
-                ),
                 (Value::Str("jobs_run".into()), Value::U64(jobs_run)),
                 (Value::Str("failed".into()), Value::U64(run_failed)),
             ]),
