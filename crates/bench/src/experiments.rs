@@ -53,7 +53,7 @@ pub fn run_experiment(id: &str) -> Option<String> {
         "e18" => e18_hub_validation(),
         "e19" => e19_semester_scale(),
         "e20" => e20_remote_cache(),
-        "e21" => e21_shard_fabric(),
+        "e21" => e21_worker_pool(),
         "e22" => e22_kernel_ppa(),
         "a1" => a1_synth_effort(),
         "a2" => a2_placement_moves(),
@@ -1627,21 +1627,11 @@ pub fn e20_remote_cache() -> String {
     t.render()
 }
 
-/// Injected per-job latency for the E21 workload, in milliseconds.
-///
-/// On a single core, shard speedup comes from overlapping these
-/// sleeps — the same way real flows overlap tool I/O and license
-/// waits — so the measured throughput gain is machine-independent and
-/// does not require multiple CPUs.
-pub const E21_SLOW_MS: u64 = 120;
-
 /// The E21 workload: the quick-profile half of the E17 clock sweep at
-/// four seeds (16 jobs), each with a [`E21_SLOW_MS`] pre-run hang, so
-/// single-machine throughput is bounded by latency overlap rather than
-/// raw compute.
-#[must_use]
-pub fn e21_jobs() -> Vec<chipforge::exec::JobSpec> {
-    use chipforge::exec::{Fault, JobSpec};
+/// four seeds — 16 distinct jobs with no injected latency, so a pass is
+/// bounded by flow compute and the cores that run it.
+fn e21_jobs() -> Vec<chipforge::exec::JobSpec> {
+    use chipforge::exec::JobSpec;
 
     let design = designs::alu(8);
     let mut jobs = Vec::new();
@@ -1655,156 +1645,81 @@ pub fn e21_jobs() -> Vec<chipforge::exec::JobSpec> {
                     OptimizationProfile::quick(),
                 )
                 .with_clock_mhz(clock)
-                .with_seed(seed)
-                .with_fault(Fault::Hang(E21_SLOW_MS)),
+                .with_seed(seed),
             );
         }
     }
     jobs
 }
 
-/// One clean E21 pass at `shards` engine shards of one worker each —
-/// shared by the table renderer, the acceptance test and the
-/// `shard_fabric` bench so all three measure the same runs.
-#[must_use]
-pub fn e21_pass(shards: usize) -> chipforge::exec::BatchReport {
+/// Runs the E21 workload on a fresh engine at 1, 2 and 4 pool workers
+/// and asserts that the canonical report is byte-identical across the
+/// three: the pool size is invisible in the artifacts.
+fn e21_passes() -> Vec<(usize, chipforge::exec::BatchReport)> {
     use chipforge::exec::{BatchEngine, EngineConfig};
 
-    BatchEngine::new(EngineConfig::with_shards(shards, 1)).run_batch(e21_jobs())
-}
-
-/// Clean shard-count passes plus shard-fault passes at four shards.
-pub struct E21Passes {
-    /// `(shard count, report)` for the clean sweep.
-    pub clean: Vec<(usize, chipforge::exec::BatchReport)>,
-    /// `(label, report)` for the kill/wedge chaos passes at 4 shards.
-    pub faulted: Vec<(&'static str, chipforge::exec::BatchReport)>,
-}
-
-/// Runs every E21 pass and asserts the tentpole invariant: the
-/// canonical report is byte-identical across 1/2/4/8 shards and across
-/// seeded shard kills and wedges — supervision is invisible in the
-/// artifacts.
-#[must_use]
-pub fn e21_passes() -> E21Passes {
-    use chipforge::exec::{BatchEngine, EngineConfig, ResilienceOptions};
-    use chipforge::resil::ShardFaultPlan;
-
-    let clean: Vec<(usize, chipforge::exec::BatchReport)> =
-        [1usize, 2, 4, 8].map(|n| (n, e21_pass(n))).into();
-    let chaos = |label: &'static str, plan: ShardFaultPlan| {
-        let report = BatchEngine::new(EngineConfig::with_shards(4, 1)).run_batch_resilient(
-            e21_jobs(),
-            ResilienceOptions {
-                shard_plan: plan,
-                ..ResilienceOptions::default()
-            },
-        );
-        (label, report)
+    let run = |workers: usize| {
+        BatchEngine::new(EngineConfig::with_workers(workers)).run_batch(e21_jobs())
     };
-    let faulted = vec![
-        chaos("kill 50% @4", ShardFaultPlan::kill(7, 0.5)),
-        chaos("kill 100% @4", ShardFaultPlan::kill(7, 1.0)),
-        chaos(
-            "wedge 100% @4",
-            ShardFaultPlan::kill(7, 0.0).with_wedge_rate(1.0),
-        ),
-    ];
-    let truth = clean[0].1.canonical_report();
-    for (label, pass) in clean
-        .iter()
-        .map(|(n, p)| (format!("{n} shards"), p))
-        .chain(faulted.iter().map(|(l, p)| ((*l).to_string(), p)))
-    {
+    // The untimed reference run also pays the process's one-time costs
+    // (library construction, allocator growth), which would otherwise
+    // land on the 1-worker row.
+    let truth = run(1).canonical_report();
+    let passes: Vec<(usize, chipforge::exec::BatchReport)> =
+        [1usize, 2, 4].map(|workers| (workers, run(workers))).into();
+    for (workers, pass) in &passes {
         assert_eq!(
             truth,
             pass.canonical_report(),
-            "{label} changed the canonical report"
+            "{workers} workers changed the canonical report"
         );
     }
-    E21Passes { clean, faulted }
+    passes
 }
 
-/// E21 — supervised shard fabric: throughput scaling and fault
-/// transparency (Rec. 4/7, extending E14/E17/E20).
+/// E21 — the batch worker pool on compute (Rec. 4/7, extending E14/E17).
 ///
-/// Sweeps the sharded engine across 1/2/4/8 shards on the
-/// latency-injected E17 workload, then kills or wedges shards at 4
-/// shards under a seeded [`chipforge::resil::ShardFaultPlan`]. Every
-/// pass must produce a byte-identical canonical report (asserted in
-/// [`e21_passes`]); the measured multi-shard throughput feeds the hub
-/// DES as added capacity. Wall-clock timing keeps E21 out of the
-/// stable-table determinism test alongside E14/E15/E17/E20.
+/// Runs the 16-job quick sweep at 1/2/4 pool workers. The speedup is
+/// what the machine's cores give the flow, so the title records
+/// `available_parallelism`; every pass must produce a byte-identical
+/// canonical report (asserted in `e21_passes`). Wall-clock timing
+/// keeps E21 out of the stable-table determinism test alongside
+/// E14/E15/E17/E20.
 #[must_use]
-pub fn e21_shard_fabric() -> String {
+pub fn e21_worker_pool() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let passes = e21_passes();
     let mut t = Table::new(
-        "E21: supervised shard fabric on the latency-injected sweep (16 jobs, 1 worker/shard)",
+        format!(
+            "E21: batch worker pool on the quick sweep (16 jobs, compute only, \
+             available_parallelism {cores})"
+        ),
         &[
-            "pass",
+            "workers",
             "jobs/s",
             "makespan ms",
-            "steals",
-            "quarantines",
-            "restarts",
-            "re-dispatched",
+            "mean utilization",
             "speedup",
         ],
     );
-    let base_throughput = passes.clean[0].1.report.totals.throughput_jobs_per_s;
-    let mut speedup4 = 1.0f64;
-    for (label, pass) in passes
-        .clean
-        .iter()
-        .map(|(n, p)| (format!("clean x{n}"), p))
-        .chain(passes.faulted.iter().map(|(l, p)| ((*l).to_string(), p)))
-    {
-        let totals = &pass.report.totals;
-        let shard_sum = |pick: fn(&chipforge::exec::ShardRecord) -> u64| -> u64 {
-            pass.report.shards.iter().map(pick).sum()
-        };
-        let speedup = totals.throughput_jobs_per_s / base_throughput.max(1e-9);
-        if label == "clean x4" {
-            speedup4 = speedup;
-        }
+    let base_throughput = passes[0].1.report.totals.throughput_jobs_per_s;
+    for (workers, pass) in &passes {
+        let report = &pass.report;
+        let utilization = report.workers.iter().map(|w| w.utilization).sum::<f64>()
+            / report.workers.len().max(1) as f64;
         t.row(vec![
-            label,
-            f(totals.throughput_jobs_per_s, 1),
-            f(totals.makespan_ms, 1),
-            shard_sum(|s| s.steals).to_string(),
-            shard_sum(|s| s.quarantines).to_string(),
-            shard_sum(|s| s.restarts).to_string(),
-            shard_sum(|s| s.redispatched).to_string(),
-            f(speedup, 2),
+            workers.to_string(),
+            f(report.totals.throughput_jobs_per_s, 1),
+            f(report.totals.makespan_ms, 1),
+            f(utilization, 2),
+            f(
+                report.totals.throughput_jobs_per_s / base_throughput.max(1e-9),
+                2,
+            ),
         ]);
     }
-    // Feed the measured scaling into the hub DES as added capacity: a
-    // hub that shards its engine serves like one with speedup-times the
-    // servers. The workload is sized to saturate the unsharded hub so
-    // the added capacity is visible in turnaround.
-    let base = WorkloadSpec::new(24, 80, 24.0 * 9.0, 2_025);
-    let hub = EnablementHub::new();
-    let single_servers = 2usize;
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let sharded_servers = ((single_servers as f64) * speedup4).round().max(3.0) as usize;
-    let (_, single) = hub
-        .adoption_scenarios(&base, single_servers)
-        .expect("valid workload");
-    let (_, sharded) = hub
-        .adoption_scenarios(&base, sharded_servers)
-        .expect("valid workload");
-    t.note(format!(
-        "4 shards sustain {speedup4:.2}x the 1-shard throughput (acceptance floor 1.5x)"
-    ));
-    t.note(format!(
-        "DES capacity feed: {single_servers} servers give mean turnaround {:.2} h; \
-         scaling capacity by the measured 4-shard speedup ({sharded_servers} servers) gives {:.2} h",
-        single.mean_turnaround_h, sharded.mean_turnaround_h
-    ));
-    t.note("canonical reports byte-identical across all passes (asserted in e21_passes)");
-    t.note(
-        "killed shards are quarantined and restarted; their claimed jobs re-dispatch exactly once",
-    );
+    t.note("canonical reports byte-identical across 1/2/4 workers (asserted in e21_passes)");
+    t.note("speedup is bounded by available_parallelism: workers beyond the core count only share them");
     t.render()
 }
 
@@ -1924,7 +1839,7 @@ pub fn e22_kernel_sweep() -> Vec<E22Row> {
 /// whole-flow bands of the production kernels against the reference
 /// ones — on the small configuration of every `gen:` family (the
 /// tier-1 test `tests/kernels.rs` runs the same check over all 18
-/// `flow_cold` designs), then a 1/2/8-shard batch of the same jobs
+/// `flow_cold` designs), then a 1/2/8-worker batch of the same jobs
 /// whose canonical reports must be byte-identical.
 ///
 /// # Panics
@@ -1952,15 +1867,15 @@ pub fn e22_parity() -> Vec<crate::parity::ParityRow> {
             })
             .collect()
     };
-    let truth = BatchEngine::new(EngineConfig::with_shards(1, 1))
+    let truth = BatchEngine::new(EngineConfig::with_workers(1))
         .run_batch(jobs())
         .canonical_report();
-    for shards in [2usize, 8] {
-        let pass = BatchEngine::new(EngineConfig::with_shards(shards, 1)).run_batch(jobs());
+    for workers in [2usize, 8] {
+        let pass = BatchEngine::new(EngineConfig::with_workers(workers)).run_batch(jobs());
         assert_eq!(
             truth,
             pass.canonical_report(),
-            "canonical report diverged at {shards} shards"
+            "canonical report diverged at {workers} workers"
         );
     }
     rows
@@ -2046,7 +1961,7 @@ pub fn e22_kernel_ppa() -> String {
          power <= {POWER_CEILING}x, equal EC verdicts, 0 DRC"
     ));
     p.note("hpwl: analytic / annealed on the same sized netlist; routed wl and overflow: steiner / maze over the analytic placement; fmax, power: whole flow / flow assembled from the reference kernels");
-    p.note("canonical reports byte-identical across 1/2/8 shards");
+    p.note("canonical reports byte-identical across 1/2/8 workers");
     format!("{}\n{}", t.render(), p.render())
 }
 
@@ -2121,37 +2036,31 @@ mod tests {
     }
 
     #[test]
-    fn e21_four_shards_clear_the_throughput_floor_and_survive_kills() {
+    fn e21_worker_sweep_is_byte_identical_across_worker_counts() {
         // e21_passes itself asserts canonical-report byte-identity
-        // across shard counts and kill/wedge chaos.
+        // across worker counts.
         let passes = e21_passes();
-        let throughput =
-            |report: &chipforge::exec::BatchReport| report.report.totals.throughput_jobs_per_s;
-        let one = throughput(&passes.clean[0].1);
-        let four = throughput(&passes.clean[2].1);
-        assert_eq!(passes.clean[2].0, 4, "third clean pass is 4 shards");
-        // The 1.5x acceptance floor is enforced on the optimized build
-        // (the BENCH_9 snapshot in CI); unoptimized runs carry enough
-        // flow-compute serialization and timer noise to warrant slack.
-        let floor = if cfg!(debug_assertions) { 1.2 } else { 1.5 };
-        assert!(
-            four / one >= floor,
-            "4-shard speedup {:.2}x < {floor}x ({one:.1} vs {four:.1} jobs/s)",
-            four / one
+        assert_eq!(
+            passes
+                .iter()
+                .map(|(workers, _)| *workers)
+                .collect::<Vec<_>>(),
+            [1, 2, 4]
         );
-        for (label, pass) in &passes.faulted {
-            assert_eq!(pass.results.len(), 16, "{label} lost jobs");
-            if label.starts_with("kill 100%") {
-                let restarts: u64 = pass.report.shards.iter().map(|s| s.restarts).sum();
-                assert!(restarts >= 1, "{label} must restart at least one shard");
-            }
+        for (workers, pass) in &passes {
+            assert_eq!(pass.results.len(), 16, "{workers} workers lost jobs");
+            assert!(
+                pass.results.iter().all(|r| r.status.is_success()),
+                "{workers} workers: every sweep job succeeds"
+            );
+            assert_eq!(pass.report.workers.len(), *workers);
         }
     }
 
     #[test]
     fn e22_new_kernels_clear_the_speedup_floor_with_ppa_parity() {
         // e22_parity itself asserts the one-sided placement, routing and
-        // whole-flow bands and the 1/2/8-shard byte-identity.
+        // whole-flow bands and the 1/2/8-worker byte-identity.
         assert_eq!(e22_parity().len(), 5, "one parity row per gen: family");
 
         let sweep = e22_kernel_sweep();

@@ -33,7 +33,7 @@ use chipforge::netlist::verilog;
 use chipforge::obs::{self, Tracer};
 use chipforge::pdk::{liberty, LibraryKind, Pdk, TechnologyNode};
 use chipforge::resil::{
-    FaultPlan, FlakyProxy, Journal, JournalWriter, NetFaultPlan, ResiliencePolicy, ShardFaultPlan,
+    FaultPlan, FlakyProxy, Journal, JournalWriter, NetFaultPlan, ResiliencePolicy,
 };
 use chipforge::serve::{job_from_json, Client, Hub, HubConfig, KeyRegistry, Server};
 use chipforge::{EnablementHub, Tier, TierStrategy};
@@ -110,14 +110,11 @@ USAGE:
   forge run <file.fhdl> [--node <nm>] [--profile open|commercial|quick]
             [--clock <MHz>] [--gds <out>] [--verilog <out>] [--liberty <out>]
             [--trace <out.json>] [--flame <out.txt>]
-  forge batch <manifest.json> [--workers <n>] [--shards <n>]
-            [--timeout-ms <ms>]
+  forge batch <manifest.json> [--workers <n>] [--timeout-ms <ms>]
             [--retries <n>] [--report <out.json>] [--strict]
             [--journal <out.jsonl>] [--resume <journal.jsonl>]
             [--fault-rate <p>] [--fault-seed <n>] [--quarantine-after <n>]
             [--failure-budget <n>] [--no-degrade] [--halt-after <k>]
-            [--shard-kill-rate <p>] [--shard-wedge-rate <p>]
-            [--shard-fault-seed <n>] [--shard-fault-after <k>]
             [--max-queue <n>] [--shed-oldest] [--deadline <ms>]
             [--tier-quota <b,i,a>] [--breaker-threshold <n>]
             [--stage-cache <dir>] [--canonical-report <out.json>]
@@ -157,13 +154,9 @@ relaxed route/CTS retry; `--halt-after <k>` stops after k journaled
 jobs (simulates a mid-batch kill); `--canonical-report` writes the
 scheduling-independent JSON report used to verify resumed runs.
 
-Sharding: `--shards <n>` splits the engine into n supervised shards of
-`--workers` threads each; jobs are partitioned by canonical cache key
-and idle shards steal pending work. `--shard-kill-rate` /
-`--shard-wedge-rate` inject seeded shard crashes and silent hangs
-(deterministic per `--shard-fault-seed`, firing after
-`--shard-fault-after` claims); the supervisor quarantines, restarts and
-re-dispatches, and the canonical report stays byte-identical.
+Workers: `--workers <n>` runs the batch on n threads that take
+admitted jobs in admission order; results, journal records and the
+canonical report do not depend on n.
 
 Overload: `--max-queue <n>` bounds the waiting room to workers + n
 jobs, rejecting the overflow (`--shed-oldest` displaces the oldest
@@ -508,11 +501,6 @@ fn parse_tier_quota(raw: &str) -> Result<[f64; 3], String> {
 fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     const FLAGS: &[FlagSpec] = &[
         value_flag("workers"),
-        value_flag("shards"),
-        value_flag("shard-kill-rate"),
-        value_flag("shard-wedge-rate"),
-        value_flag("shard-fault-seed"),
-        value_flag("shard-fault-after"),
         value_flag("timeout-ms"),
         value_flag("retries"),
         value_flag("report"),
@@ -557,7 +545,6 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
 
     let config = EngineConfig {
         workers: parse_number(&flags, "workers", EngineConfig::default().workers)?,
-        shards: parse_number(&flags, "shards", 1usize)?.max(1),
         job_timeout: Duration::from_millis(parse_number(&flags, "timeout-ms", 30_000u64)?),
         max_retries: parse_number(&flags, "retries", 2u32)?,
         stage_cache: match flags.get("stage-cache") {
@@ -573,7 +560,6 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         ..EngineConfig::default()
     };
     let workers = config.workers;
-    let shards = config.shards;
 
     // Resilience policy is active only when one of its flags is given,
     // so the default CLI behavior is unchanged.
@@ -628,21 +614,6 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         Some(_) => Some(parse_number(&flags, "halt-after", 0usize)?),
         None => None,
     };
-    let shard_kill_rate: f64 = parse_number(&flags, "shard-kill-rate", 0.0)?;
-    let shard_wedge_rate: f64 = parse_number(&flags, "shard-wedge-rate", 0.0)?;
-    let shard_plan = if shard_kill_rate > 0.0 || shard_wedge_rate > 0.0 {
-        let mut plan = ShardFaultPlan::kill(
-            parse_number(&flags, "shard-fault-seed", 7u64)?,
-            shard_kill_rate,
-        )
-        .with_wedge_rate(shard_wedge_rate);
-        if flags.contains_key("shard-fault-after") {
-            plan = plan.with_after_jobs(parse_number(&flags, "shard-fault-after", 1u64)?);
-        }
-        plan
-    } else {
-        ShardFaultPlan::disabled()
-    };
 
     let admission_requested = [
         "max-queue",
@@ -684,7 +655,6 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         jobs,
         ResilienceOptions {
             plan,
-            shard_plan,
             policy,
             admission,
             journal,
@@ -693,16 +663,7 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         },
     );
 
-    if shards > 1 {
-        println!(
-            "batch: {} jobs on {} workers x {} shards",
-            batch.results.len(),
-            workers,
-            shards
-        );
-    } else {
-        println!("batch: {} jobs on {} workers", batch.results.len(), workers);
-    }
+    println!("batch: {} jobs on {} workers", batch.results.len(), workers);
     for result in &batch.results {
         let mut note = match (&result.error, result.cache_hit) {
             (Some(error), _) => format!("  ({error})"),
@@ -799,20 +760,6 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
             worker.busy_ms,
             worker.utilization * 100.0,
         );
-    }
-    if shards > 1 || shard_plan.is_active() {
-        for shard in &batch.report.shards {
-            println!(
-                "shard {}: {} jobs, {} steal(s), {} quarantine(s), {} restart(s), {} re-dispatched, heartbeat {:>6.1} ms ago",
-                shard.shard,
-                shard.jobs_run,
-                shard.steals,
-                shard.quarantines,
-                shard.restarts,
-                shard.redispatched,
-                shard.heartbeat_age_ms,
-            );
-        }
     }
     if let Some(out) = flags.get("report") {
         std::fs::write(out, batch.report.to_json()).map_err(|e| format!("write {out}: {e}"))?;

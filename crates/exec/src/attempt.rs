@@ -1,5 +1,5 @@
 //! The per-job execution path: one [`JobExecutor`] that both the batch
-//! fabric's shard workers and the hub's workers call to run one job.
+//! pool's workers and the hub's workers call to run one job.
 //!
 //! A job passes the batch's gates (failure budget, job deadline, circuit
 //! breakers, quarantine), then the whole-flow artifact cache, then the
@@ -726,8 +726,8 @@ mod tests {
         assert_eq!((first.attempts, first.cache_hit), (1, false));
         assert!(second.cache_hit, "the executor's cache outlives the call");
         assert_eq!(second.index, 1);
-        // The job span is the root of what the tracer saw: no batch,
-        // supervisor or worker spans are recorded around a single job.
+        // The job span is the root of what the tracer saw: no batch or
+        // worker spans are recorded around a single job.
         let spans = tracer.spans();
         assert!(spans.iter().any(|s| s.category == "job"));
         assert!(spans.iter().all(|s| s.name != "batch"));

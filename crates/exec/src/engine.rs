@@ -1,36 +1,36 @@
 //! The batch execution engine: configuration, the per-batch
-//! coordinator and its journal/admission glue.
+//! coordinator, its worker pool and its journal/admission glue.
 //!
 //! [`BatchEngine::run_batch_resilient`] restores jobs a prior journal
 //! already holds, applies admission control (tier interleave, bounded
-//! waiting room), hands the admitted work to the sharded fabric
-//! (`fabric.rs`) and assembles the [`ExecutionReport`]. The fabric
-//! schedules; every job it claims runs through the engine's one
-//! [`JobExecutor`] ([`crate::attempt`]), which owns the caches and the
-//! retry loop.
+//! waiting room), runs the admitted work on a pool of `workers` scoped
+//! threads and assembles the [`ExecutionReport`]. Each worker claims the
+//! next admitted job in admission order from one shared queue and runs
+//! it through the engine's one [`JobExecutor`] ([`crate::attempt`]),
+//! which owns the caches and the retry loop; the pool stops when the
+//! queue is empty or the checkpoint halts it. A job's panic is caught
+//! inside its attempt; a panic in a worker itself surfaces from the
+//! batch call when the pool joins.
 //!
 //! Resilience (chipforge-resil): [`run_batch_resilient`] adds a seeded
-//! fault-injection plane (per-job [`FaultPlan`], per-shard
-//! [`ShardFaultPlan`]), an fsynced checkpoint journal with resume,
-//! graceful route/CTS degradation, per-job quarantine and a batch
-//! failure budget on top of the plain engine. [`run_batch`] is the
-//! inert special case — no plan, no policy, no journal, one shard.
+//! per-job fault-injection plan ([`FaultPlan`]), an fsynced checkpoint
+//! journal with resume, graceful route/CTS degradation, per-job
+//! quarantine and a batch failure budget on top of the plain engine.
+//! [`run_batch`] is the inert special case — no plan, no policy, no
+//! journal.
 //!
 //! [`run_batch`]: BatchEngine::run_batch
 //! [`run_batch_resilient`]: BatchEngine::run_batch_resilient
 
 use crate::attempt::{AttemptLimits, BatchContext, JobExecutor, QueuedJob, StageBreakers};
 use crate::cache::{ArtifactCache, CacheKey};
-use crate::fabric::{Fabric, Shared};
 use crate::job::{JobResult, JobSpec, JobStatus, RestoredArtifact};
-use crate::metrics::{AdmissionRecord, ExecutionReport, RemoteCacheRecord};
+use crate::metrics::{AdmissionRecord, ExecutionReport, RemoteCacheRecord, WorkerRecord};
 use crate::remote::{RemoteCacheConfig, RemoteCounters};
 use crate::stage_cache::{StageCache, StageCacheMode};
 use chipforge_admit::interleave_by_weight;
 use chipforge_obs::Tracer;
-use chipforge_resil::{
-    FaultPlan, Journal, JournalRecord, JournalWriter, ResiliencePolicy, ShardFaultPlan,
-};
+use chipforge_resil::{FaultPlan, Journal, JournalRecord, JournalWriter, ResiliencePolicy};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -40,13 +40,8 @@ use std::time::{Duration, Instant};
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads *per shard* (at least 1). Total thread capacity
-    /// is `workers * shards`.
+    /// Worker threads (at least 1).
     pub workers: usize,
-    /// Engine shards (at least 1). Jobs are partitioned across shards
-    /// by canonical cache key; idle shards steal pending work, and the
-    /// supervisor restarts a shard that dies or goes silent.
-    pub shards: usize,
     /// Wall-time budget per attempt, checked before every flow stage;
     /// exceeding it reports [`JobStatus::TimedOut`].
     pub job_timeout: Duration,
@@ -82,7 +77,6 @@ impl Default for EngineConfig {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(4)
                 .clamp(1, 8),
-            shards: 1,
             job_timeout: limits.timeout,
             max_retries: limits.max_retries,
             retry_backoff: limits.retry_backoff,
@@ -99,17 +93,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_workers(workers: usize) -> Self {
         EngineConfig {
-            workers: workers.max(1),
-            ..EngineConfig::default()
-        }
-    }
-
-    /// A config with `shards` engine shards of `workers` threads each
-    /// and defaults elsewhere.
-    #[must_use]
-    pub fn with_shards(shards: usize, workers: usize) -> Self {
-        EngineConfig {
-            shards: shards.max(1),
             workers: workers.max(1),
             ..EngineConfig::default()
         }
@@ -171,10 +154,6 @@ impl Default for AdmissionControl {
 pub struct ResilienceOptions {
     /// Seeded fault-injection plan.
     pub plan: FaultPlan,
-    /// Seeded shard-level fault plan: killed, wedged and slow shards.
-    /// Kill and wedge fire once per shard per batch; the supervisor's
-    /// restarted workers run clean.
-    pub shard_plan: ShardFaultPlan,
     /// Quarantine / failure-budget / degradation policy.
     pub policy: ResiliencePolicy,
     /// Overload admission control: bounded queue, deadlines, tier
@@ -243,7 +222,7 @@ impl BatchReport {
 /// manifest is almost entirely cache hits.
 pub struct BatchEngine {
     config: EngineConfig,
-    executor: Arc<JobExecutor>,
+    executor: JobExecutor,
     tracer: Tracer,
 }
 
@@ -284,7 +263,7 @@ impl BatchEngine {
         };
         let cache = Arc::new(ArtifactCache::new(config.cache_capacity));
         BatchEngine {
-            executor: Arc::new(JobExecutor::new(limits, cache, stage_cache)),
+            executor: JobExecutor::new(limits, cache, stage_cache),
             config,
             tracer,
         }
@@ -328,9 +307,7 @@ impl BatchEngine {
             .and_then(|sc| sc.remote())
             .map(|remote| remote.counters());
 
-        let shard_count = self.config.shards.max(1);
-        let per_shard = self.config.workers.max(1);
-        let capacity = shard_count * per_shard;
+        let capacity = self.config.workers.max(1);
 
         let batch_span = self.tracer.span("batch", "exec");
         if self.tracer.is_enabled() {
@@ -435,35 +412,28 @@ impl BatchEngine {
             }
         }
 
-        let fabric = Arc::new(Fabric::new(
-            shard_count,
-            per_shard,
-            started,
-            Shared {
-                executor: Arc::clone(&self.executor),
-                batch: BatchContext {
-                    plan: options.plan,
-                    policy: options.policy,
-                    breakers: options.admission.breaker_threshold.map(|threshold| {
-                        StageBreakers::new(threshold, options.admission.breaker_cooldown)
-                    }),
-                    quarantined: Mutex::new(quarantined_keys),
-                    ..BatchContext::default()
-                },
-                shard_plan: options.shard_plan,
-                checkpoint: Checkpoint {
-                    journal: journal.map(Mutex::new),
-                    seq: AtomicU64::new(seq),
-                    journaled: AtomicUsize::new(0),
-                    halt_after: options.halt_after,
-                    halted: AtomicBool::new(options.halt_after == Some(0)),
-                },
-                worker_tracers: (0..capacity)
-                    .map(|worker_id| self.tracer.at(batch_span.id(), worker_id + 1))
-                    .collect(),
-            },
-        ));
-        let (executed, workers) = fabric.run(work);
+        let batch = BatchContext {
+            plan: options.plan,
+            policy: options.policy,
+            breakers: options
+                .admission
+                .breaker_threshold
+                .map(|threshold| StageBreakers::new(threshold, options.admission.breaker_cooldown)),
+            quarantined: Mutex::new(quarantined_keys),
+            ..BatchContext::default()
+        };
+        let checkpoint = Checkpoint {
+            journal: journal.map(Mutex::new),
+            seq: AtomicU64::new(seq),
+            journaled: AtomicUsize::new(0),
+            halt_after: options.halt_after,
+            halted: AtomicBool::new(options.halt_after == Some(0)),
+        };
+        let worker_tracers: Vec<Tracer> = (0..capacity)
+            .map(|worker_id| self.tracer.at(batch_span.id(), worker_id + 1))
+            .collect();
+        let (executed, workers) =
+            run_pool(&self.executor, &batch, &checkpoint, &worker_tracers, &work);
 
         let mut results: Vec<JobResult> = restored
             .into_iter()
@@ -473,33 +443,7 @@ impl BatchEngine {
             .collect();
         results.sort_by_key(|r| r.index);
 
-        let batch = &fabric.shared.batch;
-        let halted = fabric.shared.checkpoint.is_halted();
-        let shard_records = fabric.shard_records();
-        if self.tracer.is_enabled() {
-            for record in &shard_records {
-                self.tracer.set_gauge(
-                    &format!("exec.shard.{}.jobs_run", record.shard),
-                    record.jobs_run as f64,
-                );
-                self.tracer.set_gauge(
-                    &format!("exec.shard.{}.heartbeat_age_ms", record.shard),
-                    record.heartbeat_age_ms,
-                );
-            }
-            self.tracer.add(
-                "exec.shard.steals",
-                shard_records.iter().map(|r| r.steals).sum(),
-            );
-            self.tracer.add(
-                "exec.shard.restarts",
-                shard_records.iter().map(|r| r.restarts).sum(),
-            );
-            self.tracer.add(
-                "exec.shard.redispatched",
-                shard_records.iter().map(|r| r.redispatched).sum(),
-            );
-        }
+        let halted = checkpoint.is_halted();
         let makespan_ms = started.elapsed().as_secs_f64() * 1_000.0;
         batch_span.finish_with_detail(&format!("{job_count} jobs"));
         let fail_fast = batch.budget_blown.load(Ordering::SeqCst)
@@ -535,7 +479,6 @@ impl BatchEngine {
             admission_record,
             stage_cache_record,
             remote_cache_record,
-            shard_records,
         );
         BatchReport {
             results,
@@ -544,6 +487,66 @@ impl BatchEngine {
             fail_fast,
         }
     }
+}
+
+/// Runs `work` on one scoped thread per worker tracer. Each worker
+/// claims the next job in admission order, runs it, journals it, and
+/// stops when the queue is empty or the checkpoint has halted the batch
+/// (in-flight jobs finish and are journaled; unclaimed ones are simply
+/// not run — what a `kill -9` leaves behind, minus the torn line).
+/// Returns the terminal results and one record per worker; a worker's
+/// panic is re-raised here once every worker has stopped.
+fn run_pool(
+    executor: &JobExecutor,
+    batch: &BatchContext,
+    checkpoint: &Checkpoint,
+    worker_tracers: &[Tracer],
+    work: &[QueuedJob],
+) -> (Vec<JobResult>, Vec<WorkerRecord>) {
+    let next = AtomicUsize::new(0);
+    let worker_loop = |worker: usize, tracer: &Tracer| {
+        let mut results = Vec::new();
+        let mut busy = Duration::ZERO;
+        while !checkpoint.is_halted() {
+            let Some(job) = work.get(next.fetch_add(1, Ordering::SeqCst)) else {
+                break;
+            };
+            let picked_up = Instant::now();
+            let result = executor.run(worker, job, batch, tracer);
+            checkpoint.record(job.key, &result, tracer);
+            busy += picked_up.elapsed();
+            results.push(result);
+        }
+        let record = WorkerRecord {
+            worker,
+            jobs_run: results.len() as u64,
+            busy_ms: busy.as_secs_f64() * 1_000.0,
+            utilization: 0.0, // filled in by ExecutionReport::build
+        };
+        (results, record)
+    };
+    thread::scope(|scope| {
+        let handles: Vec<_> = worker_tracers
+            .iter()
+            .enumerate()
+            .map(|(worker, tracer)| {
+                thread::Builder::new()
+                    .name(format!("exec-worker-{worker}"))
+                    .spawn_scoped(scope, move || worker_loop(worker, tracer))
+                    .expect("spawn worker")
+            })
+            .collect();
+        let mut results = Vec::new();
+        let mut records = Vec::new();
+        for handle in handles {
+            let (executed, record) = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            results.extend(executed);
+            records.push(record);
+        }
+        (results, records)
+    })
 }
 
 /// Per-batch remote-tier deltas between two monotonic counter
@@ -646,7 +649,7 @@ fn journal_record(seq: u64, key: String, result: &JobResult) -> JournalRecord {
 }
 
 /// One batch's checkpoint journal and the halt latch it drives.
-pub(crate) struct Checkpoint {
+struct Checkpoint {
     journal: Option<Mutex<JournalWriter>>,
     seq: AtomicU64,
     journaled: AtomicUsize,
@@ -657,14 +660,14 @@ pub(crate) struct Checkpoint {
 impl Checkpoint {
     /// Whether `halt_after` records are on disk: workers stop pulling
     /// work.
-    pub(crate) fn is_halted(&self) -> bool {
+    fn is_halted(&self) -> bool {
         self.halted.load(Ordering::SeqCst)
     }
 
     /// Appends a terminal result to the checkpoint journal
     /// (cancellations are not completed work and are skipped) and trips
     /// the halt latch once `halt_after` records are on disk.
-    pub(crate) fn record(&self, key: CacheKey, result: &JobResult, tracer: &Tracer) {
+    fn record(&self, key: CacheKey, result: &JobResult, tracer: &Tracer) {
         let Some(journal) = &self.journal else {
             return;
         };
@@ -692,7 +695,6 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::shard_of;
     use crate::job::Fault;
     use chipforge_flow::OptimizationProfile;
     use chipforge_hdl::designs;
@@ -1337,136 +1339,22 @@ mod tests {
             .all(|s| s.end_us() <= job.end_us()));
     }
 
-    fn shard_jobs(n: usize) -> Vec<JobSpec> {
-        (0..n)
-            .map(|i| job(&format!("shard-job-{i}"), i as u64))
-            .collect()
-    }
-
     #[test]
-    fn shard_counts_do_not_change_the_canonical_report() {
-        let baseline = BatchEngine::new(EngineConfig::with_shards(1, 1))
-            .run_batch(shard_jobs(6))
+    fn worker_counts_do_not_change_the_canonical_report() {
+        let jobs = || -> Vec<JobSpec> { (0..6).map(|i| job(&format!("job-{i}"), i)).collect() };
+        let baseline = BatchEngine::new(EngineConfig::with_workers(1))
+            .run_batch(jobs())
             .canonical_report();
-        for shards in [2, 4, 8] {
-            let batch =
-                BatchEngine::new(EngineConfig::with_shards(shards, 1)).run_batch(shard_jobs(6));
-            assert_eq!(batch.report.shards.len(), shards);
+        for workers in [2, 4, 8] {
+            let batch = BatchEngine::new(EngineConfig::with_workers(workers)).run_batch(jobs());
+            assert_eq!(batch.report.workers.len(), workers);
             assert_eq!(
-                batch.report.shards.iter().map(|s| s.jobs_run).sum::<u64>(),
+                batch.report.workers.iter().map(|w| w.jobs_run).sum::<u64>(),
                 6,
-                "every job is attributed to exactly one shard"
+                "every job is attributed to exactly one worker"
             );
-            assert_eq!(batch.canonical_report(), baseline, "{shards} shards");
+            assert!(batch.report.shards.is_empty());
+            assert_eq!(batch.canonical_report(), baseline, "{workers} workers");
         }
-    }
-
-    #[test]
-    fn idle_shards_steal_pending_work() {
-        // Pin every job to shard 0 of 2 so shard 1 starts empty and can
-        // only ever run something by stealing; the hang keeps shard 0's
-        // single worker busy long enough that a steal must happen.
-        let shard_count = 2;
-        let jobs: Vec<JobSpec> = (0..64u64)
-            .map(|seed| job(&format!("steal-{seed}"), seed).with_fault(Fault::Hang(30)))
-            .filter(|spec| shard_of(&CacheKey::of(spec), shard_count) == 0)
-            .take(4)
-            .collect();
-        assert_eq!(jobs.len(), 4, "need 4 jobs homed on shard 0");
-        let batch = BatchEngine::new(EngineConfig::with_shards(shard_count, 1)).run_batch(jobs);
-        assert!(batch
-            .results
-            .iter()
-            .all(|r| r.status == JobStatus::Succeeded));
-        let shards = &batch.report.shards;
-        assert!(
-            shards[1].steals >= 1,
-            "shard 1 must steal from shard 0's queue: {shards:?}"
-        );
-        assert_eq!(shards.iter().map(|s| s.jobs_run).sum::<u64>(), 4);
-    }
-
-    #[test]
-    fn killed_shards_are_restarted_without_losing_or_duplicating_jobs() {
-        let clean = BatchEngine::new(EngineConfig::with_shards(2, 1))
-            .run_batch(shard_jobs(8))
-            .canonical_report();
-        let engine = BatchEngine::new(EngineConfig::with_shards(2, 1));
-        let batch = engine.run_batch_resilient(
-            shard_jobs(8),
-            ResilienceOptions {
-                // Rate 1.0 kills *every* shard after its first claim —
-                // recovery still completes because restarted workers run
-                // clean.
-                shard_plan: ShardFaultPlan::kill(7, 1.0),
-                ..ResilienceOptions::default()
-            },
-        );
-        assert_eq!(batch.results.len(), 8, "no job lost");
-        let mut indices: Vec<usize> = batch.results.iter().map(|r| r.index).collect();
-        indices.dedup();
-        assert_eq!(indices.len(), 8, "no job duplicated");
-        assert!(batch
-            .results
-            .iter()
-            .all(|r| r.status == JobStatus::Succeeded));
-        let restarts: u64 = batch.report.shards.iter().map(|s| s.restarts).sum();
-        let quarantines: u64 = batch.report.shards.iter().map(|s| s.quarantines).sum();
-        assert!(restarts >= 1, "the supervisor must have restarted a shard");
-        assert_eq!(quarantines, restarts);
-        assert_eq!(
-            batch.canonical_report(),
-            clean,
-            "kill must not change outcomes"
-        );
-    }
-
-    #[test]
-    fn wedged_shard_is_detected_by_heartbeat_and_recovered() {
-        let clean = BatchEngine::new(EngineConfig::with_shards(2, 1))
-            .run_batch(shard_jobs(6))
-            .canonical_report();
-        let engine = BatchEngine::new(EngineConfig::with_shards(2, 1));
-        let batch = engine.run_batch_resilient(
-            shard_jobs(6),
-            ResilienceOptions {
-                shard_plan: ShardFaultPlan::disabled().with_wedge_rate(1.0),
-                ..ResilienceOptions::default()
-            },
-        );
-        assert_eq!(batch.results.len(), 6);
-        assert!(batch
-            .results
-            .iter()
-            .all(|r| r.status == JobStatus::Succeeded));
-        let redispatched: u64 = batch.report.shards.iter().map(|s| s.redispatched).sum();
-        assert!(
-            batch
-                .report
-                .shards
-                .iter()
-                .map(|s| s.quarantines)
-                .sum::<u64>()
-                >= 1,
-            "a silent shard must be quarantined: {:?}",
-            batch.report.shards
-        );
-        assert!(redispatched >= 1, "the wedged claim must be re-dispatched");
-        assert_eq!(
-            batch.canonical_report(),
-            clean,
-            "wedge must not change outcomes"
-        );
-    }
-
-    #[test]
-    fn shard_partition_is_deterministic() {
-        for spec in shard_jobs(16) {
-            let key = CacheKey::of(&spec);
-            let home = shard_of(&key, 8);
-            assert_eq!(home, shard_of(&key, 8), "replays");
-            assert!(home < 8);
-        }
-        assert_eq!(shard_of(&CacheKey::of(&job("one", 1)), 1), 0);
     }
 }

@@ -11,13 +11,12 @@
 //!   attempt runs on the calling worker under one deadline (job
 //!   deadline or attempt timeout, whichever is earlier) that the
 //!   pipeline checks before every stage. It owns the caches and is the
-//!   only retry loop in the workspace; the batch fabric's shard workers
-//!   and the `chipforge-serve` hub's workers both call it.
+//!   only retry loop in the workspace; the batch pool's workers and the
+//!   `chipforge-serve` hub's workers both call it.
 //! - [`BatchEngine`] — the batch coordinator: journal resume, admission
-//!   control and reporting around a supervised, sharded work-stealing
-//!   fabric of OS worker threads (`--shards N`) with supervisor-driven
-//!   shard restart, so one broken design — or one dead shard — never
-//!   takes down a batch.
+//!   control and reporting around a pool of `workers` scoped threads
+//!   that claim admitted jobs in admission order, so one broken design
+//!   never takes down a batch.
 //! - [`ArtifactCache`] — content-addressed results keyed by a canonical
 //!   hash of everything that affects the artifact (source, node, profile
 //!   knobs, clock, seed), so resubmissions are served in microseconds.
@@ -46,7 +45,6 @@ pub mod attempt;
 pub mod cache;
 pub mod calibrate;
 pub mod engine;
-mod fabric;
 pub mod job;
 pub mod metrics;
 pub mod remote;

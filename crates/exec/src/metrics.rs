@@ -65,29 +65,13 @@ pub struct WorkerRecord {
     pub utilization: f64,
 }
 
-/// One engine shard's share of the batch fabric.
-///
-/// Everything here is scheduling telemetry, deliberately excluded from
-/// [`canonical_report`]: which shard ran a job, how many steals happened
-/// and whether the supervisor had to restart anything are properties of
-/// *this* run, not of the batch's outcomes.
+/// A vestige of the retired shard fabric, kept only because the
+/// benchmark harness still reads `steals` from
+/// [`ExecutionReport::shards`]; both go with ROADMAP item 7.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct ShardRecord {
-    /// Shard id (0-based).
-    pub shard: usize,
-    /// Jobs whose terminal result was produced by this shard's workers.
-    pub jobs_run: u64,
-    /// Jobs this shard's workers stole from other shards' queues.
+    /// Jobs stolen from another shard's queue.
     pub steals: u64,
-    /// Times the supervisor quarantined this shard (killed or wedged).
-    pub quarantines: u64,
-    /// Times the supervisor restarted this shard's worker complement.
-    pub restarts: u64,
-    /// In-flight jobs the supervisor re-dispatched after a quarantine.
-    pub redispatched: u64,
-    /// Milliseconds between the shard's last heartbeat and batch end —
-    /// large values mean the shard went silent (wedged or killed).
-    pub heartbeat_age_ms: f64,
 }
 
 /// Batch-level aggregates.
@@ -234,7 +218,7 @@ pub struct ExecutionReport {
     pub remote_cache: Option<RemoteCacheRecord>,
     /// Per-worker accounting.
     pub workers: Vec<WorkerRecord>,
-    /// Per-shard fabric accounting, in shard order.
+    /// Always empty: see [`ShardRecord`].
     pub shards: Vec<ShardRecord>,
     /// Per-job records, in submission order.
     pub jobs: Vec<JobRecord>,
@@ -243,7 +227,6 @@ pub struct ExecutionReport {
 impl ExecutionReport {
     /// Builds the report from ordered results and worker accounting.
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
     pub fn build(
         results: &[JobResult],
         mut workers: Vec<WorkerRecord>,
@@ -252,7 +235,6 @@ impl ExecutionReport {
         admission: AdmissionRecord,
         stage_cache: Option<StageCacheRecord>,
         remote_cache: Option<RemoteCacheRecord>,
-        shards: Vec<ShardRecord>,
     ) -> Self {
         let jobs: Vec<JobRecord> = results.iter().map(job_record).collect();
         workers.sort_by_key(|w| w.worker);
@@ -270,7 +252,7 @@ impl ExecutionReport {
             stage_cache,
             remote_cache,
             workers,
-            shards,
+            shards: Vec::new(),
             jobs,
         }
     }
@@ -497,11 +479,6 @@ mod tests {
             AdmissionRecord::default(),
             None,
             None,
-            vec![ShardRecord {
-                shard: 0,
-                jobs_run: 4,
-                ..ShardRecord::default()
-            }],
         );
         assert_eq!(report.totals.succeeded, 2);
         assert_eq!(report.totals.failed, 1);
@@ -518,8 +495,6 @@ mod tests {
             "hits",
             "corrupted",
             "quarantined",
-            "heartbeat_age_ms",
-            "steals",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -236,137 +236,6 @@ impl FaultPlan {
     }
 }
 
-/// What a [`ShardFaultPlan`] injects into one engine shard.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub enum ShardFault {
-    /// The shard runs normally.
-    #[default]
-    None,
-    /// Every worker of the shard panics at its next job claim — the
-    /// in-process stand-in for a crashed shard process.
-    Kill,
-    /// The shard's workers go silent: they stop heartbeating and stop
-    /// claiming work without exiting — a hung tool, not a dead one.
-    Wedge,
-    /// Every job claim on the shard is delayed by this many
-    /// milliseconds — a grey failure the fabric should route around by
-    /// work stealing, not by quarantine.
-    Slow(u64),
-}
-
-/// A seeded, deterministic fault plan for the engine's *shard fabric*
-/// (as opposed to [`FaultPlan`], which disrupts individual jobs).
-///
-/// Each rate is the probability that the corresponding fault fires for
-/// a given shard; the decision is a pure hash of `(seed, site, shard)`,
-/// so the same plan kills the same shards regardless of worker count or
-/// scheduling. Kill and wedge fire once per shard per batch, after the
-/// shard has claimed [`after_jobs`](Self::after_jobs) jobs; a restarted
-/// shard runs clean. Precedence when several rates fire for one shard:
-/// kill over wedge over slow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShardFaultPlan {
-    /// Plan seed: same seed, same shard faults.
-    pub seed: u64,
-    /// Probability a shard is killed (panicking workers).
-    pub kill_rate: f64,
-    /// Probability a shard wedges (stops heartbeating).
-    pub wedge_rate: f64,
-    /// Probability a shard runs slow.
-    pub slow_rate: f64,
-    /// Per-claim delay on a slow shard, in milliseconds.
-    pub slow_ms: u64,
-    /// Jobs a shard claims before its kill/wedge fires: "panic at job
-    /// k" with k = `after_jobs`, counting from zero.
-    pub after_jobs: u64,
-}
-
-impl Default for ShardFaultPlan {
-    fn default() -> Self {
-        ShardFaultPlan::disabled()
-    }
-}
-
-impl ShardFaultPlan {
-    /// A plan that never touches any shard.
-    #[must_use]
-    pub fn disabled() -> Self {
-        ShardFaultPlan {
-            seed: 0,
-            kill_rate: 0.0,
-            wedge_rate: 0.0,
-            slow_rate: 0.0,
-            slow_ms: 0,
-            after_jobs: 1,
-        }
-    }
-
-    /// A plan killing shards at `rate`.
-    #[must_use]
-    pub fn kill(seed: u64, rate: f64) -> Self {
-        ShardFaultPlan {
-            seed,
-            kill_rate: rate.clamp(0.0, 1.0),
-            ..ShardFaultPlan::disabled()
-        }
-    }
-
-    /// Adds wedged (silent, non-heartbeating) shards at `rate`.
-    #[must_use]
-    pub fn with_wedge_rate(mut self, rate: f64) -> Self {
-        self.wedge_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Adds `slow_ms`-per-claim slow shards at `rate`.
-    #[must_use]
-    pub fn with_slow(mut self, rate: f64, slow_ms: u64) -> Self {
-        self.slow_rate = rate.clamp(0.0, 1.0);
-        self.slow_ms = slow_ms;
-        self
-    }
-
-    /// Sets how many jobs a shard claims before its kill/wedge fires.
-    #[must_use]
-    pub fn with_after_jobs(mut self, after_jobs: u64) -> Self {
-        self.after_jobs = after_jobs;
-        self
-    }
-
-    /// Whether any shard fault can ever fire.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.kill_rate > 0.0 || self.wedge_rate > 0.0 || self.slow_rate > 0.0
-    }
-
-    fn roll(&self, site: &str, shard: usize) -> f64 {
-        let mut bytes = Vec::with_capacity(site.len() + 17);
-        bytes.extend_from_slice(&self.seed.to_le_bytes());
-        bytes.extend_from_slice(site.as_bytes());
-        bytes.push(0);
-        bytes.extend_from_slice(&(shard as u64).to_le_bytes());
-        hash_fraction(fnv64(&bytes))
-    }
-
-    /// The fault this plan injects into `shard`.
-    #[must_use]
-    pub fn fault_for(&self, shard: usize) -> ShardFault {
-        if !self.is_active() {
-            return ShardFault::None;
-        }
-        if self.kill_rate > 0.0 && self.roll("shard-kill", shard) < self.kill_rate {
-            return ShardFault::Kill;
-        }
-        if self.wedge_rate > 0.0 && self.roll("shard-wedge", shard) < self.wedge_rate {
-            return ShardFault::Wedge;
-        }
-        if self.slow_rate > 0.0 && self.roll("shard-slow", shard) < self.slow_rate {
-            return ShardFault::Slow(self.slow_ms);
-        }
-        ShardFault::None
-    }
-}
-
 /// A seeded server outage/repair process for the cloud DES.
 ///
 /// Uptime and repair intervals are exponentially distributed with the
@@ -419,61 +288,6 @@ impl OutagePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_plan_is_deterministic_and_seed_sensitive() {
-        let a = ShardFaultPlan::kill(7, 0.5)
-            .with_wedge_rate(0.3)
-            .with_slow(0.4, 20);
-        let b = ShardFaultPlan::kill(8, 0.5)
-            .with_wedge_rate(0.3)
-            .with_slow(0.4, 20);
-        let mut diverged = false;
-        for shard in 0..64 {
-            assert_eq!(a.fault_for(shard), a.fault_for(shard), "replays");
-            if a.fault_for(shard) != b.fault_for(shard) {
-                diverged = true;
-            }
-        }
-        assert!(diverged, "different seeds must fault different shards");
-    }
-
-    #[test]
-    fn disabled_shard_plan_never_faults() {
-        let plan = ShardFaultPlan::disabled();
-        assert!(!plan.is_active());
-        for shard in 0..32 {
-            assert_eq!(plan.fault_for(shard), ShardFault::None);
-        }
-    }
-
-    #[test]
-    fn shard_kill_rate_one_kills_every_shard() {
-        let plan = ShardFaultPlan::kill(3, 1.0).with_slow(1.0, 5);
-        for shard in 0..16 {
-            assert_eq!(
-                plan.fault_for(shard),
-                ShardFault::Kill,
-                "kill takes precedence"
-            );
-        }
-        let slow_only = ShardFaultPlan::disabled().with_slow(1.0, 5);
-        for shard in 0..16 {
-            assert_eq!(slow_only.fault_for(shard), ShardFault::Slow(5));
-        }
-    }
-
-    #[test]
-    fn shard_rates_are_roughly_respected() {
-        let plan = ShardFaultPlan::kill(42, 0.25);
-        let kills = (0..400)
-            .filter(|&s| plan.fault_for(s) == ShardFault::Kill)
-            .count();
-        assert!(
-            (60..=140).contains(&kills),
-            "got {kills} kills at rate 0.25"
-        );
-    }
 
     #[test]
     fn disabled_plan_never_disrupts() {

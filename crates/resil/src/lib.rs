@@ -41,8 +41,8 @@ mod policy;
 
 pub use backoff::Backoff;
 pub use fault::{
-    is_degradable_stage, Disruption, Fault, FaultPlan, OutagePlan, ShardFault, ShardFaultPlan,
-    DEGRADABLE_STAGES, TRANSIENT_STAGES,
+    is_degradable_stage, Disruption, Fault, FaultPlan, OutagePlan, DEGRADABLE_STAGES,
+    TRANSIENT_STAGES,
 };
 pub use journal::{Journal, JournalRecord, JournalWriter};
 pub use net::{FlakyProxy, NetFault, NetFaultPlan};

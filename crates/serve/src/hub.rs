@@ -8,9 +8,10 @@
 //! [`FairShare::pick`] selects its class; the worker then hands it to
 //! the hub's one long-lived [`JobExecutor`] — the same per-job path
 //! (artifact and stage caches, retry loop, per-attempt deadline) the batch
-//! engine's workers call, with no engine, shard fabric or supervisor
-//! built around it — and charges the measured service seconds back to
-//! the fair share. Completed jobs append to the
+//! engine's pool workers call, with no engine built around it — and
+//! charges the measured service seconds back to the fair share. A job's
+//! panic is contained inside its attempt; nothing supervises the worker
+//! threads themselves. Completed jobs append to the
 //! `chipforge-resil` journal; [`Hub::new`] reloads that journal, so a
 //! killed-and-restarted hub re-lists every completed job.
 

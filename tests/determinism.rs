@@ -93,8 +93,9 @@ fn simulations_are_seed_deterministic() {
 #[test]
 fn batch_results_are_identical_across_worker_counts() {
     // Scheduling order must never leak into artifacts: the same job list
-    // gives byte-identical GDS and PPA whether it runs on 1, 2 or 8
-    // workers, and whether artifacts are computed or served from cache.
+    // gives byte-identical canonical reports, GDS and PPA whether it runs
+    // on 1, 2, 4, 8 or 16 workers (more workers than jobs included), and
+    // whether artifacts are computed or served from cache.
     let jobs = || -> Vec<JobSpec> {
         [
             (designs::counter(8), 1u64),
@@ -116,87 +117,40 @@ fn batch_results_are_identical_across_worker_counts() {
         })
         .collect()
     };
-    let mut digests = Vec::new();
-    let mut gds_streams = Vec::new();
-    for workers in [1usize, 2, 8] {
-        let engine = BatchEngine::new(EngineConfig::with_workers(workers));
-        let batch = engine.run_batch(jobs());
-        assert!(batch.results.iter().all(|r| r.status.is_success()));
-        digests.push(batch.deterministic_digest());
-        gds_streams.push(
-            batch
-                .results
-                .iter()
-                .map(|r| r.outcome.as_ref().expect("succeeded").gds.clone())
-                .collect::<Vec<_>>(),
-        );
-        // A warm re-run of the same engine must not change outcomes.
-        let warm = engine.run_batch(jobs());
-        assert_eq!(warm.deterministic_digest(), digests[0], "warm cache run");
-    }
-    assert_eq!(digests[0], digests[1], "1 vs 2 workers");
-    assert_eq!(digests[0], digests[2], "1 vs 8 workers");
-    assert_eq!(gds_streams[0], gds_streams[1], "GDS bytes, 1 vs 2 workers");
-    assert_eq!(gds_streams[0], gds_streams[2], "GDS bytes, 1 vs 8 workers");
-}
-
-#[test]
-fn batch_results_are_identical_across_shard_counts() {
-    // The sharded fabric must be invisible in the artifacts: the same
-    // job list gives byte-identical canonical reports and GDS streams
-    // across 1, 2 and 8 shards, for several workers-per-shard widths —
-    // partitioning by cache key and work-stealing never leak into
-    // outcomes.
-    let jobs = || -> Vec<JobSpec> {
-        [
-            (designs::counter(8), 1u64),
-            (designs::gray_encoder(8), 2),
-            (designs::popcount(8), 3),
-            (designs::counter(8), 4),
-            (designs::lfsr(8), 5),
-            (designs::counter(8), 1), // duplicate of job 0: cache hit
-        ]
-        .into_iter()
-        .map(|(design, seed)| {
-            JobSpec::new(
-                design.name(),
-                design.source(),
-                TechnologyNode::N130,
-                OptimizationProfile::quick(),
-            )
-            .with_seed(seed)
-        })
-        .collect()
+    let gds_of = |batch: &chipforge::exec::BatchReport| -> Vec<Vec<u8>> {
+        batch
+            .results
+            .iter()
+            .map(|r| r.outcome.as_ref().expect("succeeded").gds.clone())
+            .collect()
     };
-    let reference = BatchEngine::new(EngineConfig::with_shards(1, 1)).run_batch(jobs());
+    let reference = BatchEngine::new(EngineConfig::with_workers(1)).run_batch(jobs());
     assert!(reference.results.iter().all(|r| r.status.is_success()));
-    let reference_gds: Vec<_> = reference
-        .results
-        .iter()
-        .map(|r| r.outcome.as_ref().expect("succeeded").gds.clone())
-        .collect();
-    for (shards, workers) in [(1usize, 2usize), (1, 8), (2, 1), (2, 2), (8, 1), (8, 2)] {
-        let engine = BatchEngine::new(EngineConfig::with_shards(shards, workers));
+    for workers in [1usize, 2, 4, 8, 16] {
+        let engine = BatchEngine::new(EngineConfig::with_workers(workers));
         let batch = engine.run_batch(jobs());
         assert!(batch.results.iter().all(|r| r.status.is_success()));
         assert_eq!(
             reference.canonical_report(),
             batch.canonical_report(),
-            "canonical report diverged at {shards} shards x {workers} workers"
+            "canonical report, 1 vs {workers} workers"
         );
         assert_eq!(
             reference.deterministic_digest(),
             batch.deterministic_digest(),
-            "digest diverged at {shards} shards x {workers} workers"
+            "digest, 1 vs {workers} workers"
         );
-        let gds: Vec<_> = batch
-            .results
-            .iter()
-            .map(|r| r.outcome.as_ref().expect("succeeded").gds.clone())
-            .collect();
         assert_eq!(
-            reference_gds, gds,
-            "GDS bytes diverged at {shards} shards x {workers} workers"
+            gds_of(&reference),
+            gds_of(&batch),
+            "GDS bytes, 1 vs {workers} workers"
+        );
+        // A warm re-run of the same engine must not change outcomes.
+        let warm = engine.run_batch(jobs());
+        assert_eq!(
+            warm.deterministic_digest(),
+            reference.deterministic_digest(),
+            "warm cache run at {workers} workers"
         );
     }
 }
