@@ -1,7 +1,7 @@
-//! Weighted fair-share picking with anti-starvation aging, plus a
+//! Weighted fair-share picking with anti-starvation aging, the
+//! [`Scheduler`](crate::Scheduler)'s
+//! [`Dispatch::FairShare`](crate::Dispatch::FairShare) rule, plus a
 //! deterministic weighted interleave for burst submissions.
-
-use crate::queue::ClassQueues;
 
 /// Weighted fair-share scheduler state.
 ///
@@ -22,14 +22,14 @@ use crate::queue::ClassQueues;
 /// pins this down). Ties break toward the lowest class index, which
 /// keeps the whole scheduler deterministic.
 #[derive(Debug, Clone)]
-pub struct FairShare {
+pub(crate) struct FairShare {
     weights: Vec<f64>,
     aging_rate: f64,
     served: Vec<f64>,
 }
 
 impl FairShare {
-    pub fn new(weights: Vec<f64>, aging_rate: f64) -> Self {
+    pub(crate) fn new(weights: Vec<f64>, aging_rate: f64) -> Self {
         assert!(!weights.is_empty(), "at least one class");
         assert!(
             weights.iter().all(|w| w.is_finite() && *w > 0.0),
@@ -47,14 +47,12 @@ impl FairShare {
         }
     }
 
-    /// Choose which non-empty class to serve next at time `now`.
-    /// Returns `None` when every queue is empty.
-    pub fn pick<T>(&self, queues: &ClassQueues<T>, now: f64) -> Option<usize> {
+    /// Chooses which class to serve next from `(class, head wait)` for
+    /// each non-empty class, in class order. Returns `None` when there
+    /// are none.
+    pub(crate) fn pick(&self, head_waits: impl IntoIterator<Item = (usize, f64)>) -> Option<usize> {
         let mut best: Option<(f64, usize)> = None;
-        for class in 0..self.weights.len() {
-            let Some(wait) = queues.head_wait(class, now) else {
-                continue;
-            };
+        for (class, wait) in head_waits {
             let score = self.served[class] / self.weights[class] - self.aging_rate * wait;
             // Strict `<` keeps ties on the lowest class index.
             if best.is_none_or(|(s, _)| score < s) {
@@ -65,13 +63,8 @@ impl FairShare {
     }
 
     /// Account `service` time units of work against `class`.
-    pub fn charge(&mut self, class: usize, service: f64) {
+    pub(crate) fn charge(&mut self, class: usize, service: f64) {
         self.served[class] += service;
-    }
-
-    /// Normalized usage of `class` so far (service over weight).
-    pub fn usage(&self, class: usize) -> f64 {
-        self.served[class] / self.weights[class]
     }
 }
 
@@ -81,8 +74,8 @@ impl FairShare {
 /// lowest index) emits its next item and pays back the total weight in
 /// play.
 ///
-/// This is the burst-submission counterpart of [`FairShare`]: when an
-/// entire batch arrives at once there are no waits to age on, but the
+/// This is the burst-submission counterpart of fair-share dispatch: when
+/// an entire batch arrives at once there are no waits to age on, but the
 /// emitted order still honors the weights — e.g. weights `[2, 1]` over
 /// classes `A`/`B` yield `A A B A A B …` — while preserving FIFO order
 /// within each class.
@@ -129,30 +122,19 @@ pub fn interleave_by_weight<T>(lists: Vec<Vec<T>>, weights: &[f64]) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::OverflowPolicy;
-
-    fn queues_with(heads: &[(usize, f64)]) -> ClassQueues<usize> {
-        let classes = heads.iter().map(|(c, _)| c + 1).max().unwrap_or(1);
-        let mut q = ClassQueues::new(classes.max(3));
-        for (i, (class, at)) in heads.iter().enumerate() {
-            q.offer(*class, i, *at, None, OverflowPolicy::Reject);
-        }
-        q
-    }
+    use crate::{AdmissionPolicy, Dispatch, Scheduler};
 
     #[test]
     fn under_equal_usage_lowest_class_wins_ties() {
         let fair = FairShare::new(vec![1.0, 1.0, 1.0], 0.0);
-        let q = queues_with(&[(0, 0.0), (1, 0.0), (2, 0.0)]);
-        assert_eq!(fair.pick(&q, 1.0), Some(0));
+        assert_eq!(fair.pick([(0, 1.0), (1, 1.0), (2, 1.0)]), Some(0));
     }
 
     #[test]
     fn heavier_usage_yields_to_lighter_classes() {
         let mut fair = FairShare::new(vec![1.0, 1.0], 0.0);
         fair.charge(0, 10.0);
-        let q = queues_with(&[(0, 0.0), (1, 0.0)]);
-        assert_eq!(fair.pick(&q, 1.0), Some(1));
+        assert_eq!(fair.pick([(0, 1.0), (1, 1.0)]), Some(1));
     }
 
     #[test]
@@ -160,9 +142,8 @@ mod tests {
         let mut fair = FairShare::new(vec![4.0, 1.0], 0.0);
         fair.charge(0, 3.0); // usage 0.75
         fair.charge(1, 1.0); // usage 1.0
-        let q = queues_with(&[(0, 0.0), (1, 0.0)]);
         assert_eq!(
-            fair.pick(&q, 1.0),
+            fair.pick([(0, 1.0), (1, 1.0)]),
             Some(0),
             "weight 4 class is still under its share"
         );
@@ -171,12 +152,12 @@ mod tests {
     #[test]
     fn aging_eventually_overrides_usage() {
         let mut fair = FairShare::new(vec![1.0, 1.0], 0.5);
-        fair.charge(1, 30.0); // class 1 is 30 units over its share…
-        let q = queues_with(&[(0, 99.0), (1, 0.0)]);
-        // …but its head entry has waited 100 units vs class 0's 1:
-        // 30 − 0.5·100 = −20 beats 0 − 0.5·1 = −0.5.
+        // Class 1 is 30 units over its share, but its head entry has
+        // waited 100 units vs class 0's 1: 30 − 0.5·100 = −20 beats
+        // 0 − 0.5·1 = −0.5.
+        fair.charge(1, 30.0);
         assert_eq!(
-            fair.pick(&q, 100.0),
+            fair.pick([(0, 1.0), (1, 100.0)]),
             Some(1),
             "a long wait outweighs excess usage"
         );
@@ -184,12 +165,10 @@ mod tests {
 
     #[test]
     fn pick_skips_empty_classes() {
-        let fair = FairShare::new(vec![1.0, 1.0, 1.0], 0.0);
-        let mut q = ClassQueues::new(3);
-        q.offer(2, 7usize, 0.0, None, OverflowPolicy::Reject);
-        assert_eq!(fair.pick(&q, 1.0), Some(2));
-        q.pop_front(2);
-        assert_eq!(fair.pick(&q, 1.0), None);
+        let mut s = Scheduler::new(AdmissionPolicy::unbounded(3), Dispatch::FairShare);
+        s.offer(2, 7usize, 0.0);
+        assert_eq!(s.next(1.0), Some((2, 7, 0.0)));
+        assert_eq!(s.next(1.0), None);
     }
 
     #[test]

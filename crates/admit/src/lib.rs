@@ -1,30 +1,30 @@
-//! Overload-robustness primitives shared by the cloud hub simulator and
-//! the batch execution engine.
+//! Overload-robustness primitives shared by the cloud hub simulator, the
+//! live hub and the batch execution engine.
 //!
 //! The paper's centralized enablement platform (R7) only works as a
 //! *shared* resource if it stays usable under contention: a hub that
 //! accepts every job unconditionally grows its queues without bound,
 //! and a strict-priority scheduler lets the heaviest tier starve
-//! everyone below it. This crate packages the four mechanisms that keep
-//! the platform honest when it runs hot, in a form both the
-//! discrete-event simulator (virtual hours) and the real engine
-//! (wall-clock milliseconds) can share:
+//! everyone below it. This crate packages what keeps the platform
+//! honest when it runs hot:
 //!
-//! * [`ClassQueues`] — bounded per-class FIFO queues with a
-//!   reject-vs-shed-oldest overflow policy and depth/high-water
-//!   accounting.
-//! * [`TokenBucket`] — a per-class rate limiter on an abstract clock.
-//! * [`FairShare`] — weighted fair-share picking with an anti-starvation
-//!   aging bonus, plus a deterministic weighted interleave for
-//!   burst-submission ordering.
+//! * [`Scheduler`] — the one scheduler both hubs drive, the
+//!   discrete-event simulator on virtual hours and `forge serve` on wall
+//!   seconds. It admits through a per-class token bucket and then a
+//!   bounded per-class FIFO queue that rejects or sheds its oldest entry
+//!   on overflow, and dispatches by strict priority or by weighted fair
+//!   share with an anti-starvation aging bonus ([`Dispatch`]). It keeps
+//!   each class's offered/admitted/rejected/shed counts, peak depth and
+//!   longest wait ([`ClassStats`]).
 //! * [`CircuitBreaker`] — a closed/open/half-open breaker keyed by
 //!   consecutive failures, with a count-based cooldown so behaviour is
 //!   reproducible in simulation.
 //!
-//! Everything here is deterministic: no wall clocks, no randomness.
-//! Time enters only as an `f64` "now" supplied by the caller, so the
-//! same inputs always produce the same admissions, the same ordering
-//! and the same breaker trips.
+//! [`interleave_by_weight`] orders a burst submission by the same
+//! weights. Everything here is deterministic: no wall clocks, no
+//! threads, no randomness. Time enters only as an `f64` "now" supplied
+//! by the caller, so the same inputs always produce the same admissions,
+//! the same ordering and the same breaker trips.
 
 mod breaker;
 mod fair;
@@ -33,7 +33,6 @@ mod policy;
 mod queue;
 
 pub use breaker::{BreakerState, CircuitBreaker};
-pub use fair::{interleave_by_weight, FairShare};
-pub use limiter::TokenBucket;
+pub use fair::interleave_by_weight;
 pub use policy::{AdmissionPolicy, OverflowPolicy, RateLimit};
-pub use queue::{Admission, ClassQueues};
+pub use queue::{Admission, ClassStats, Dispatch, Scheduler};

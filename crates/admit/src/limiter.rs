@@ -4,10 +4,10 @@ use crate::policy::RateLimit;
 
 /// A token bucket: `rate` tokens accrue per time unit up to `burst`;
 /// each admission spends one token. The clock is whatever the caller
-/// supplies — virtual hours in the simulator, seconds in the engine —
-/// which keeps the limiter deterministic.
+/// supplies — virtual hours in the simulator, wall seconds in the live
+/// hub — which keeps the limiter deterministic.
 #[derive(Debug, Clone)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     rate: f64,
     burst: f64,
     tokens: f64,
@@ -16,7 +16,7 @@ pub struct TokenBucket {
 
 impl TokenBucket {
     /// A full bucket at time zero.
-    pub fn new(limit: RateLimit) -> Self {
+    pub(crate) fn new(limit: RateLimit) -> Self {
         assert!(
             limit.rate.is_finite() && limit.rate > 0.0,
             "rate must be finite and positive"
@@ -42,7 +42,7 @@ impl TokenBucket {
 
     /// Try to spend one token at time `now`. Returns whether the
     /// admission is within the rate limit.
-    pub fn try_acquire(&mut self, now: f64) -> bool {
+    pub(crate) fn try_acquire(&mut self, now: f64) -> bool {
         self.refill(now);
         if self.tokens >= 1.0 {
             self.tokens -= 1.0;
@@ -50,12 +50,6 @@ impl TokenBucket {
         } else {
             false
         }
-    }
-
-    /// Tokens currently available (after refilling to `now`).
-    pub fn available(&mut self, now: f64) -> f64 {
-        self.refill(now);
-        self.tokens
     }
 }
 
@@ -85,8 +79,10 @@ mod tests {
         });
         assert!(b.try_acquire(0.0));
         assert!(b.try_acquire(0.0));
+        assert!(b.try_acquire(100.0));
+        assert!(b.try_acquire(100.0));
         assert!(
-            (b.available(100.0) - 2.0).abs() < 1e-12,
+            !b.try_acquire(100.0),
             "idle bucket refills to burst, not beyond"
         );
     }

@@ -1,5 +1,5 @@
-//! Admission policy: the single knob-bundle callers pass to an
-//! admission-controlled scheduler.
+//! Admission policy: the knob bundle a [`Scheduler`](crate::Scheduler)
+//! is built from.
 
 use serde::{Deserialize, Serialize};
 

@@ -8,7 +8,7 @@
 //! advanced tier presses.
 
 use chipforge_admit::{
-    interleave_by_weight, Admission, ClassQueues, FairShare, OverflowPolicy, RateLimit, TokenBucket,
+    interleave_by_weight, Admission, AdmissionPolicy, Dispatch, RateLimit, Scheduler,
 };
 use proptest::prelude::*;
 
@@ -31,15 +31,17 @@ proptest! {
         advanced_service in 1.0f64..50.0,
         backlog in 1usize..12,
     ) {
-        let mut queues: ClassQueues<usize> = ClassQueues::new(2);
-        let mut fair = FairShare::new(vec![beginner_weight, advanced_weight], aging_rate);
+        let policy = AdmissionPolicy::unbounded(2)
+            .with_weights(vec![beginner_weight, advanced_weight])
+            .with_aging(aging_rate);
+        let mut scheduler: Scheduler<usize> = Scheduler::new(policy, Dispatch::FairShare);
         let mut now = 0.0;
         // The whole beginner backlog is queued up front…
         for i in 0..backlog {
-            queues.offer(BEGINNER, i, now, None, OverflowPolicy::Reject);
+            scheduler.offer(BEGINNER, i, now);
         }
         // …against an advanced tier that never drains.
-        queues.offer(ADVANCED, usize::MAX, now, None, OverflowPolicy::Reject);
+        scheduler.offer(ADVANCED, usize::MAX, now);
 
         let mut beginners_served = 0;
         let mut dispatches = 0;
@@ -50,16 +52,15 @@ proptest! {
                 dispatches <= budget,
                 "starvation: only {beginners_served}/{backlog} beginner jobs served after {dispatches} dispatches"
             );
-            let class = fair.pick(&queues, now).expect("queues are never empty");
-            queues.pop_front(class).expect("picked class has work");
+            let (class, _, _) = scheduler.next(now).expect("queues are never empty");
             let service = if class == BEGINNER { beginner_service } else { advanced_service };
             now += service;
-            fair.charge(class, service);
+            scheduler.charge(class, service);
             if class == BEGINNER {
                 beginners_served += 1;
             } else {
                 // Saturating load: the advanced tier refills instantly.
-                queues.offer(ADVANCED, usize::MAX, now, None, OverflowPolicy::Reject);
+                scheduler.offer(ADVANCED, usize::MAX, now);
             }
         }
     }
@@ -73,26 +74,34 @@ proptest! {
         shed in 0u8..2,
         ops in proptest::collection::vec(0u8..3, 1..80),
     ) {
-        let policy = if shed == 1 { OverflowPolicy::ShedOldest } else { OverflowPolicy::Reject };
-        let mut queues: ClassQueues<u32> = ClassQueues::new(1);
-        let (mut offered, mut admitted, mut rejected, mut shed_count, mut served) = (0u32, 0u32, 0u32, 0u32, 0u32);
+        let mut policy = AdmissionPolicy::bounded(1, capacity);
+        if shed == 1 {
+            policy = policy.with_shed_oldest();
+        }
+        let mut scheduler: Scheduler<usize> = Scheduler::new(policy, Dispatch::FairShare);
+        let (mut offered, mut admitted, mut rejected, mut shed_count, mut served) = (0, 0, 0, 0, 0);
         for (step, op) in ops.iter().enumerate() {
             if *op < 2 {
-                let outcome = queues.offer(0, offered, step as f64, Some(capacity), policy);
+                let outcome = scheduler.offer(0, offered, step as f64);
                 offered += 1;
                 match outcome {
                     Admission::Admitted => admitted += 1,
-                    Admission::Rejected(_) => rejected += 1,
+                    Admission::RateLimited(_) | Admission::Rejected(_) => rejected += 1,
                     Admission::Shed(_) => { admitted += 1; shed_count += 1; }
                 }
-            } else if queues.pop_front(0).is_some() {
+            } else if scheduler.next(step as f64).is_some() {
                 served += 1;
             }
-            prop_assert!(queues.depth(0) <= capacity, "depth {} exceeds capacity {capacity}", queues.depth(0));
+            prop_assert!(scheduler.depth(0) <= capacity, "depth {} exceeds capacity {capacity}", scheduler.depth(0));
         }
-        prop_assert!(queues.peak_depth(0) <= capacity);
+        let stats = scheduler.stats(0);
+        prop_assert!(stats.peak_depth <= capacity);
         prop_assert_eq!(offered, admitted + rejected);
-        prop_assert_eq!(admitted, served + shed_count + queues.depth(0) as u32);
+        prop_assert_eq!(admitted, served + shed_count + scheduler.depth(0));
+        prop_assert_eq!(
+            (stats.offered, stats.admitted, stats.rejected, stats.shed),
+            (offered, admitted, rejected, shed_count)
+        );
     }
 
     /// Weighted interleave is a permutation that preserves FIFO order
@@ -114,8 +123,8 @@ proptest! {
         prop_assert_eq!(b_out, b);
     }
 
-    /// A token bucket never admits more than burst + rate·T (+1 for the
-    /// token accruing exactly at the horizon) over any horizon.
+    /// A class's token bucket never admits more than burst + rate·T (+1
+    /// for the token accruing exactly at the horizon) over any horizon.
     #[test]
     fn token_bucket_respects_long_run_rate(
         rate in 0.1f64..10.0,
@@ -123,11 +132,12 @@ proptest! {
         horizon in 1.0f64..50.0,
         attempts in 1usize..400,
     ) {
-        let mut bucket = TokenBucket::new(RateLimit { rate, burst });
+        let policy = AdmissionPolicy::unbounded(1).with_rate_limit(0, RateLimit { rate, burst });
+        let mut scheduler = Scheduler::new(policy, Dispatch::FairShare);
         let mut admitted = 0usize;
         for i in 0..attempts {
             let now = horizon * (i as f64) / (attempts as f64);
-            if bucket.try_acquire(now) {
+            if scheduler.offer(0, i, now) == Admission::Admitted {
                 admitted += 1;
             }
         }

@@ -1307,8 +1307,9 @@ pub fn e18_prediction(
 
 /// E18 — live hub vs DES prediction (Rec. 7).
 ///
-/// The same `chipforge-admit` types that schedule the DES also
-/// schedule the live `forge serve` hub, so the simulation should
+/// The same `chipforge_admit::Scheduler` that schedules the DES on
+/// virtual hours also schedules the live `forge serve` hub on wall
+/// seconds, so the simulation should
 /// *predict* the running system. This table is the DES side of that
 /// claim at nominal per-tier service times: the fixed E18 trace
 /// simulated at 0.75×/1×/1.25× service, giving a per-tier envelope of
@@ -2164,8 +2165,7 @@ mod tests {
             rate_limits: [None, None, None],
             job_timeout: Duration::from_secs(30),
             journal: None,
-            stage_cache_dir: None,
-            stage_cache: false,
+            stage_cache: chipforge::exec::StageCacheMode::Disabled,
             remote_cache: None,
         };
         let start = |config: HubConfig| {

@@ -13,9 +13,10 @@
 //! * [`simulate_local`] / [`simulate_hub`] — per-university tool setups
 //!   vs. a shared multi-server hub, with identical workloads (Rec. 7,
 //!   experiment E8). The hub is one event loop configured by a
-//!   [`HubModel`]: admission through bounded per-tier queues and token
-//!   buckets, strict-priority or fair-share [`Dispatch`], and seeded
-//!   server outages with requeue (E15b, E16, E18, E19);
+//!   [`HubModel`]: admission and strict-priority or fair-share
+//!   [`Dispatch`] through the same `chipforge_admit::Scheduler` the live
+//!   hub drives, on virtual hours, plus seeded server outages with
+//!   requeue (E15b, E16, E18, E19);
 //! * [`ShuttleSchedule`] — periodic MPW shuttle aggregation with per-seat
 //!   cost amortization (Sec. III-C, experiment E5).
 //!
@@ -51,9 +52,10 @@ mod queue;
 mod shuttle;
 mod tier;
 
+pub use chipforge_admit::Dispatch;
 pub use error::ConfigError;
 pub use platform::{
-    simulate_hub, simulate_local, Dispatch, HubArrival, HubModel, ScenarioResult, TierAdmitStats,
+    simulate_hub, simulate_local, HubArrival, HubModel, ScenarioResult, TierAdmitStats,
     WorkloadSpec, VIRTUAL_US_PER_HOUR,
 };
 pub use queue::EventQueue;

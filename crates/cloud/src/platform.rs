@@ -3,7 +3,7 @@
 use crate::error::ConfigError;
 use crate::queue::EventQueue;
 use crate::tier::AccessTier;
-use chipforge_admit::{Admission, AdmissionPolicy, ClassQueues, FairShare, TokenBucket};
+use chipforge_admit::{Admission, AdmissionPolicy, Dispatch, Scheduler};
 use chipforge_obs::{SpanId, Tracer};
 use chipforge_resil::OutagePlan;
 use rand::rngs::StdRng;
@@ -301,17 +301,6 @@ pub fn simulate_local(
     })
 }
 
-/// How the hub picks the next waiting job when a server frees up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dispatch {
-    /// Lowest [`AccessTier::priority`] first (interactive beginner jobs
-    /// ahead of advanced batch jobs), FIFO within a class.
-    StrictPriority,
-    /// Weighted fair share with an anti-starvation aging bonus, from
-    /// [`AdmissionPolicy::weights`] and [`AdmissionPolicy::aging_rate`].
-    FairShare,
-}
-
 /// Everything the hub simulation is configured with besides its
 /// arrival trace. Build one with [`HubModel::new`] and set the fields
 /// that differ with struct-update syntax.
@@ -324,7 +313,8 @@ pub struct HubModel {
     /// Per-tier queue bounds, overflow rule and rate limits; must cover
     /// exactly the three hub tiers.
     pub admission: AdmissionPolicy,
-    /// The dispatch rule.
+    /// How a free server picks the next waiting job; the classes are
+    /// [`AccessTier::priority`] values.
     pub dispatch: Dispatch,
     /// Seeded server outage/repair plan; `None` keeps every server up.
     pub outage: Option<OutagePlan>,
@@ -366,12 +356,13 @@ impl HubModel {
 /// Simulates a centralized hub: one shared setup, `model.servers`
 /// parallel flow servers, and the jobs of `trace`.
 ///
-/// Arrivals pass admission first — an optional per-tier token bucket,
-/// then a bounded per-tier queue that rejects or sheds on overflow. A
-/// free server (the lowest-indexed one) takes the next job by
-/// `model.dispatch`. Under an outage plan servers alternate seeded
-/// up/repair episodes; an outage interrupts the running job, which is
-/// requeued or lost, and its stale completion event is discarded.
+/// Admission and dispatch are one [`Scheduler`] driven on virtual hours:
+/// arrivals pass an optional per-tier token bucket, then a bounded
+/// per-tier queue that rejects or sheds on overflow, and a free server
+/// (the lowest-indexed one) takes the next job by `model.dispatch`.
+/// Under an outage plan servers alternate seeded up/repair episodes; an
+/// outage interrupts the running job, which is requeued or lost, and its
+/// stale completion event is discarded.
 ///
 /// With an enabled tracer, queue waits and service intervals become
 /// virtual-time spans (one track per university,
@@ -410,7 +401,7 @@ pub fn simulate_hub(
             for tier in AccessTier::ALL {
                 tracer.set_gauge(
                     &format!("admit.queue_depth.{tier}"),
-                    hub.waiting.depth(tier.priority() as usize) as f64,
+                    hub.scheduler.depth(tier.priority() as usize) as f64,
                 );
             }
         }
@@ -477,10 +468,7 @@ struct Hub<'a> {
     /// down or takes a job; [`Hub::free_server`] drops stale tops, so a
     /// lookup stays O(log servers).
     free: BinaryHeap<Reverse<usize>>,
-    waiting: ClassQueues<Waiting>,
-    buckets: Vec<Option<TokenBucket>>,
-    fair: FairShare,
-    tiers: [TierAdmitStats; 3],
+    scheduler: Scheduler<Waiting>,
     /// Per-job turnaround; NaN until the job completes.
     turnaround: Vec<f64>,
     arrivals: usize,
@@ -513,15 +501,7 @@ impl<'a> Hub<'a> {
                 .take(model.servers)
                 .collect(),
             free: (0..model.servers).map(Reverse).collect(),
-            waiting: ClassQueues::new(3),
-            buckets: model
-                .admission
-                .rate_limits
-                .iter()
-                .map(|limit| limit.map(TokenBucket::new))
-                .collect(),
-            fair: FairShare::new(model.admission.weights.clone(), model.admission.aging_rate),
-            tiers: [TierAdmitStats::default(); 3],
+            scheduler: Scheduler::new(model.admission.clone(), model.dispatch),
             turnaround: vec![f64::NAN; trace.len()],
             arrivals: 0,
             remaining: trace.len(),
@@ -544,7 +524,6 @@ impl<'a> Hub<'a> {
         hub
     }
 
-    /// Admission: the tier's token bucket, then its bounded queue.
     fn arrive(&mut self, job: usize, now: f64) {
         let class = self.trace[job].tier.priority() as usize;
         let item = Waiting {
@@ -552,32 +531,13 @@ impl<'a> Hub<'a> {
             seq: self.arrivals,
         };
         self.arrivals += 1;
-        let within_rate = self.buckets[class]
-            .as_mut()
-            .is_none_or(|bucket| bucket.try_acquire(now));
-        let admission = if within_rate {
-            let policy = &self.model.admission;
-            self.waiting
-                .offer(class, item, now, policy.queue_capacity, policy.overflow)
-        } else {
-            Admission::Rejected(item)
+        let turned_away = match self.scheduler.offer(class, item, now) {
+            Admission::Admitted => return,
+            Admission::RateLimited(_) | Admission::Rejected(_) => "admit.rejected",
+            Admission::Shed(_) => "admit.shed",
         };
-        let stats = &mut self.tiers[class];
-        stats.offered += 1;
-        match admission {
-            Admission::Admitted => stats.admitted += 1,
-            Admission::Rejected(_) => {
-                stats.rejected += 1;
-                self.remaining -= 1;
-                self.tracer.add("admit.rejected", 1);
-            }
-            Admission::Shed(_) => {
-                stats.admitted += 1;
-                stats.shed += 1;
-                self.remaining -= 1;
-                self.tracer.add("admit.shed", 1);
-            }
-        }
+        self.remaining -= 1;
+        self.tracer.add(turned_away, 1);
     }
 
     fn depart(&mut self, server: usize, epoch: u64, now: f64) {
@@ -634,7 +594,7 @@ impl<'a> Hub<'a> {
         let (track, detail) = (job.university + 1, format!("job {}", run.job));
         if self.model.requeue {
             let class = job.tier.priority() as usize;
-            self.waiting.requeue(class, run, now, |w| w.seq);
+            self.scheduler.requeue(class, run, now, |w| w.seq);
             self.instant("requeue", track, now, &detail);
             self.tracer.add("cloud.requeued", 1);
         } else {
@@ -666,23 +626,13 @@ impl<'a> Hub<'a> {
     /// Hands waiting jobs to free servers until one side runs out.
     fn dispatch(&mut self, now: f64) {
         while let Some(server) = self.free_server() {
-            let class = match self.model.dispatch {
-                Dispatch::StrictPriority => (0..3).find(|&c| self.waiting.depth(c) > 0),
-                Dispatch::FairShare => self.fair.pick(&self.waiting, now),
-            };
-            let Some(class) = class else {
+            let Some((class, run, ready)) = self.scheduler.next(now) else {
                 break;
             };
             self.free.pop();
-            let (run, ready) = self
-                .waiting
-                .pop_front(class)
-                .expect("picked class has work");
             let job = &self.trace[run.job];
             let wait = now - ready;
-            let stats = &mut self.tiers[class];
-            stats.max_wait_h = stats.max_wait_h.max(wait);
-            self.fair.charge(class, job.service_h);
+            self.scheduler.charge(class, job.service_h);
             let epoch = self.pool[server].epoch;
             self.events
                 .push(now + job.service_h, HubEvent::Departure { server, epoch });
@@ -720,7 +670,7 @@ impl<'a> Hub<'a> {
             .virtual_instant(name, "des", track, at_h * VIRTUAL_US_PER_HOUR, detail);
     }
 
-    fn finish(mut self) -> ScenarioResult {
+    fn finish(self) -> ScenarioResult {
         if self.tracer.is_enabled() {
             self.tracer.record_virtual_span(
                 self.root,
@@ -733,9 +683,18 @@ impl<'a> Hub<'a> {
                 &format!("{} servers, {} jobs", self.model.servers, self.trace.len()),
             );
         }
-        for (class, stats) in self.tiers.iter_mut().enumerate() {
-            stats.peak_depth = self.waiting.peak_depth(class);
-        }
+        let tiers = std::array::from_fn(|class| {
+            let stats = self.scheduler.stats(class);
+            TierAdmitStats {
+                offered: stats.offered,
+                admitted: stats.admitted,
+                rejected: stats.rejected,
+                shed: stats.shed,
+                max_wait_h: stats.max_wait,
+                peak_depth: stats.peak_depth,
+                ..TierAdmitStats::default()
+            }
+        });
         let capacity = self.horizon.max(1e-9) * self.model.servers as f64;
         ScenarioResult {
             setup_hours_total: self.model.setup_hours,
@@ -743,7 +702,7 @@ impl<'a> Hub<'a> {
             lost: self.lost,
             outages: self.outages,
             horizon_h: self.horizon,
-            ..summarize(self.trace, &self.turnaround, self.tiers)
+            ..summarize(self.trace, &self.turnaround, tiers)
         }
     }
 }

@@ -131,8 +131,8 @@ USAGE:
   forge serve [--addr <host:port>] [--workers <n>] [--max-queue <n>]
             [--shed-oldest] [--tier-quota <b,i,a>] [--aging <rate>]
             [--tier-rate <b,i,a>] [--timeout-ms <ms>]
-            [--journal <out.jsonl>] [--stage-cache <dir>]
-            [--no-stage-cache] [--remote-cache <url>] [--keys <keys.json>]
+            [--journal <out.jsonl>] [--stage-cache <dir> | --no-stage-cache]
+            [--remote-cache <url>] [--keys <keys.json>]
   forge client submit <manifest.json> [--server <addr>] [--key <key>]
   forge client status|wait|cancel <id> [--server] [--key] [--timeout-ms <ms>]
   forge client list|metrics [--server <addr>] [--key <key>]
@@ -927,16 +927,25 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     }
     config.job_timeout = Duration::from_millis(parse_number(&flags, "timeout-ms", 30_000u64)?);
     config.journal = flags.get("journal").map(PathBuf::from);
-    config.stage_cache_dir = flags.get("stage-cache").map(PathBuf::from);
-    if flags.contains_key("no-stage-cache") {
-        config.stage_cache = false;
-    }
     config.remote_cache = flags.get("remote-cache").cloned();
-    if config.remote_cache.is_some() && !config.stage_cache {
-        return Err(CliError::Config(
-            "--remote-cache requires the stage cache (drop --no-stage-cache)".into(),
-        ));
-    }
+    config.stage_cache = match (
+        flags.get("stage-cache"),
+        flags.contains_key("no-stage-cache"),
+    ) {
+        (Some(_), true) => {
+            return Err(CliError::Config(
+                "--stage-cache conflicts with --no-stage-cache (drop one)".into(),
+            ))
+        }
+        (None, true) if config.remote_cache.is_some() => {
+            return Err(CliError::Config(
+                "--remote-cache requires the stage cache (drop --no-stage-cache)".into(),
+            ))
+        }
+        (None, true) => StageCacheMode::Disabled,
+        (Some(dir), false) => StageCacheMode::Disk(dir.into()),
+        (None, false) => StageCacheMode::Memory,
+    };
 
     let keys = match flags.get("keys") {
         Some(path) => {

@@ -3,7 +3,7 @@
 
 use crate::profile::OptimizationProfile;
 use crate::report::FlowReport;
-use crate::template::{FlowStep, FlowTemplate};
+use crate::template::FlowStep;
 use chipforge_layout::Layout;
 use chipforge_netlist::Netlist;
 use chipforge_pdk::{Pdk, TechnologyNode};
@@ -28,8 +28,6 @@ pub struct FlowConfig {
     pub seed: u64,
     /// Insert a scan chain after synthesis (design-for-test).
     pub insert_scan: bool,
-    /// The flow template (step structure + enablement metadata).
-    pub template: FlowTemplate,
 }
 
 impl FlowConfig {
@@ -42,7 +40,6 @@ impl FlowConfig {
             clock_mhz: 100.0,
             seed: 1,
             insert_scan: false,
-            template: FlowTemplate::standard(),
         }
     }
 
@@ -68,8 +65,8 @@ impl FlowConfig {
     }
 
     /// A relaxed-parameter copy of this configuration for degraded
-    /// retries: same node, clock, seed and template, but the profile is
-    /// swapped for its [`OptimizationProfile::relaxed`] variant.
+    /// retries: same node, clock, seed and scan setting, but the profile
+    /// is swapped for its [`OptimizationProfile::relaxed`] variant.
     #[must_use]
     pub fn degraded(&self) -> Self {
         let mut config = self.clone();

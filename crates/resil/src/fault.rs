@@ -116,12 +116,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Probability of a transient stage error per attempt.
     pub transient_rate: f64,
-    /// Probability of a worker panic per attempt.
-    pub panic_rate: f64,
-    /// Probability of a slow-down per attempt.
-    pub slow_rate: f64,
-    /// Slow-down duration when one fires, in milliseconds.
-    pub slow_ms: u64,
     /// Probability that a freshly cached artifact is corrupted in place.
     pub corrupt_rate: f64,
 }
@@ -139,9 +133,6 @@ impl FaultPlan {
         FaultPlan {
             seed: 0,
             transient_rate: 0.0,
-            panic_rate: 0.0,
-            slow_rate: 0.0,
-            slow_ms: 0,
             corrupt_rate: 0.0,
         }
     }
@@ -156,21 +147,6 @@ impl FaultPlan {
         }
     }
 
-    /// Adds worker panics at `rate` per attempt.
-    #[must_use]
-    pub fn with_panic_rate(mut self, rate: f64) -> Self {
-        self.panic_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Adds `slow_ms`-millisecond slow-downs at `rate` per attempt.
-    #[must_use]
-    pub fn with_slowdowns(mut self, rate: f64, slow_ms: u64) -> Self {
-        self.slow_rate = rate.clamp(0.0, 1.0);
-        self.slow_ms = slow_ms;
-        self
-    }
-
     /// Adds cache corruption at `rate` per cached artifact.
     #[must_use]
     pub fn with_corrupt_rate(mut self, rate: f64) -> Self {
@@ -181,10 +157,7 @@ impl FaultPlan {
     /// Whether any fault can ever fire.
     #[must_use]
     pub fn is_active(&self) -> bool {
-        self.transient_rate > 0.0
-            || self.panic_rate > 0.0
-            || self.slow_rate > 0.0
-            || self.corrupt_rate > 0.0
+        self.transient_rate > 0.0 || self.corrupt_rate > 0.0
     }
 
     fn roll(&self, site: &str, key: &str, attempt: u32) -> f64 {
@@ -205,15 +178,6 @@ impl FaultPlan {
     #[must_use]
     pub fn disruption(&self, key: &str, attempt: u32) -> Disruption {
         let mut disruption = Disruption::none();
-        if !self.is_active() {
-            return disruption;
-        }
-        if self.slow_rate > 0.0 && self.roll("slow", key, attempt) < self.slow_rate {
-            disruption.slow_ms = Some(self.slow_ms);
-        }
-        if self.panic_rate > 0.0 && self.roll("panic", key, attempt) < self.panic_rate {
-            disruption.panic = true;
-        }
         if self.transient_rate > 0.0 && self.roll("transient", key, attempt) < self.transient_rate {
             let pick = self.hash("stage", key, attempt) as usize % TRANSIENT_STAGES.len();
             disruption.transient_stage = Some(TRANSIENT_STAGES[pick]);

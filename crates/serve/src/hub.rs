@@ -1,22 +1,21 @@
 //! The hub scheduling core: admission, fair-share dispatch, execution
 //! and crash recovery — the live counterpart of the DES in
-//! `chipforge-cloud`, built from the *same* `chipforge-admit` types.
+//! `chipforge-cloud`, driving the *same* [`Scheduler`].
 //!
-//! Time is seconds since hub start (an `f64`, matching the abstract
-//! clock the admit types use). Each accepted job waits in its tier's
-//! bounded [`ClassQueues`] slot until a worker thread's
-//! [`FairShare::pick`] selects its class; the worker then hands it to
-//! the hub's one long-lived [`JobExecutor`] — the same per-job path
-//! (artifact and stage caches, retry loop, per-attempt deadline) the batch
-//! engine's pool workers call, with no engine built around it — and
-//! charges the measured service seconds back to the fair share. A job's
-//! panic is contained inside its attempt; nothing supervises the worker
-//! threads themselves. Completed jobs append to the
-//! `chipforge-resil` journal; [`Hub::new`] reloads that journal, so a
-//! killed-and-restarted hub re-lists every completed job.
+//! The scheduler's clock is seconds since hub start, read under the hub
+//! lock. [`Hub::submit`] offers each job to its tier's token bucket and
+//! bounded queue; a worker thread takes the [`Scheduler::next`] job and
+//! hands it to the hub's one long-lived [`JobExecutor`] — the same
+//! per-job path (artifact and stage caches, retry loop, per-attempt
+//! deadline) the batch engine's pool workers call, with no engine built
+//! around it — and charges the measured service seconds back to the
+//! tier's fair share. A job's panic is contained inside its attempt;
+//! nothing supervises the worker threads themselves. Completed jobs
+//! append to the `chipforge-resil` journal; [`Hub::new`] reloads that
+//! journal, so a killed-and-restarted hub re-lists every completed job.
 
 use crate::auth::Identity;
-use chipforge_admit::{Admission, ClassQueues, FairShare, OverflowPolicy, RateLimit, TokenBucket};
+use chipforge_admit::{Admission, AdmissionPolicy, Dispatch, OverflowPolicy, RateLimit, Scheduler};
 use chipforge_cloud::AccessTier;
 use chipforge_exec::remote::chain_body;
 use chipforge_exec::{
@@ -56,11 +55,10 @@ pub struct HubConfig {
     /// Checkpoint journal path; completed jobs are appended (fsynced)
     /// and recovered on restart. `None` disables persistence.
     pub journal: Option<PathBuf>,
-    /// Stage-snapshot cache directory; `None` keeps stage caching
-    /// in-memory only.
-    pub stage_cache_dir: Option<PathBuf>,
-    /// Whether to attach a stage cache at all.
-    pub stage_cache: bool,
+    /// Where the hub keeps stage snapshots: in memory (the default), in
+    /// memory with a disk tier (`forge serve --stage-cache <dir>`), or
+    /// nowhere (`--no-stage-cache`).
+    pub stage_cache: StageCacheMode,
     /// Upstream remote stage cache (`forge serve --remote-cache <url>`):
     /// this hub's stage cache chains to another hub's cache protocol
     /// endpoints, so a fleet of hubs shares one warm tier. Failure-first
@@ -80,8 +78,7 @@ impl Default for HubConfig {
             rate_limits: [None, None, None],
             job_timeout: Duration::from_secs(30),
             journal: None,
-            stage_cache_dir: None,
-            stage_cache: true,
+            stage_cache: StageCacheMode::Memory,
             remote_cache: None,
         }
     }
@@ -140,9 +137,8 @@ struct JobEntry {
     university: String,
     tier: AccessTier,
     state: JobState,
-    /// Present while the job still has to run.
-    spec: Option<JobSpec>,
-    key: String,
+    /// Present while the job still has to run, with its cache key.
+    spec: Option<(JobSpec, CacheKey)>,
     tracer: Tracer,
     submitted_ms: f64,
     started_ms: Option<f64>,
@@ -159,14 +155,11 @@ struct JobEntry {
 
 struct HubState {
     jobs: BTreeMap<u64, JobEntry>,
-    waiting: ClassQueues<u64>,
-    fair: FairShare,
-    buckets: [Option<TokenBucket>; 3],
+    /// Job ids by tier, on seconds since hub start.
+    scheduler: Scheduler<u64>,
     journal: Option<JournalWriter>,
     next_id: u64,
     next_seq: u64,
-    rejected: [u64; 3],
-    shed: [u64; 3],
 }
 
 /// Request counters for the `/cache/stage/<key>` and `/cache/chain/<key>,…`
@@ -209,16 +202,19 @@ impl Hub {
     ///
     /// Returns a message when the journal cannot be read or opened.
     pub fn new(config: HubConfig) -> Result<Self, String> {
+        let policy = AdmissionPolicy {
+            queue_capacity: config.queue_capacity,
+            overflow: config.overflow,
+            rate_limits: config.rate_limits.to_vec(),
+            weights: config.weights.to_vec(),
+            aging_rate: config.aging_rate,
+        };
         let mut state = HubState {
             jobs: BTreeMap::new(),
-            waiting: ClassQueues::new(3),
-            fair: FairShare::new(config.weights.to_vec(), config.aging_rate),
-            buckets: core::array::from_fn(|i| config.rate_limits[i].map(TokenBucket::new)),
+            scheduler: Scheduler::new(policy, Dispatch::FairShare),
             journal: None,
             next_id: 0,
             next_seq: 0,
-            rejected: [0; 3],
-            shed: [0; 3],
         };
         if let Some(path) = &config.journal {
             if path.exists() {
@@ -231,16 +227,8 @@ impl Hub {
                     .map_err(|e| format!("open journal `{}`: {e}", path.display()))?,
             );
         }
-        let stage_cache = if config.stage_cache {
-            let mode = config
-                .stage_cache_dir
-                .clone()
-                .map_or(StageCacheMode::Memory, StageCacheMode::Disk);
-            let remote = config.remote_cache.clone().map(RemoteCacheConfig::new);
-            StageCache::from_mode(&mode, remote.as_ref())
-        } else {
-            None
-        };
+        let remote = config.remote_cache.clone().map(RemoteCacheConfig::new);
+        let stage_cache = StageCache::from_mode(&config.stage_cache, remote.as_ref());
         let limits = AttemptLimits {
             timeout: config.job_timeout,
             max_retries: 1,
@@ -267,7 +255,7 @@ impl Hub {
         })
     }
 
-    /// Seconds since hub start — the abstract clock the admit types see.
+    /// Seconds since hub start — the clock the scheduler sees.
     fn now_s(&self) -> f64 {
         self.inner.started.elapsed().as_secs_f64()
     }
@@ -366,31 +354,28 @@ impl Hub {
         stored
     }
 
-    /// Offers one job on behalf of `who`. Admission is decided here:
-    /// token bucket first, then the tier's bounded queue.
+    /// Offers one job on behalf of `who` to the scheduler: the tier's
+    /// token bucket first, then its bounded queue.
     pub fn submit(&self, who: &Identity, spec: JobSpec) -> SubmitOutcome {
         let now = self.now_s();
         let tier = who.tier;
-        let class = tier.priority() as usize;
         let spec = spec.with_tier(tier);
-        let key = CacheKey::of(&spec).to_string();
+        let key = CacheKey::of(&spec);
         let mut state = self.inner.state.lock().expect("hub lock");
-        let within_rate = state.buckets[class]
-            .as_mut()
-            .is_none_or(|bucket| bucket.try_acquire(now));
-        if !within_rate {
-            state.rejected[class] += 1;
-            return SubmitOutcome::RateLimited;
-        }
         let id = state.next_id;
+        let displaced = match state.scheduler.offer(tier.priority() as usize, id, now) {
+            Admission::Admitted => None,
+            Admission::RateLimited(_) => return SubmitOutcome::RateLimited,
+            Admission::Rejected(_) => return SubmitOutcome::QueueFull,
+            Admission::Shed(displaced) => Some(displaced),
+        };
         state.next_id += 1;
         let entry = JobEntry {
             name: spec.name.clone(),
             university: who.university.clone(),
             tier,
             state: JobState::Queued,
-            spec: Some(spec),
-            key,
+            spec: Some((spec, key)),
             tracer: Tracer::new(),
             submitted_ms: now * 1e3,
             started_ms: None,
@@ -403,33 +388,14 @@ impl Hub {
             gds_fnv: None,
             recovered: false,
         };
-        match state.waiting.offer(
-            class,
-            id,
-            now,
-            self.inner.config.queue_capacity,
-            self.inner.config.overflow,
-        ) {
-            Admission::Admitted => {
-                state.jobs.insert(id, entry);
-            }
-            Admission::Rejected(_) => {
-                state.rejected[class] += 1;
-                state.next_id = id; // nothing was stored under this id
-                return SubmitOutcome::QueueFull;
-            }
-            Admission::Shed(displaced) => {
-                state.jobs.insert(id, entry);
-                state.shed[class] += 1;
-                // With capacity zero the newcomer itself is the shed
-                // entry; either way the displaced job lands terminal.
-                if let Some(old) = state.jobs.get_mut(&displaced) {
-                    old.state = JobState::Cancelled;
-                    old.finished_ms = Some(now * 1e3);
-                    old.error = Some("shed: displaced by a newer arrival".into());
-                    old.spec = None;
-                }
-            }
+        state.jobs.insert(id, entry);
+        // With capacity zero the newcomer itself is the shed entry;
+        // either way the displaced job lands terminal.
+        if let Some(old) = displaced.and_then(|old| state.jobs.get_mut(&old)) {
+            old.state = JobState::Cancelled;
+            old.finished_ms = Some(now * 1e3);
+            old.error = Some("shed: displaced by a newer arrival".into());
+            old.spec = None;
         }
         drop(state);
         self.inner.work_ready.notify_all();
@@ -506,7 +472,9 @@ impl Hub {
                 run_failed += u64::from(entry.state == JobState::Failed);
             }
         }
-        let tier_seq = |f: &dyn Fn(usize) -> Value| Value::Seq((0..3).map(f).collect());
+        let tier_seq = |f: &dyn Fn(usize) -> usize| {
+            Value::Seq((0..3).map(|c| Value::U64(f(c) as u64)).collect())
+        };
         let mut fields = vec![
             (
                 Value::Str("uptime_ms".into()),
@@ -532,19 +500,19 @@ impl Hub {
                 Value::Map(vec![
                     (
                         Value::Str("queue_depth".into()),
-                        tier_seq(&|c| Value::U64(state.waiting.depth(c) as u64)),
+                        tier_seq(&|c| state.scheduler.depth(c)),
                     ),
                     (
                         Value::Str("peak_depth".into()),
-                        tier_seq(&|c| Value::U64(state.waiting.peak_depth(c) as u64)),
+                        tier_seq(&|c| state.scheduler.stats(c).peak_depth),
                     ),
                     (
                         Value::Str("rejected".into()),
-                        tier_seq(&|c| Value::U64(state.rejected[c])),
+                        tier_seq(&|c| state.scheduler.stats(c).rejected),
                     ),
                     (
                         Value::Str("shed".into()),
-                        tier_seq(&|c| Value::U64(state.shed[c])),
+                        tier_seq(&|c| state.scheduler.stats(c).shed),
                     ),
                 ]),
             ),
@@ -646,7 +614,6 @@ fn recover(state: &mut HubState, journal: &Journal) {
             tier,
             state: job_state,
             spec: None,
-            key: record.key.clone(),
             tracer: Tracer::disabled(),
             submitted_ms: 0.0,
             started_ms: None,
@@ -748,22 +715,19 @@ fn job_json(id: u64, entry: &JobEntry, with_progress: bool) -> Value {
     Value::Map(fields)
 }
 
-/// The worker loop: fair-share pick under the lock, flow execution
-/// outside it, result + journal + usage charge back under the lock.
+/// The worker loop: the scheduler's next job under the lock, flow
+/// execution outside it, result + journal + usage charge back under the
+/// lock.
 fn worker_loop(inner: &Arc<HubInner>, worker: usize) {
     loop {
-        let picked = {
+        let (id, class, spec, key, tracer) = {
             let mut state = inner.state.lock().expect("hub lock");
             loop {
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 let now = inner.started.elapsed().as_secs_f64();
-                if let Some(class) = state.fair.pick(&state.waiting, now) {
-                    let (id, _) = state
-                        .waiting
-                        .pop_front(class)
-                        .expect("picked class has work");
+                if let Some((class, id, _)) = state.scheduler.next(now) {
                     let Some(entry) = state.jobs.get_mut(&id) else {
                         continue; // shed and pruned meanwhile
                     };
@@ -772,20 +736,17 @@ fn worker_loop(inner: &Arc<HubInner>, worker: usize) {
                     }
                     entry.state = JobState::Running;
                     entry.started_ms = Some(now * 1e3);
-                    let spec = entry.spec.take().expect("queued job keeps its spec");
-                    break Some((id, class, spec, entry.tracer.clone()));
+                    let (spec, key) = entry.spec.take().expect("queued job keeps its spec");
+                    break (id, class, spec, key, entry.tracer.clone());
                 }
                 state = inner.work_ready.wait(state).expect("hub lock");
             }
-        };
-        let Some((id, class, spec, tracer)) = picked else {
-            return;
         };
 
         let run_started = Instant::now();
         let job = QueuedJob {
             index: id as usize,
-            key: CacheKey::of(&spec),
+            key,
             // A spec's `deadline_ms` budget runs from worker pickup.
             deadline: spec
                 .deadline_ms
@@ -799,7 +760,7 @@ fn worker_loop(inner: &Arc<HubInner>, worker: usize) {
         let service_s = run_started.elapsed().as_secs_f64();
 
         let mut state = inner.state.lock().expect("hub lock");
-        state.fair.charge(class, service_s);
+        state.scheduler.charge(class, service_s);
         let now_ms = inner.started.elapsed().as_secs_f64() * 1e3;
         let seq = state.next_seq;
         let record = {
@@ -822,7 +783,7 @@ fn worker_loop(inner: &Arc<HubInner>, worker: usize) {
             JournalRecord {
                 seq,
                 index: id as usize,
-                key: entry.key.clone(),
+                key: job.key.to_string(),
                 name: encode_job_name(entry),
                 status: result.status.to_string(),
                 attempts: entry.attempts,
@@ -951,6 +912,58 @@ mod tests {
             .filter_map(Value::as_u64)
             .sum();
         assert_eq!(rejected_gauge, rejected);
+        hub.shutdown();
+    }
+
+    #[test]
+    fn rate_limited_and_queue_full_both_count_as_rejected() {
+        // One worker held by a hanging job, room for one queued job, and
+        // a beginner bucket of three tokens that does not refill within
+        // the test.
+        let hub = Hub::new(HubConfig {
+            workers: 1,
+            queue_capacity: Some(1),
+            rate_limits: [
+                Some(RateLimit {
+                    rate: 1e-6,
+                    burst: 3.0,
+                }),
+                None,
+                None,
+            ],
+            ..HubConfig::default()
+        })
+        .expect("hub");
+        let who = identity(AccessTier::Beginner);
+        let hang = quick_job(1).with_fault(chipforge_exec::Fault::Hang(1_000));
+        let SubmitOutcome::Accepted(first) = hub.submit(&who, hang) else {
+            panic!("accepted");
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let status = hub.job_status(&who, first).expect("job exists");
+            match status.get("state").as_str() {
+                Some("queued") => assert!(Instant::now() < deadline, "worker never started"),
+                Some("running") => break,
+                other => panic!("the hang ended before the queue filled: {other:?}"),
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(matches!(
+            hub.submit(&who, quick_job(2)),
+            SubmitOutcome::Accepted(_)
+        ));
+        assert_eq!(hub.submit(&who, quick_job(3)), SubmitOutcome::QueueFull);
+        assert_eq!(hub.submit(&who, quick_job(4)), SubmitOutcome::RateLimited);
+        let admission = hub.metrics().get("admission").clone();
+        let per_tier = |gauge: &str| -> Vec<u64> {
+            let values = admission.get(gauge).seq().expect("per-tier gauge");
+            values.iter().filter_map(Value::as_u64).collect()
+        };
+        assert_eq!(per_tier("rejected"), [2, 0, 0], "queue-full + rate-limited");
+        assert_eq!(per_tier("queue_depth"), [1, 0, 0]);
+        assert_eq!(per_tier("peak_depth"), [1, 0, 0]);
+        assert_eq!(per_tier("shed"), [0, 0, 0]);
         hub.shutdown();
     }
 

@@ -11,13 +11,12 @@
 //!   endpoints plus `/metrics` and `/healthz`. One request per
 //!   connection, hard caps on request-line/header/body sizes, and every
 //!   malformed input answered with a clean 4xx instead of a panic.
-//! - [`Hub`] — the scheduling core. Admission is the *existing*
-//!   `chipforge-admit` machinery, not a reimplementation: per-tier
-//!   bounded [`ClassQueues`](chipforge_admit::ClassQueues), optional
-//!   [`TokenBucket`](chipforge_admit::TokenBucket) rate limits and
-//!   weighted [`FairShare`](chipforge_admit::FairShare) dispatch with
-//!   aging — the same types the DES runs, which is what makes the E18
-//!   model-vs-reality comparison meaningful. Jobs execute on one
+//! - [`Hub`] — the scheduling core. Admission and dispatch are one
+//!   [`Scheduler`](chipforge_admit::Scheduler) — per-tier token buckets,
+//!   bounded queues and weighted fair share with aging — the very
+//!   scheduler the DES drives, here on wall seconds rather than virtual
+//!   hours, which is what makes the E18 model-vs-reality comparison
+//!   meaningful. Jobs execute on one
 //!   hub-lifetime [`JobExecutor`](chipforge_exec::JobExecutor) — the
 //!   per-job path the batch engine's own workers call — which owns the
 //!   hub-wide artifact and stage caches.

@@ -240,6 +240,29 @@ fn config_errors_exit_two() {
 }
 
 #[test]
+fn serve_stage_cache_conflicts_exit_two_before_binding() {
+    for (args, named) in [
+        (
+            &["--stage-cache", "unused-dir", "--no-stage-cache"][..],
+            "--stage-cache conflicts with --no-stage-cache",
+        ),
+        (
+            &["--no-stage-cache", "--remote-cache", "http://127.0.0.1:9"][..],
+            "--remote-cache requires the stage cache",
+        ),
+    ] {
+        let output = forge()
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .args(args)
+            .output()
+            .expect("forge serve executes");
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn missing_or_garbage_manifests_exit_two() {
     // Nonexistent manifest path: a clean config error, not a panic.
     let output = forge()

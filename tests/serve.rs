@@ -546,7 +546,7 @@ fn a_chain_lookup_answers_every_held_frame_in_one_body() {
     server.shutdown();
 
     let disabled = start_hub(HubConfig {
-        stage_cache: false,
+        stage_cache: chipforge::exec::StageCacheMode::Disabled,
         ..HubConfig::default()
     });
     let response = raw_send(
@@ -560,7 +560,7 @@ fn a_chain_lookup_answers_every_held_frame_in_one_body() {
 #[test]
 fn cache_protocol_is_a_409_without_a_stage_cache() {
     let server = start_hub(HubConfig {
-        stage_cache: false,
+        stage_cache: chipforge::exec::StageCacheMode::Disabled,
         ..HubConfig::default()
     });
     let addr = server.addr().to_string();
