@@ -1,7 +1,6 @@
 //! Weighted fair-share picking with anti-starvation aging, the
 //! [`Scheduler`](crate::Scheduler)'s
-//! [`Dispatch::FairShare`](crate::Dispatch::FairShare) rule, plus a
-//! deterministic weighted interleave for burst submissions.
+//! [`Dispatch::FairShare`](crate::Dispatch::FairShare) rule.
 
 /// Weighted fair-share scheduler state.
 ///
@@ -68,57 +67,6 @@ impl FairShare {
     }
 }
 
-/// Deterministically interleave per-class FIFO lists by weight using
-/// smooth weighted round-robin: at each step every non-exhausted class
-/// gains its weight in credit, the highest-credit class (ties to the
-/// lowest index) emits its next item and pays back the total weight in
-/// play.
-///
-/// This is the burst-submission counterpart of fair-share dispatch: when
-/// an entire batch arrives at once there are no waits to age on, but the
-/// emitted order still honors the weights — e.g. weights `[2, 1]` over
-/// classes `A`/`B` yield `A A B A A B …` — while preserving FIFO order
-/// within each class.
-pub fn interleave_by_weight<T>(lists: Vec<Vec<T>>, weights: &[f64]) -> Vec<T> {
-    assert_eq!(lists.len(), weights.len(), "one weight per class");
-    assert!(
-        weights.iter().all(|w| w.is_finite() && *w > 0.0),
-        "weights must be finite and positive"
-    );
-    let mut queues: Vec<std::collections::VecDeque<T>> =
-        lists.into_iter().map(Into::into).collect();
-    let mut credit = vec![0.0; queues.len()];
-    let total: usize = queues.iter().map(|q| q.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    while out.len() < total {
-        let active: f64 = queues
-            .iter()
-            .zip(weights)
-            .filter(|(q, _)| !q.is_empty())
-            .map(|(_, w)| *w)
-            .sum();
-        let mut best: Option<(f64, usize)> = None;
-        for (class, queue) in queues.iter().enumerate() {
-            if queue.is_empty() {
-                continue;
-            }
-            credit[class] += weights[class];
-            // Strict `>` keeps ties on the lowest class index.
-            if best.is_none_or(|(c, _)| credit[class] > c) {
-                best = Some((credit[class], class));
-            }
-        }
-        let (_, class) = best.expect("non-empty classes remain");
-        credit[class] -= active;
-        out.push(
-            queues[class]
-                .pop_front()
-                .expect("picked class is non-empty"),
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,31 +117,5 @@ mod tests {
         s.offer(2, 7usize, 0.0);
         assert_eq!(s.next(1.0), Some((2, 7, 0.0)));
         assert_eq!(s.next(1.0), None);
-    }
-
-    #[test]
-    fn interleave_two_to_one() {
-        let lists = vec![vec!["a1", "a2", "a3", "a4"], vec!["b1", "b2"]];
-        let out = interleave_by_weight(lists, &[2.0, 1.0]);
-        // Smooth WRR spreads the lighter class evenly: 2:1 in every
-        // window of three, not a burst of a's followed by all the b's.
-        assert_eq!(out, vec!["a1", "b1", "a2", "a3", "b2", "a4"]);
-    }
-
-    #[test]
-    fn interleave_preserves_fifo_within_class() {
-        let lists = vec![vec![0, 1, 2, 3], vec![10, 11, 12, 13]];
-        let out = interleave_by_weight(lists, &[1.0, 3.0]);
-        let a: Vec<_> = out.iter().copied().filter(|x| *x < 10).collect();
-        let b: Vec<_> = out.iter().copied().filter(|x| *x >= 10).collect();
-        assert_eq!(a, vec![0, 1, 2, 3]);
-        assert_eq!(b, vec![10, 11, 12, 13]);
-    }
-
-    #[test]
-    fn interleave_drains_exhausted_classes() {
-        let lists = vec![vec![1], vec![10, 11, 12]];
-        let out = interleave_by_weight(lists, &[5.0, 1.0]);
-        assert_eq!(out, vec![1, 10, 11, 12]);
     }
 }

@@ -1,6 +1,6 @@
-//! The one scheduler the simulated and the live hub both drive: bounded
-//! per-class FIFO queues behind per-class token buckets, drained by
-//! strict priority or aged fair share.
+//! The one scheduler the simulated hub, the live hub and the batch
+//! engine all drive: bounded per-class FIFO queues behind per-class
+//! token buckets, drained by strict priority or aged fair share.
 
 use std::collections::VecDeque;
 
@@ -57,9 +57,10 @@ pub struct ClassStats {
 /// bounded queue; [`next`](Self::next) picks a class by the [`Dispatch`]
 /// rule and hands out its head. The scheduler owns no threads and reads
 /// no clock: every call takes `now` on whatever clock the caller keeps —
-/// virtual hours in the simulator, wall seconds in the live hub — and
-/// only compares and subtracts it, so the same calls always make the
-/// same decisions.
+/// virtual hours in the simulator, wall seconds in the live hub, a
+/// constant zero for a batch that arrives as one burst — and only
+/// compares and subtracts it, so the same calls always make the same
+/// decisions.
 pub struct Scheduler<T> {
     capacity: Option<usize>,
     overflow: OverflowPolicy,

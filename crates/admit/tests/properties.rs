@@ -7,9 +7,7 @@
 //! lets the hub promise beginners a turn no matter how hard the
 //! advanced tier presses.
 
-use chipforge_admit::{
-    interleave_by_weight, Admission, AdmissionPolicy, Dispatch, RateLimit, Scheduler,
-};
+use chipforge_admit::{Admission, AdmissionPolicy, Dispatch, RateLimit, Scheduler};
 use proptest::prelude::*;
 
 const BEGINNER: usize = 0;
@@ -102,25 +100,6 @@ proptest! {
             (stats.offered, stats.admitted, stats.rejected, stats.shed),
             (offered, admitted, rejected, shed_count)
         );
-    }
-
-    /// Weighted interleave is a permutation that preserves FIFO order
-    /// within each class.
-    #[test]
-    fn interleave_is_an_order_preserving_permutation(
-        a_len in 0usize..20,
-        b_len in 0usize..20,
-        wa in 0.1f64..8.0,
-        wb in 0.1f64..8.0,
-    ) {
-        let a: Vec<i64> = (0..a_len as i64).collect();
-        let b: Vec<i64> = (100..100 + b_len as i64).collect();
-        let out = interleave_by_weight(vec![a.clone(), b.clone()], &[wa, wb]);
-        prop_assert_eq!(out.len(), a_len + b_len);
-        let a_out: Vec<i64> = out.iter().copied().filter(|x| *x < 100).collect();
-        let b_out: Vec<i64> = out.iter().copied().filter(|x| *x >= 100).collect();
-        prop_assert_eq!(a_out, a);
-        prop_assert_eq!(b_out, b);
     }
 
     /// A class's token bucket never admits more than burst + rate·T (+1

@@ -80,7 +80,7 @@ fn bench_batch_throughput(c: &mut Criterion) {
 
     // Admission control configured but never triggering: a queue window
     // far larger than the batch, flat tier weights and a breaker that
-    // cannot trip. Exercises the interleave/window/breaker plumbing
+    // cannot trip. Exercises the tiered scheduler/window/breaker plumbing
     // without a single rejection; must also stay within 5% of
     // `12_jobs_pool_cold`.
     group.bench_function("12_jobs_pool_cold_permissive_admission", |b| {

@@ -155,17 +155,20 @@ jobs (simulates a mid-batch kill); `--canonical-report` writes the
 scheduling-independent JSON report used to verify resumed runs.
 
 Workers: `--workers <n>` runs the batch on n threads that take
-admitted jobs in admission order; results, journal records and the
-canonical report do not depend on n.
+admitted jobs from the admission scheduler; results, journal records
+and the canonical report do not depend on n.
 
-Overload: `--max-queue <n>` bounds the waiting room to workers + n
-jobs, rejecting the overflow (`--shed-oldest` displaces the oldest
-submissions instead); `--deadline <ms>` cancels jobs cooperatively
-between flow stages once the budget from batch start expires;
-`--tier-quota <b,i,a>` interleaves admission by access-tier weights
-(beginner,intermediate,advanced — e.g. 2,1,1); `--breaker-threshold
-<n>` trips a per-stage circuit breaker after n consecutive transient
-stage failures and fast-fails jobs while it is open.
+Overload: the whole batch is offered to the same admission scheduler
+`forge serve` uses before any worker starts. `--max-queue <n>` bounds
+each class's waiting room to workers + n jobs, rejecting the overflow
+(`--shed-oldest` displaces the class's oldest submissions instead);
+without `--tier-quota` the batch is one class. `--tier-quota <b,i,a>`
+makes each access tier (beginner,intermediate,advanced — e.g. 2,1,1)
+its own class and has workers take jobs by those fair-share weights;
+`--deadline <ms>` cancels jobs cooperatively between flow stages once
+the budget from batch start expires; `--breaker-threshold <n>` trips a
+per-stage circuit breaker after n consecutive transient stage failures
+and fast-fails jobs while it is open.
 
 Incremental: `--stage-cache <dir>` keeps per-stage flow snapshots in
 <dir> (created if missing), so jobs sharing a front end — clock or
@@ -743,10 +746,11 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     }
     if admission_requested {
         let admit = &batch.report.admission;
+        // A shed job also reports status `rejected`; count it as shed only.
         println!(
             "admit:  {} admitted, {} rejected, {} shed, {} deadline-exceeded, peak queue depth {}",
             admit.admitted,
-            totals.rejected,
+            totals.rejected - admit.shed,
             admit.shed,
             totals.deadline_exceeded,
             admit.peak_queue_depth,

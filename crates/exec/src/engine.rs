@@ -2,13 +2,14 @@
 //! coordinator, its worker pool and its journal/admission glue.
 //!
 //! [`BatchEngine::run_batch_resilient`] restores jobs a prior journal
-//! already holds, applies admission control (tier interleave, bounded
-//! waiting room), runs the admitted work on a pool of `workers` scoped
-//! threads and assembles the [`ExecutionReport`]. Each worker claims the
-//! next admitted job in admission order from one shared queue and runs
-//! it through the engine's one [`JobExecutor`] ([`crate::attempt`]),
-//! which owns the caches and the retry loop; the pool stops when the
-//! queue is empty or the checkpoint halts it. A job's panic is caught
+//! already holds, offers the rest to one [`Scheduler`] (the admission
+//! state machine the simulated and the live hub drive too) before any
+//! worker starts, runs the admitted work on a pool of `workers` scoped
+//! threads and assembles the [`ExecutionReport`]. Each worker takes the
+//! scheduler's next job under one mutex and runs it through the
+//! engine's one [`JobExecutor`] ([`crate::attempt`]), which owns the
+//! caches and the retry loop; the pool stops when the scheduler is
+//! empty or the checkpoint halts it. A job's panic is caught
 //! inside its attempt; a panic in a worker itself surfaces from the
 //! batch call when the pool joins.
 //!
@@ -28,7 +29,7 @@ use crate::job::{JobResult, JobSpec, JobStatus, RestoredArtifact};
 use crate::metrics::{AdmissionRecord, ExecutionReport, RemoteCacheRecord, WorkerRecord};
 use crate::remote::{RemoteCacheConfig, RemoteCounters};
 use crate::stage_cache::{StageCache, StageCacheMode};
-use chipforge_admit::interleave_by_weight;
+use chipforge_admit::{Admission, AdmissionPolicy, Dispatch, Scheduler};
 use chipforge_obs::Tracer;
 use chipforge_resil::{FaultPlan, Journal, JournalRecord, JournalWriter, ResiliencePolicy};
 use std::collections::HashSet;
@@ -99,33 +100,37 @@ impl EngineConfig {
     }
 }
 
-/// Admission-control knobs for one batch (built on `chipforge-admit`).
-/// The default is fully inert: unbounded queue, no deadline, no tier
-/// weighting, no circuit breaker.
+/// Admission-control knobs for one batch, applied through a
+/// `chipforge_admit::Scheduler` with the same meaning `forge serve`
+/// gives them. The default is fully inert: unbounded queue, no
+/// deadline, no tier weighting, no circuit breaker.
 ///
-/// A batch arrives as one burst, so admission decisions are made at
-/// submission time — before any worker runs — which keeps rejections
-/// deterministic across worker counts and scheduling orders.
+/// A batch arrives as one burst: every job is offered at time zero in
+/// submission order before any worker runs, which keeps rejections
+/// deterministic across worker counts and scheduling orders. Without
+/// `tier_weights` the batch is one FIFO class; with them, each access
+/// tier is its own class.
 #[derive(Debug, Clone)]
 pub struct AdmissionControl {
     /// Waiting-room capacity beyond the worker pool: at most
-    /// `workers + max_queue` jobs are admitted per batch. The rest are
+    /// `workers + max_queue` jobs are admitted per class. The rest are
     /// reported [`JobStatus::Rejected`] (or, under `shed_oldest`, the
-    /// oldest submissions are displaced instead).
+    /// class's oldest submissions are displaced instead).
     pub max_queue: Option<usize>,
-    /// When the queue window is full, shed the oldest submissions in
-    /// favor of newer ones instead of rejecting the newcomers.
+    /// When a class's queue window is full, shed its oldest submissions
+    /// in favor of newer ones instead of rejecting the newcomers.
     pub shed_oldest: bool,
     /// Deadline applied to every job, measured from batch start and
     /// combined (tightest wins) with each spec's own `deadline_ms`.
     /// Expired jobs are cooperatively cancelled *between* flow stages
     /// and reported [`JobStatus::DeadlineExceeded`] — never cached.
     pub deadline: Option<Duration>,
-    /// Fair-share interleave weights per access tier (beginner,
-    /// intermediate, advanced). Jobs are reordered at admission with
-    /// smooth weighted round-robin so a saturating advanced-tier burst
-    /// cannot monopolize the head of the queue. Must be finite and
-    /// positive; callers validate before building the batch.
+    /// Fair-share weights per access tier (beginner, intermediate,
+    /// advanced). Each tier becomes its own bounded class and workers
+    /// take jobs by weighted fair share, so a saturating advanced-tier
+    /// burst can neither crowd the other tiers out of admission nor
+    /// monopolize the pool. Must be finite and positive; callers
+    /// validate before building the batch.
     pub tier_weights: Option<[f64; 3]>,
     /// Consecutive transient failures at one flow stage before that
     /// stage's circuit breaker trips open and fast-fails later jobs.
@@ -355,41 +360,37 @@ impl BatchEngine {
             }
         }
 
-        // Admission control: tier-weighted fair-share ordering, then a
-        // bounded waiting room. Jobs turned away here never reach a
-        // worker; they are journaled so a resumed run does not
+        // Admission control: every job is offered to the batch's
+        // scheduler before any worker runs. Jobs turned away here never
+        // reach a worker; they are journaled so a resumed run does not
         // re-admit them as duplicates.
-        if let Some(weights) = options.admission.tier_weights {
-            work = interleave_tiers(work, weights);
-        }
-        let shed = options.admission.shed_oldest;
+        let admission = &options.admission;
+        let shed = admission.shed_oldest;
+        let window = admission.max_queue.map(|max_queue| capacity + max_queue);
+        let policy = admission_policy(admission, window);
+        let classes = policy.classes();
+        let mut scheduler = Scheduler::new(policy, Dispatch::FairShare);
         let mut turned_away: Vec<(String, JobResult)> = Vec::new();
-        if let Some(max_queue) = options.admission.max_queue {
-            let window = capacity + max_queue;
-            if work.len() > window {
-                let excess = work.len() - window;
-                let overflow: Vec<QueuedJob> = if shed {
-                    work.drain(..excess).collect()
-                } else {
-                    work.split_off(window)
-                };
-                for item in overflow {
-                    self.tracer.instant("admit-reject", "exec", &item.spec.name);
-                    self.tracer
-                        .add(if shed { "admit.shed" } else { "admit.rejected" }, 1);
-                    turned_away.push((
-                        item.key.to_string(),
-                        turned_away_result(&item, shed, window),
-                    ));
-                }
-            }
+        for item in work {
+            let class = if classes == 1 {
+                0
+            } else {
+                usize::from(item.spec.tier.priority())
+            };
+            let item = match scheduler.offer(class, item, 0.0) {
+                Admission::Admitted => continue,
+                Admission::RateLimited(item)
+                | Admission::Rejected(item)
+                | Admission::Shed(item) => item,
+            };
+            self.tracer.instant("admit-reject", "exec", &item.spec.name);
+            self.tracer
+                .add(if shed { "admit.shed" } else { "admit.rejected" }, 1);
+            let window = window.expect("only a bounded queue turns jobs away");
+            let result = turned_away_result(&item, shed, window);
+            turned_away.push((item.key.to_string(), result));
         }
-        let admission_record = AdmissionRecord {
-            admitted: work.len(),
-            rejected: if shed { 0 } else { turned_away.len() },
-            shed: if shed { turned_away.len() } else { 0 },
-            peak_queue_depth: work.len().saturating_sub(capacity),
-        };
+        let admission_record = admission_record(&scheduler, classes, capacity);
         if self.tracer.is_enabled() {
             self.tracer.set_gauge(
                 "admit.peak_queue_depth",
@@ -432,8 +433,9 @@ impl BatchEngine {
         let worker_tracers: Vec<Tracer> = (0..capacity)
             .map(|worker_id| self.tracer.at(batch_span.id(), worker_id + 1))
             .collect();
+        let queue = Mutex::new(scheduler);
         let (executed, workers) =
-            run_pool(&self.executor, &batch, &checkpoint, &worker_tracers, &work);
+            run_pool(&self.executor, &batch, &checkpoint, &worker_tracers, &queue);
 
         let mut results: Vec<JobResult> = restored
             .into_iter()
@@ -489,8 +491,8 @@ impl BatchEngine {
     }
 }
 
-/// Runs `work` on one scoped thread per worker tracer. Each worker
-/// claims the next job in admission order, runs it, journals it, and
+/// Runs the admitted jobs on one scoped thread per worker tracer. Each
+/// worker takes the scheduler's next job, runs it, journals it, and
 /// stops when the queue is empty or the checkpoint has halted the batch
 /// (in-flight jobs finish and are journaled; unclaimed ones are simply
 /// not run — what a `kill -9` leaves behind, minus the torn line).
@@ -501,18 +503,23 @@ fn run_pool(
     batch: &BatchContext,
     checkpoint: &Checkpoint,
     worker_tracers: &[Tracer],
-    work: &[QueuedJob],
+    queue: &Mutex<Scheduler<QueuedJob>>,
 ) -> (Vec<JobResult>, Vec<WorkerRecord>) {
-    let next = AtomicUsize::new(0);
     let worker_loop = |worker: usize, tracer: &Tracer| {
         let mut results = Vec::new();
         let mut busy = Duration::ZERO;
         while !checkpoint.is_halted() {
-            let Some(job) = work.get(next.fetch_add(1, Ordering::SeqCst)) else {
+            let next = {
+                let mut scheduler = queue.lock().expect("scheduler lock");
+                scheduler
+                    .next(0.0)
+                    .inspect(|(class, _, _)| scheduler.charge(*class, 1.0))
+            };
+            let Some((_, job, _)) = next else {
                 break;
             };
             let picked_up = Instant::now();
-            let result = executor.run(worker, job, batch, tracer);
+            let result = executor.run(worker, &job, batch, tracer);
             checkpoint.record(job.key, &result, tracer);
             busy += picked_up.elapsed();
             results.push(result);
@@ -583,16 +590,43 @@ fn effective_deadline(
     tightest.map(|d| started + d)
 }
 
-/// Reorders a burst of work by access tier with smooth weighted
-/// round-robin (beginner/intermediate/advanced as classes 0/1/2), so
-/// one tier's flood cannot monopolize the head of the queue. FIFO
-/// order within each tier is preserved.
-fn interleave_tiers(work: Vec<QueuedJob>, weights: [f64; 3]) -> Vec<QueuedJob> {
-    let mut classes: Vec<Vec<QueuedJob>> = (0..3).map(|_| Vec::new()).collect();
-    for item in work {
-        classes[usize::from(item.spec.tier.priority())].push(item);
+/// The batch's admission policy. Without tier weights it has one FIFO
+/// class; with them, the three access tiers (beginner, intermediate,
+/// advanced as classes 0/1/2) share the pool by weighted fair share.
+/// Each class holds at most `window` jobs when one is set.
+fn admission_policy(admission: &AdmissionControl, window: Option<usize>) -> AdmissionPolicy {
+    let classes = admission.tier_weights.map_or(1, |weights| weights.len());
+    let mut policy = match window {
+        Some(window) => AdmissionPolicy::bounded(classes, window),
+        None => AdmissionPolicy::unbounded(classes),
+    };
+    if admission.shed_oldest {
+        policy = policy.with_shed_oldest();
     }
-    interleave_by_weight(classes, &weights)
+    if let Some(weights) = admission.tier_weights {
+        policy = policy.with_weights(weights.to_vec());
+    }
+    policy
+}
+
+/// The batch's [`AdmissionRecord`], summed over the scheduler's
+/// classes; a shed job counts as shed only, not also as admitted.
+fn admission_record(
+    scheduler: &Scheduler<QueuedJob>,
+    classes: usize,
+    workers: usize,
+) -> AdmissionRecord {
+    let mut record = AdmissionRecord::default();
+    for class in 0..classes {
+        let stats = scheduler.stats(class);
+        record.admitted += stats.admitted - stats.shed;
+        record.rejected += stats.rejected;
+        record.shed += stats.shed;
+        record.peak_queue_depth = record
+            .peak_queue_depth
+            .max(stats.peak_depth.saturating_sub(workers));
+    }
+    record
 }
 
 /// The terminal result for a job turned away at admission.
@@ -699,6 +733,7 @@ mod tests {
     use chipforge_flow::OptimizationProfile;
     use chipforge_hdl::designs;
     use chipforge_pdk::TechnologyNode;
+    use proptest::prelude::*;
 
     fn job(name: &str, seed: u64) -> JobSpec {
         JobSpec::new(
@@ -1062,9 +1097,10 @@ mod tests {
             },
             ..ResilienceOptions::default()
         };
-        // Four advanced jobs submitted ahead of one beginner job: strict
-        // FIFO would reject the beginner, but the weighted interleave
-        // moves it to the head of the queue before the window applies.
+        // Four advanced jobs submitted ahead of one beginner job: one
+        // shared window would reject the beginner, but each tier has its
+        // own window of 1 worker + 1 queue slot, so only the advanced
+        // overflow (adv2, adv3) is turned away.
         let mut jobs: Vec<JobSpec> = (0..4)
             .map(|i| job(&format!("adv{i}"), i).with_tier(AccessTier::Advanced))
             .collect();
@@ -1076,7 +1112,7 @@ mod tests {
             .find(|r| r.name == "newbie")
             .expect("beginner job present");
         assert_eq!(newbie.status, JobStatus::Succeeded);
-        assert_eq!(batch.report.admission.rejected, 3);
+        assert_eq!(batch.report.admission.rejected, 2);
     }
 
     #[test]
@@ -1337,6 +1373,64 @@ mod tests {
             .iter()
             .filter(|s| s.category == "flow")
             .all(|s| s.end_us() <= job.end_us()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Without tier weights the batch window is `workers + max_queue`
+        /// jobs in submission order: under reject the jobs past it are
+        /// turned away, under shed the earliest ones are, and the
+        /// admission record counts exactly those. `halt_after: Some(0)`
+        /// decides admission and runs no flow.
+        #[test]
+        fn one_class_window_turns_away_the_same_jobs(
+            n in 0usize..12,
+            workers in 1usize..4,
+            max_queue in 0usize..4,
+            shed_oldest in any::<bool>(),
+        ) {
+            let engine = BatchEngine::new(EngineConfig::with_workers(workers));
+            let options = ResilienceOptions {
+                admission: AdmissionControl {
+                    max_queue: Some(max_queue),
+                    shed_oldest,
+                    ..AdmissionControl::default()
+                },
+                halt_after: Some(0),
+                ..ResilienceOptions::default()
+            };
+            let jobs: Vec<JobSpec> = (0..n).map(|i| job(&format!("j{i}"), i as u64)).collect();
+            let batch = engine.run_batch_resilient(jobs, options);
+
+            let window = workers + max_queue;
+            let excess = n.saturating_sub(window);
+            let expected: Vec<usize> = if shed_oldest {
+                (0..excess).collect()
+            } else {
+                (window..n).collect()
+            };
+            let error = if shed_oldest {
+                format!("shed at admission: displaced by newer submissions (queue window {window})")
+            } else {
+                format!("rejected at admission: queue full (queue window {window})")
+            };
+            prop_assert!(batch.halted);
+            prop_assert_eq!(
+                batch.results.iter().map(|r| r.index).collect::<Vec<_>>(),
+                expected
+            );
+            for result in &batch.results {
+                prop_assert_eq!(result.status, JobStatus::Rejected);
+                prop_assert_eq!(result.error.as_deref(), Some(error.as_str()));
+            }
+            let admitted = n - excess;
+            let admission = &batch.report.admission;
+            prop_assert_eq!(admission.admitted, admitted);
+            prop_assert_eq!(admission.rejected, if shed_oldest { 0 } else { excess });
+            prop_assert_eq!(admission.shed, if shed_oldest { excess } else { 0 });
+            prop_assert_eq!(admission.peak_queue_depth, admitted.saturating_sub(workers));
+        }
     }
 
     #[test]

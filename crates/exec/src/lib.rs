@@ -14,9 +14,9 @@
 //!   only retry loop in the workspace; the batch pool's workers and the
 //!   `chipforge-serve` hub's workers both call it.
 //! - [`BatchEngine`] — the batch coordinator: journal resume, admission
-//!   control and reporting around a pool of `workers` scoped threads
-//!   that claim admitted jobs in admission order, so one broken design
-//!   never takes down a batch.
+//!   control through one `chipforge_admit::Scheduler` and reporting
+//!   around a pool of `workers` scoped threads that take admitted jobs
+//!   from it, so one broken design never takes down a batch.
 //! - [`ArtifactCache`] — content-addressed results keyed by a canonical
 //!   hash of everything that affects the artifact (source, node, profile
 //!   knobs, clock, seed), so resubmissions are served in microseconds.

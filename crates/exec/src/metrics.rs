@@ -111,20 +111,22 @@ pub struct BatchTotals {
     pub stage_means_ms: Vec<StageTime>,
 }
 
-/// Admission-control accounting for one batch. Decisions are made at
-/// submission time, so every field is deterministic across worker
-/// counts; `peak_queue_depth` is bounded by `max_queue` whenever a
-/// queue capacity is set (the CI overload smoke asserts this).
+/// Admission-control accounting for one batch, summed over the batch
+/// scheduler's classes (one class, or one per access tier). Decisions
+/// are made at submission time, so every field is deterministic across
+/// worker counts; `peak_queue_depth` is bounded by `max_queue` whenever
+/// a queue capacity is set, because every class is (the CI overload
+/// smoke asserts this).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AdmissionRecord {
-    /// Jobs admitted into the work queue.
+    /// Jobs admitted into the work queue and not shed later.
     pub admitted: usize,
-    /// Jobs rejected because the queue window was full.
+    /// Jobs rejected because their class's queue window was full.
     pub rejected: usize,
     /// Admitted-then-displaced jobs under the shed-oldest policy.
     pub shed: usize,
-    /// Admitted jobs beyond worker capacity — the waiting-room
-    /// high-water mark.
+    /// Jobs beyond worker capacity at the fullest class's high-water
+    /// mark: its peak depth less `workers`.
     pub peak_queue_depth: usize,
 }
 

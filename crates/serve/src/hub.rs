@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 /// Hub tuning knobs. The defaults mirror the bounded fair-share policy
 /// E16 found overload-robust: per-tier bounded queues, weighted
-/// interleave favouring beginners, anti-starvation aging.
+/// weights favouring beginners, anti-starvation aging.
 #[derive(Debug, Clone)]
 pub struct HubConfig {
     /// Worker threads (the hub's "servers" in DES terms).

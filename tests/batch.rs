@@ -594,3 +594,36 @@ fn rejected_jobs_are_journaled_and_resume_composes_with_admission() {
         "restored jobs tagged: {stdout}"
     );
 }
+
+#[test]
+fn shed_jobs_are_counted_once_on_the_admit_line() {
+    // Window = 1 worker + 0 queue slots: under shed-oldest each newer
+    // submission displaces the one before it, so the last job runs and
+    // the first two are shed. They report status `rejected`, but the
+    // admit line counts them as shed only.
+    let manifest = temp_file(
+        "shed.json",
+        r#"{"jobs": [
+            {"design": "counter8", "profile": "quick"},
+            {"design": "gray8", "profile": "quick"},
+            {"design": "lfsr8", "profile": "quick"}
+        ]}"#,
+    );
+    let output = forge()
+        .args(["batch", manifest.to_str().unwrap()])
+        .args(["--workers", "1", "--max-queue", "0", "--shed-oldest"])
+        .output()
+        .expect("forge batch executes");
+    std::fs::remove_file(&manifest).ok();
+    assert_eq!(
+        output.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        stdout.contains("admit:  1 admitted, 0 rejected, 2 shed"),
+        "admission summary line: {stdout}"
+    );
+}
