@@ -52,6 +52,17 @@ fn bench_backend(c: &mut Criterion) {
     c.bench_function("power/alu8", |b| {
         b.iter(|| estimate(&netlist, &lib, &PowerOptions::new(100.0)).expect("power"));
     });
+    // Sequential feedback that runs the activity iteration to its 12-round cap.
+    let cpu = chipforge::gen::resolve("gen:cpu/ctrl?width=32&depth=8&unroll=4&seed=1")
+        .expect("spec resolves")
+        .elaborate()
+        .expect("elaborates");
+    let cpu_netlist = synthesize(&cpu, &lib, &SynthOptions::default())
+        .expect("synth")
+        .netlist;
+    c.bench_function("power/cpu_ctrl_w32", |b| {
+        b.iter(|| estimate(&cpu_netlist, &lib, &PowerOptions::new(100.0)).expect("power"));
+    });
     let layout = build_layout(&netlist, &placement, &routing, &lib).expect("layout");
     c.bench_function("gds_write/alu8", |b| {
         b.iter(|| gds::write_gds(&layout));
