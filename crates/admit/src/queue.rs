@@ -168,6 +168,15 @@ impl<T> Scheduler<T> {
         stats.peak_depth = stats.peak_depth.max(queue.len());
     }
 
+    /// Takes the first item in `class` that `matches` out of its queue
+    /// without serving it (a cancelled job), freeing its place. Its
+    /// admission stays counted; `None` when no waiting item matches.
+    pub fn withdraw(&mut self, class: usize, matches: impl Fn(&T) -> bool) -> Option<T> {
+        let queue = &mut self.queues[class];
+        let at = queue.iter().position(|(item, _)| matches(item))?;
+        queue.remove(at).map(|(item, _)| item)
+    }
+
     /// Items waiting in `class`.
     #[must_use]
     pub fn depth(&self, class: usize) -> usize {
@@ -253,6 +262,19 @@ mod tests {
         assert_eq!(s.next(7.0), Some((0, 1, 0.0)));
         assert_eq!(s.next(7.0), Some((0, 3, 5.0)));
         assert_eq!(s.next(7.0), Some((0, 4, 1.0)));
+    }
+
+    #[test]
+    fn withdraw_frees_a_place_in_the_bound() {
+        let mut s = bounded(2);
+        s.offer(0, "a", 0.0);
+        s.offer(0, "b", 1.0);
+        assert_eq!(s.withdraw(0, |&item| item == "a"), Some("a"));
+        assert_eq!(s.withdraw(0, |&item| item == "a"), None);
+        assert_eq!(s.offer(0, "c", 2.0), Admission::Admitted);
+        assert_eq!(s.next(3.0), Some((0, "b", 1.0)));
+        assert_eq!(s.next(3.0), Some((0, "c", 2.0)));
+        assert_eq!(s.stats(0).admitted, 3, "a withdrawn item stays admitted");
     }
 
     #[test]

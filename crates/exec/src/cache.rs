@@ -8,7 +8,7 @@
 //! the same work share one entry regardless of how they are labelled.
 
 use crate::job::JobSpec;
-use chipforge_flow::FlowOutcome;
+use chipforge_flow::{FlowOutcome, Pipeline};
 use chipforge_resil::fnv64;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -16,81 +16,28 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Bumped whenever the key encoding or the flow's artifact semantics
-/// change, so stale persisted keys can never alias fresh ones. 4: signoff
-/// runs the staged equivalence prover, which proves designs the
-/// whole-AIG BDDs aborted on (3: the flow always runs the analytic
-/// placer and the Steiner router; 2 framed the kernel names and the
-/// annealer's move budget).
-const KEY_SCHEMA_VERSION: u8 = 4;
-
-/// A 128-bit content hash identifying one flow artifact.
+/// A 128-bit content hash identifying one flow artifact: the last key of
+/// the job's stage chain ([`Pipeline::stage_keys`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheKey(u128);
 
 impl CacheKey {
-    /// The canonical key for a job.
-    ///
-    /// Covered: source text, technology node, every behavioral profile
-    /// knob (library, synthesis effort, utilization, route and sizing
-    /// iterations), clock, seed and scan insertion.
-    /// Excluded: the job and profile *names* (labels) and any injected
-    /// fault (faults change whether the artifact is produced, never its
-    /// content).
+    /// The canonical key for a job: its export stage's key, which chains
+    /// every earlier stage's. What it covers is decided in one place, the
+    /// flow stages' `key_slice`s under `chipforge_flow::STAGE_KEY_SCHEMA`.
+    /// Labels (job and profile names) and injected faults are never
+    /// framed: a fault changes whether the artifact is produced, never
+    /// its content.
     #[must_use]
     pub fn of(spec: &JobSpec) -> Self {
-        let mut hasher = Fnv128::new();
-        hasher.frame(&[KEY_SCHEMA_VERSION]);
-        hasher.frame(spec.source.as_bytes());
-        hasher.frame(format!("{:?}", spec.node).as_bytes());
-        hasher.frame(format!("{:?}", spec.profile.library).as_bytes());
-        hasher.frame(format!("{:?}", spec.profile.synth_effort).as_bytes());
-        hasher.frame(&spec.profile.utilization.to_bits().to_le_bytes());
-        hasher.frame(&(spec.profile.route_iterations as u64).to_le_bytes());
-        hasher.frame(&(spec.profile.sizing_iterations as u64).to_le_bytes());
-        hasher.frame(&spec.clock_mhz.to_bits().to_le_bytes());
-        hasher.frame(&spec.seed.to_le_bytes());
-        hasher.frame(&[u8::from(spec.insert_scan)]);
-        CacheKey(hasher.finish())
+        let [.., (_, export)] = Pipeline::stage_keys(&spec.source, &spec.flow_config());
+        CacheKey(export)
     }
 }
 
 impl fmt::Display for CacheKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:032x}", self.0)
-    }
-}
-
-/// FNV-1a with a 128-bit state; fields are length-framed so adjacent
-/// variable-width fields can never alias each other's bytes.
-struct Fnv128 {
-    state: u128,
-}
-
-impl Fnv128 {
-    const OFFSET_BASIS: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-
-    fn new() -> Self {
-        Fnv128 {
-            state: Self::OFFSET_BASIS,
-        }
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u128::from(b);
-            self.state = self.state.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    fn frame(&mut self, bytes: &[u8]) {
-        self.update(&(bytes.len() as u64).to_le_bytes());
-        self.update(bytes);
-    }
-
-    fn finish(&self) -> u128 {
-        self.state
     }
 }
 
@@ -267,15 +214,8 @@ impl ArtifactCache {
     }
 
     /// Number of resident artifacts.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.store.lock().expect("cache lock").entries.len()
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Lifetime counters.
@@ -342,11 +282,12 @@ mod tests {
         assert_ne!(CacheKey::of(&knobs), base, "route iterations");
     }
 
-    /// The whole-flow key of one fixed job, pinned beside the values the
-    /// last annealing binary (schema 2: kernel names and move budget
-    /// framed) and the last whole-AIG-BDD binary (schema 3) computed for
-    /// it: a journal or artifact either wrote can never be restored as
-    /// this binary's result.
+    /// The whole-flow key of one fixed job is its export stage key
+    /// (pinned in `flow/tests/pipeline_props.rs`), beside the values the
+    /// last binaries with a key schema of exec's own computed for it —
+    /// schema 2 (kernel names and move budget framed), 3 (whole-AIG
+    /// BDDs) and 4 (staged prover): a journal or artifact any of them
+    /// wrote can never be restored as this binary's result.
     #[test]
     fn key_schema_is_pinned_and_misses_the_annealing_binarys() {
         let job = JobSpec::new(
@@ -358,8 +299,8 @@ mod tests {
         .with_clock_mhz(100.0)
         .with_seed(3);
         let key = CacheKey::of(&job).to_string();
-        assert_eq!(KEY_SCHEMA_VERSION, 4);
-        assert_eq!(key, "2a4e521c2f991b18c879398575a6bbf4");
+        assert_eq!(key, "75b083ff2a67e54ae1212a96cae821e5");
+        assert_ne!(key, "2a4e521c2f991b18c879398575a6bbf4", "schema-4 value");
         assert_ne!(key, "93335587fb795efe78980c5df66881a5", "schema-3 value");
         assert_ne!(key, "5ab4df6d9877c72f2b6e992e80cbe944", "schema-2 value");
     }

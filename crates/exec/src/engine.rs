@@ -25,13 +25,13 @@
 
 use crate::attempt::{AttemptLimits, BatchContext, JobExecutor, QueuedJob, StageBreakers};
 use crate::cache::{ArtifactCache, CacheKey};
-use crate::job::{JobResult, JobSpec, JobStatus, RestoredArtifact};
+use crate::job::{JobResult, JobSpec, JobStatus};
 use crate::metrics::{AdmissionRecord, ExecutionReport, RemoteCacheRecord, WorkerRecord};
 use crate::remote::{RemoteCacheConfig, RemoteCounters};
 use crate::stage_cache::{StageCache, StageCacheMode};
 use chipforge_admit::{Admission, AdmissionPolicy, Dispatch, Scheduler};
 use chipforge_obs::Tracer;
-use chipforge_resil::{FaultPlan, Journal, JournalRecord, JournalWriter, ResiliencePolicy};
+use chipforge_resil::{FaultPlan, Journal, JournalWriter, ResiliencePolicy};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -327,7 +327,7 @@ impl BatchEngine {
         // Restoration pass: jobs whose (index, key) match a verified
         // journal record are not re-executed. Matching on the content-
         // addressed key means an edited design re-runs transparently.
-        let mut restored: Vec<(String, JobResult)> = Vec::new();
+        let mut restored: Vec<(CacheKey, JobResult)> = Vec::new();
         let mut quarantined_keys: HashSet<CacheKey> = HashSet::new();
         let mut work: Vec<QueuedJob> = Vec::new();
         for (index, spec) in jobs.into_iter().enumerate() {
@@ -337,14 +337,14 @@ impl BatchEngine {
                 .resume
                 .as_ref()
                 .and_then(|journal| journal.find(index, &key.to_string()));
-            match record.and_then(|r| restore_result(index, r)) {
+            match record.and_then(JobResult::from_journal) {
                 Some(result) => {
                     self.tracer.instant("resume-skip", "exec", &spec.name);
                     self.tracer.add("exec.resumed", 1);
                     if result.status == JobStatus::Quarantined {
                         quarantined_keys.insert(key);
                     }
-                    restored.push((key.to_string(), result));
+                    restored.push((key, result));
                 }
                 None => {
                     let deadline =
@@ -370,7 +370,7 @@ impl BatchEngine {
         let policy = admission_policy(admission, window);
         let classes = policy.classes();
         let mut scheduler = Scheduler::new(policy, Dispatch::FairShare);
-        let mut turned_away: Vec<(String, JobResult)> = Vec::new();
+        let mut turned_away: Vec<(CacheKey, JobResult)> = Vec::new();
         for item in work {
             let class = if classes == 1 {
                 0
@@ -388,7 +388,7 @@ impl BatchEngine {
                 .add(if shed { "admit.shed" } else { "admit.rejected" }, 1);
             let window = window.expect("only a bounded queue turns jobs away");
             let result = turned_away_result(&item, shed, window);
-            turned_away.push((item.key.to_string(), result));
+            turned_away.push((item.key, result));
         }
         let admission_record = admission_record(&scheduler, classes, capacity);
         if self.tracer.is_enabled() {
@@ -404,8 +404,8 @@ impl BatchEngine {
         let mut seq = 0u64;
         let mut journal = options.journal;
         if let Some(writer) = journal.as_mut() {
-            for (key_hex, result) in restored.iter().chain(turned_away.iter()) {
-                let record = journal_record(seq, key_hex.clone(), result);
+            for (key, result) in restored.iter().chain(turned_away.iter()) {
+                let record = result.to_journal(seq, *key);
                 if writer.append(&record).is_err() {
                     self.tracer.add("exec.journal_errors", 1);
                 }
@@ -642,46 +642,6 @@ fn turned_away_result(item: &QueuedJob, shed: bool, window: usize) -> JobResult 
     }
 }
 
-/// Rebuilds a [`JobResult`] from a verified journal record. Returns
-/// `None` for records whose status is unknown (future schema) so the
-/// job falls back to execution.
-fn restore_result(index: usize, record: &JournalRecord) -> Option<JobResult> {
-    let status = JobStatus::from_name(&record.status)?;
-    let restored = match (record.ppa.clone(), record.gds_fnv) {
-        (Some(ppa), Some(gds_fnv)) => Some(RestoredArtifact { ppa, gds_fnv }),
-        _ => None,
-    };
-    if status == JobStatus::Succeeded && restored.is_none() {
-        return None; // a succeeded record must carry its digests
-    }
-    Some(JobResult {
-        status,
-        attempts: record.attempts,
-        degraded: record.degraded,
-        resumed: true,
-        error: record.error.clone(),
-        restored,
-        ..JobResult::blank(index, &record.name)
-    })
-}
-
-/// Builds the journal record for a terminal result.
-fn journal_record(seq: u64, key: String, result: &JobResult) -> JournalRecord {
-    let digests = result.artifact_digests();
-    JournalRecord {
-        seq,
-        index: result.index,
-        key,
-        name: result.name.clone(),
-        status: result.status.to_string(),
-        attempts: result.attempts,
-        degraded: result.degraded,
-        error: result.error.clone(),
-        ppa: digests.as_ref().map(|(ppa, _)| ppa.clone()),
-        gds_fnv: digests.map(|(_, fnv)| fnv),
-    }
-}
-
 /// One batch's checkpoint journal and the halt latch it drives.
 struct Checkpoint {
     journal: Option<Mutex<JournalWriter>>,
@@ -709,7 +669,7 @@ impl Checkpoint {
             return;
         }
         let seq = self.seq.fetch_add(1, Ordering::SeqCst);
-        let record = journal_record(seq, key.to_string(), result);
+        let record = result.to_journal(seq, key);
         let appended = {
             let mut writer = journal.lock().expect("journal lock");
             writer.append(&record).is_ok()

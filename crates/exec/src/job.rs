@@ -1,8 +1,10 @@
 //! Job specifications and results.
 
+use crate::cache::CacheKey;
 use chipforge_cloud::AccessTier;
 use chipforge_flow::{FlowConfig, FlowOutcome, OptimizationProfile, PpaReport};
 use chipforge_pdk::TechnologyNode;
+use chipforge_resil::JournalRecord;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -150,8 +152,7 @@ impl JobStatus {
     }
 
     /// Parses a status from its display name (journal restoration).
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Self> {
+    fn from_name(name: &str) -> Option<Self> {
         Some(match name {
             "succeeded" => JobStatus::Succeeded,
             "failed" => JobStatus::Failed,
@@ -264,6 +265,51 @@ impl JobResult {
             (None, Some(restored)) => Some((restored.ppa.clone(), restored.gds_fnv)),
             (None, None) => None,
         }
+    }
+
+    /// The journal record of this terminal result under `key`, the
+    /// job's [`CacheKey`]: what `--resume` and hub recovery read back
+    /// through [`JobResult::from_journal`].
+    #[must_use]
+    pub fn to_journal(&self, seq: u64, key: CacheKey) -> JournalRecord {
+        let digests = self.artifact_digests();
+        JournalRecord {
+            seq,
+            index: self.index,
+            key: key.to_string(),
+            name: self.name.clone(),
+            status: self.status.to_string(),
+            attempts: self.attempts,
+            degraded: self.degraded,
+            error: self.error.clone(),
+            ppa: digests.as_ref().map(|(ppa, _)| ppa.clone()),
+            gds_fnv: digests.map(|(_, fnv)| fnv),
+        }
+    }
+
+    /// Rebuilds a resumed result from a verified journal record, at the
+    /// record's index. `None` for a status this binary does not know (a
+    /// future schema) or a success without its digests, so the job runs
+    /// again.
+    #[must_use]
+    pub fn from_journal(record: &JournalRecord) -> Option<Self> {
+        let status = JobStatus::from_name(&record.status)?;
+        let restored = match (record.ppa.clone(), record.gds_fnv) {
+            (Some(ppa), Some(gds_fnv)) => Some(RestoredArtifact { ppa, gds_fnv }),
+            _ => None,
+        };
+        if status.is_success() && restored.is_none() {
+            return None;
+        }
+        Some(JobResult {
+            status,
+            attempts: record.attempts,
+            degraded: record.degraded,
+            resumed: true,
+            error: record.error.clone(),
+            restored,
+            ..JobResult::blank(record.index, &record.name)
+        })
     }
 }
 

@@ -17,9 +17,10 @@
 //!   control through one `chipforge_admit::Scheduler` and reporting
 //!   around a pool of `workers` scoped threads that take admitted jobs
 //!   from it, so one broken design never takes down a batch.
-//! - [`ArtifactCache`] — content-addressed results keyed by a canonical
-//!   hash of everything that affects the artifact (source, node, profile
-//!   knobs, clock, seed), so resubmissions are served in microseconds.
+//! - [`ArtifactCache`] — content-addressed results keyed by
+//!   [`CacheKey`], the last key of the job's stage chain (everything that
+//!   affects the artifact, nothing that labels it), so resubmissions are
+//!   served in microseconds.
 //! - [`StageCache`] — the second cache level: per-stage flow snapshots
 //!   keyed by the pipeline's chained stage keys, so jobs that share a
 //!   front end (a clock or profile sweep over one design) restore the

@@ -3,7 +3,7 @@
 //! never matter, behavioral knobs always do.
 
 use chipforge_exec::{CacheKey, JobSpec};
-use chipforge_flow::OptimizationProfile;
+use chipforge_flow::{OptimizationProfile, Pipeline};
 use chipforge_pdk::{LibraryKind, TechnologyNode};
 use chipforge_synth::SynthEffort;
 use proptest::prelude::*;
@@ -122,5 +122,12 @@ proptest! {
         prop_assert_eq!(shown.len(), 32);
         prop_assert!(shown.chars().all(|c| c.is_ascii_hexdigit()));
         prop_assert_eq!(CacheKey::of(&spec).to_string(), shown);
+    }
+
+    #[test]
+    fn the_key_is_the_stage_chains_last_key(spec in any_spec()) {
+        let chain = Pipeline::stage_keys(&spec.source, &spec.flow_config());
+        let (_, last) = chain[chain.len() - 1];
+        prop_assert_eq!(CacheKey::of(&spec).to_string(), format!("{last:032x}"));
     }
 }

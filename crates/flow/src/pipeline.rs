@@ -38,8 +38,9 @@ pub const STAGE_KEY_SCHEMA: u8 = 2;
 const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
-/// Incremental FNV-1a (128-bit) with length-framed writes, mirroring the
-/// exec cache-key hasher so both layers share one canonical style.
+/// Incremental FNV-1a (128-bit) with length-framed writes: the one hasher
+/// behind every stage key, and so behind exec's whole-job `CacheKey`,
+/// which is the chain's last key.
 struct Fnv128 {
     hash: u128,
 }

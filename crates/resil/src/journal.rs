@@ -21,7 +21,8 @@ pub struct JournalRecord {
     pub seq: u64,
     /// Position in the submitted batch.
     pub index: usize,
-    /// Content-addressed cache key (32 hex digits) of the job spec.
+    /// The job's content-addressed key (32 hex digits): the last key of
+    /// its flow stage chain, as exec's `CacheKey` displays it.
     pub key: String,
     /// Job display name.
     pub name: String,

@@ -11,24 +11,27 @@
 //! around it — and charges the measured service seconds back to the
 //! tier's fair share. A job's panic is contained inside its attempt;
 //! nothing supervises the worker threads themselves. Completed jobs
-//! append to the `chipforge-resil` journal; [`Hub::new`] reloads that
-//! journal, so a killed-and-restarted hub re-lists every completed job.
+//! append to the `chipforge-resil` journal in exec's own record format
+//! ([`JobResult::to_journal`], the one `forge batch --resume` reads);
+//! [`Hub::new`] reloads that journal through
+//! [`JobResult::from_journal`], so a killed-and-restarted hub re-lists
+//! every completed job.
 
 use crate::auth::Identity;
 use chipforge_admit::{Admission, AdmissionPolicy, Dispatch, OverflowPolicy, RateLimit, Scheduler};
 use chipforge_cloud::AccessTier;
 use chipforge_exec::remote::chain_body;
 use chipforge_exec::{
-    ArtifactCache, AttemptLimits, BatchContext, CacheKey, JobExecutor, JobSpec, JobStatus,
-    QueuedJob, RemoteCacheConfig, StageCache, StageCacheMode, StageCounters,
+    ArtifactCache, AttemptLimits, BatchContext, CacheKey, CacheStats, JobExecutor, JobResult,
+    JobSpec, JobStatus, QueuedJob, RemoteCacheConfig, StageCache, StageCacheMode, StageCacheRecord,
+    StageCounters,
 };
-use chipforge_flow::PpaReport;
 use chipforge_obs::Tracer;
 use chipforge_resil::{Journal, JournalRecord, JournalWriter};
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -106,6 +109,15 @@ impl JobState {
         !matches!(self, JobState::Queued | JobState::Running)
     }
 
+    /// The state a job lands in when exec ends it with `status`.
+    fn ended(status: JobStatus) -> Self {
+        match status {
+            JobStatus::Succeeded => JobState::Succeeded,
+            JobStatus::Cancelled => JobState::Cancelled,
+            _ => JobState::Failed,
+        }
+    }
+
     /// Wire name, as reported in status JSON.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -130,7 +142,7 @@ pub enum SubmitOutcome {
     QueueFull,
 }
 
-/// One job's full hub-side record.
+/// One job's hub-side entry.
 #[derive(Debug)]
 struct JobEntry {
     name: String,
@@ -143,14 +155,29 @@ struct JobEntry {
     submitted_ms: f64,
     started_ms: Option<f64>,
     finished_ms: Option<f64>,
-    attempts: u32,
     cache_hit: bool,
-    degraded: bool,
-    error: Option<String>,
-    ppa: Option<PpaReport>,
-    gds_fnv: Option<u64>,
+    /// The terminal result as exec journals it ([`JobResult::to_journal`]):
+    /// digests, never the flow outcome. `None` while the job waits or
+    /// runs; a cancelled job's record is kept but never journaled.
+    record: Option<JournalRecord>,
     /// Restored from the journal at startup rather than run live.
     recovered: bool,
+}
+
+impl JobEntry {
+    /// Ends job `id`, which the scheduler no longer holds, before it
+    /// ran (cancelled, or shed from its queue), with `reason` as its
+    /// error.
+    fn withdraw(&mut self, id: u64, now_ms: f64, reason: &str) {
+        let (spec, key) = self.spec.take().expect("a queued job keeps its spec");
+        let result = JobResult {
+            error: Some(reason.into()),
+            ..JobResult::blank(id as usize, &spec.name)
+        };
+        self.state = JobState::Cancelled;
+        self.finished_ms = Some(now_ms);
+        self.record = Some(result.to_journal(0, key));
+    }
 }
 
 struct HubState {
@@ -164,17 +191,17 @@ struct HubState {
 
 /// Request counters for the `/cache/stage/<key>` and `/cache/chain/<key>,…`
 /// protocol endpoints.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, Copy, Serialize)]
 struct CacheProtocol {
-    gets: AtomicU64,
-    get_hits: AtomicU64,
-    puts: AtomicU64,
-    put_rejects: AtomicU64,
-    heads: AtomicU64,
-    head_hits: AtomicU64,
-    chains: AtomicU64,
-    chain_keys: AtomicU64,
-    chain_hits: AtomicU64,
+    gets: u64,
+    get_hits: u64,
+    puts: u64,
+    put_rejects: u64,
+    heads: u64,
+    head_hits: u64,
+    chains: u64,
+    chain_keys: u64,
+    chain_hits: u64,
 }
 
 struct HubInner {
@@ -184,7 +211,7 @@ struct HubInner {
     work_ready: Condvar,
     /// Runs every job; owns the hub-wide artifact and stage caches.
     executor: JobExecutor,
-    cache_protocol: CacheProtocol,
+    cache_protocol: Mutex<CacheProtocol>,
     shutdown: AtomicBool,
 }
 
@@ -239,7 +266,7 @@ impl Hub {
             state: Mutex::new(state),
             work_ready: Condvar::new(),
             executor: JobExecutor::new(limits, Arc::new(ArtifactCache::new(256)), stage_cache),
-            cache_protocol: CacheProtocol::default(),
+            cache_protocol: Mutex::default(),
             shutdown: AtomicBool::new(false),
             config,
         });
@@ -258,6 +285,11 @@ impl Hub {
     /// Seconds since hub start — the clock the scheduler sees.
     fn now_s(&self) -> f64 {
         self.inner.started.elapsed().as_secs_f64()
+    }
+
+    /// The cache protocol counters.
+    fn protocol(&self) -> std::sync::MutexGuard<'_, CacheProtocol> {
+        self.inner.cache_protocol.lock().expect("protocol counters")
     }
 
     /// How many jobs were rebuilt from the journal at startup.
@@ -287,11 +319,12 @@ impl Hub {
     #[must_use]
     pub fn cache_get(&self, key: u128) -> Option<String> {
         let stage_cache = self.inner.executor.stage_cache()?;
-        let protocol = &self.inner.cache_protocol;
-        protocol.gets.fetch_add(1, Ordering::Relaxed);
-        let frame = stage_cache.peek(key)?;
-        protocol.get_hits.fetch_add(1, Ordering::Relaxed);
-        Some(String::from(&*frame))
+        let frame = stage_cache.peek(key);
+        let mut protocol = self.protocol();
+        protocol.gets += 1;
+        protocol.get_hits += u64::from(frame.is_some());
+        drop(protocol);
+        Some(String::from(&*frame?))
     }
 
     /// Serves `GET /cache/chain/<key>,…`: one body with the frame of
@@ -305,14 +338,11 @@ impl Hub {
             .iter()
             .filter_map(|&key| Some((key, stage_cache.peek(key)?)))
             .collect();
-        let protocol = &self.inner.cache_protocol;
-        protocol.chains.fetch_add(1, Ordering::Relaxed);
-        protocol
-            .chain_keys
-            .fetch_add(keys.len() as u64, Ordering::Relaxed);
-        protocol
-            .chain_hits
-            .fetch_add(held.len() as u64, Ordering::Relaxed);
+        let mut protocol = self.protocol();
+        protocol.chains += 1;
+        protocol.chain_keys += keys.len() as u64;
+        protocol.chain_hits += held.len() as u64;
+        drop(protocol);
         Some(chain_body(held.iter().map(|(key, frame)| (*key, &**frame))))
     }
 
@@ -323,12 +353,10 @@ impl Hub {
         let Some(stage_cache) = self.inner.executor.stage_cache() else {
             return false;
         };
-        let protocol = &self.inner.cache_protocol;
-        protocol.heads.fetch_add(1, Ordering::Relaxed);
         let hit = stage_cache.holds(key);
-        if hit {
-            protocol.head_hits.fetch_add(1, Ordering::Relaxed);
-        }
+        let mut protocol = self.protocol();
+        protocol.heads += 1;
+        protocol.head_hits += u64::from(hit);
         hit
     }
 
@@ -345,12 +373,11 @@ impl Hub {
         let Some(stage_cache) = self.inner.executor.stage_cache() else {
             return Err("stage cache disabled".into());
         };
-        let protocol = &self.inner.cache_protocol;
-        protocol.puts.fetch_add(1, Ordering::Relaxed);
         let stored = stage_cache.insert_frame(key, body);
-        if stored.is_err() {
-            protocol.put_rejects.fetch_add(1, Ordering::Relaxed);
-        }
+        let mut protocol = self.protocol();
+        protocol.puts += 1;
+        protocol.put_rejects += u64::from(stored.is_err());
+        drop(protocol);
         stored
     }
 
@@ -380,44 +407,38 @@ impl Hub {
             submitted_ms: now * 1e3,
             started_ms: None,
             finished_ms: None,
-            attempts: 0,
             cache_hit: false,
-            degraded: false,
-            error: None,
-            ppa: None,
-            gds_fnv: None,
+            record: None,
             recovered: false,
         };
         state.jobs.insert(id, entry);
         // With capacity zero the newcomer itself is the shed entry;
         // either way the displaced job lands terminal.
-        if let Some(old) = displaced.and_then(|old| state.jobs.get_mut(&old)) {
-            old.state = JobState::Cancelled;
-            old.finished_ms = Some(now * 1e3);
-            old.error = Some("shed: displaced by a newer arrival".into());
-            old.spec = None;
+        if let Some(old) = displaced {
+            let entry = state.jobs.get_mut(&old).expect("a queued id has an entry");
+            entry.withdraw(old, now * 1e3, "shed: displaced by a newer arrival");
         }
         drop(state);
         self.inner.work_ready.notify_all();
         SubmitOutcome::Accepted(id)
     }
 
-    /// Cancels a queued job. Running or finished jobs are not
-    /// interrupted (`false`); unknown ids or other tenants' jobs are
-    /// also `false`.
+    /// Cancels a queued job and frees its place in the tier queue.
+    /// Running or finished jobs are not interrupted (`false`); unknown
+    /// ids or other tenants' jobs are also `false`.
     pub fn cancel(&self, who: &Identity, id: u64) -> bool {
         let now_ms = self.now_s() * 1e3;
-        let mut state = self.inner.state.lock().expect("hub lock");
+        let mut guard = self.inner.state.lock().expect("hub lock");
+        let state = &mut *guard;
         let Some(entry) = state.jobs.get_mut(&id) else {
             return false;
         };
         if entry.university != who.university || entry.state != JobState::Queued {
             return false;
         }
-        entry.state = JobState::Cancelled;
-        entry.finished_ms = Some(now_ms);
-        entry.error = Some("cancelled by owner".into());
-        entry.spec = None;
+        let class = entry.tier.priority() as usize;
+        state.scheduler.withdraw(class, |&queued| queued == id);
+        entry.withdraw(id, now_ms, "cancelled by owner");
         true
     }
 
@@ -437,13 +458,13 @@ impl Hub {
     #[must_use]
     pub fn list_jobs(&self, who: &Identity) -> Value {
         let state = self.inner.state.lock().expect("hub lock");
-        let jobs: Vec<Value> = state
+        let jobs = state
             .jobs
             .iter()
             .filter(|(_, e)| e.university == who.university)
             .map(|(id, e)| job_json(*id, e, false))
             .collect();
-        Value::Map(vec![(Value::Str("jobs".into()), Value::Seq(jobs))])
+        JobList { jobs }.to_value()
     }
 
     /// The live `/metrics` snapshot: job-state counters, per-tier
@@ -452,110 +473,47 @@ impl Hub {
     #[must_use]
     pub fn metrics(&self) -> Value {
         let state = self.inner.state.lock().expect("hub lock");
-        let mut counts = [0u64; 5];
-        let mut recovered = 0u64;
+        let mut jobs = JobCounts::default();
         // Jobs this process's workers ran to a terminal state, and how
         // many of those ended without an artifact.
-        let (mut jobs_run, mut run_failed) = (0u64, 0u64);
+        let mut exec = ExecCounts::default();
         for entry in state.jobs.values() {
-            let slot = match entry.state {
-                JobState::Queued => 0,
-                JobState::Running => 1,
-                JobState::Succeeded => 2,
-                JobState::Failed => 3,
-                JobState::Cancelled => 4,
-            };
-            counts[slot] += 1;
-            recovered += u64::from(entry.recovered);
+            *match entry.state {
+                JobState::Queued => &mut jobs.queued,
+                JobState::Running => &mut jobs.running,
+                JobState::Succeeded => &mut jobs.succeeded,
+                JobState::Failed => &mut jobs.failed,
+                JobState::Cancelled => &mut jobs.cancelled,
+            } += 1;
+            jobs.recovered += u64::from(entry.recovered);
             if !entry.recovered && matches!(entry.state, JobState::Succeeded | JobState::Failed) {
-                jobs_run += 1;
-                run_failed += u64::from(entry.state == JobState::Failed);
+                exec.jobs_run += 1;
+                exec.failed += u64::from(entry.state == JobState::Failed);
             }
         }
-        let tier_seq = |f: &dyn Fn(usize) -> usize| {
-            Value::Seq((0..3).map(|c| Value::U64(f(c) as u64)).collect())
-        };
-        let mut fields = vec![
-            (
-                Value::Str("uptime_ms".into()),
-                Value::F64(self.now_s() * 1e3),
-            ),
-            (
-                Value::Str("jobs".into()),
-                Value::Map(vec![
-                    (Value::Str("queued".into()), Value::U64(counts[0])),
-                    (Value::Str("running".into()), Value::U64(counts[1])),
-                    (Value::Str("succeeded".into()), Value::U64(counts[2])),
-                    (Value::Str("failed".into()), Value::U64(counts[3])),
-                    (Value::Str("cancelled".into()), Value::U64(counts[4])),
-                    (
-                        Value::Str("completed".into()),
-                        Value::U64(counts[2] + counts[3]),
-                    ),
-                    (Value::Str("recovered".into()), Value::U64(recovered)),
-                ]),
-            ),
-            (
-                Value::Str("admission".into()),
-                Value::Map(vec![
-                    (
-                        Value::Str("queue_depth".into()),
-                        tier_seq(&|c| state.scheduler.depth(c)),
-                    ),
-                    (
-                        Value::Str("peak_depth".into()),
-                        tier_seq(&|c| state.scheduler.stats(c).peak_depth),
-                    ),
-                    (
-                        Value::Str("rejected".into()),
-                        tier_seq(&|c| state.scheduler.stats(c).rejected),
-                    ),
-                    (
-                        Value::Str("shed".into()),
-                        tier_seq(&|c| state.scheduler.stats(c).shed),
-                    ),
-                ]),
-            ),
-            (
-                Value::Str("artifact_cache".into()),
-                self.inner.executor.cache().stats().to_value(),
-            ),
-        ];
-        if let Some(stage_cache) = self.inner.executor.stage_cache() {
+        jobs.completed = jobs.succeeded + jobs.failed;
+        let tiers = [0, 1, 2].map(|class| state.scheduler.stats(class));
+        let metrics = Metrics {
+            uptime_ms: self.now_s() * 1e3,
+            jobs,
+            admission: AdmissionGauges {
+                queue_depth: [0, 1, 2].map(|class| state.scheduler.depth(class)),
+                peak_depth: tiers.map(|stats| stats.peak_depth),
+                rejected: tiers.map(|stats| stats.rejected),
+                shed: tiers.map(|stats| stats.shed),
+            },
+            artifact_cache: self.inner.executor.cache().stats(),
             // Lifetime totals: the delta from a default (zero) baseline.
-            let record = stage_cache.record(&StageCounters::default(), 0, 0);
-            fields.push((Value::Str("stage_cache".into()), record.to_value()));
-        } else {
-            fields.push((Value::Str("stage_cache".into()), Value::Null));
-        }
-        let protocol = &self.inner.cache_protocol;
-        let count = |counter: &AtomicU64| Value::U64(counter.load(Ordering::Relaxed));
-        fields.push((
-            Value::Str("exec".into()),
-            Value::Map(vec![
-                (Value::Str("jobs_run".into()), Value::U64(jobs_run)),
-                (Value::Str("failed".into()), Value::U64(run_failed)),
-            ]),
-        ));
-        fields.push((
-            Value::Str("cache_protocol".into()),
-            Value::Map(vec![
-                (Value::Str("gets".into()), count(&protocol.gets)),
-                (Value::Str("get_hits".into()), count(&protocol.get_hits)),
-                (Value::Str("puts".into()), count(&protocol.puts)),
-                (
-                    Value::Str("put_rejects".into()),
-                    count(&protocol.put_rejects),
-                ),
-                (Value::Str("heads".into()), count(&protocol.heads)),
-                (Value::Str("head_hits".into()), count(&protocol.head_hits)),
-                (Value::Str("chains".into()), count(&protocol.chains)),
-                (Value::Str("chain_keys".into()), count(&protocol.chain_keys)),
-                (Value::Str("chain_hits".into()), count(&protocol.chain_hits)),
-            ]),
-        ));
+            stage_cache: self
+                .inner
+                .executor
+                .stage_cache()
+                .map(|cache| cache.record(&StageCounters::default(), 0, 0)),
+            exec,
+            cache_protocol: *self.protocol(),
+        };
         drop(state);
-        Value::Map(fields)
+        metrics.to_value()
     }
 
     /// Stops accepting work, drains running jobs and joins the workers.
@@ -581,12 +539,6 @@ impl Hub {
             let _ = worker.join();
         }
     }
-
-    /// Whether a shutdown was requested.
-    #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
-        self.inner.shutdown.load(Ordering::SeqCst)
-    }
 }
 
 impl Drop for Hub {
@@ -595,35 +547,28 @@ impl Drop for Hub {
     }
 }
 
-/// Rebuilds terminal job entries from a recovered journal. The latest
-/// record per id wins (matching [`Journal::find`] semantics); ids
-/// continue above the highest recovered one, so restarts never reuse
-/// or duplicate an id.
+/// Rebuilds terminal job entries from a recovered journal through
+/// exec's [`JobResult::from_journal`]; a record it cannot read (a status
+/// from a newer binary) lists as failed. The latest record per id wins
+/// (matching [`Journal::find`] semantics); ids continue above the highest
+/// recovered one, so restarts never reuse or duplicate an id.
 fn recover(state: &mut HubState, journal: &Journal) {
     for record in &journal.records {
         let id = record.index as u64;
         let (university, tier, name) = decode_job_name(&record.name);
-        let job_state = match JobStatus::from_name(&record.status) {
-            Some(JobStatus::Succeeded) => JobState::Succeeded,
-            Some(JobStatus::Cancelled) => JobState::Cancelled,
-            _ => JobState::Failed,
-        };
+        let ended = JobResult::from_journal(record).map(|result| result.status);
         let entry = JobEntry {
             name,
             university,
             tier,
-            state: job_state,
+            state: ended.map_or(JobState::Failed, JobState::ended),
             spec: None,
             tracer: Tracer::disabled(),
             submitted_ms: 0.0,
             started_ms: None,
             finished_ms: Some(0.0),
-            attempts: record.attempts,
             cache_hit: false,
-            degraded: record.degraded,
-            error: record.error.clone(),
-            ppa: record.ppa.clone(),
-            gds_fnv: record.gds_fnv,
+            record: Some(record.clone()),
             recovered: true,
         };
         state.jobs.insert(id, entry);
@@ -650,67 +595,121 @@ fn decode_job_name(encoded: &str) -> (String, AccessTier, String) {
     (university, tier, name)
 }
 
-/// One job's JSON view. With `with_progress`, the finished flow-stage
-/// spans recorded by the job's tracer are included — this is the
-/// "streaming" a polling client sees while the job runs.
+/// The fields every job body has, in wire order.
+#[derive(Serialize)]
+struct JobView {
+    id: u64,
+    name: String,
+    university: String,
+    tier: String,
+    state: &'static str,
+    submitted_ms: f64,
+    started_ms: Option<f64>,
+    finished_ms: Option<f64>,
+    attempts: u32,
+    cache_hit: bool,
+    degraded: bool,
+    recovered: bool,
+    error: Option<String>,
+}
+
+/// One finished flow stage in a status body.
+#[derive(Serialize)]
+struct StageView {
+    stage: String,
+    wall_ms: f64,
+}
+
+/// The list body.
+#[derive(Serialize)]
+struct JobList {
+    jobs: Vec<Value>,
+}
+
+/// The `/metrics` body.
+#[derive(Serialize)]
+struct Metrics {
+    uptime_ms: f64,
+    jobs: JobCounts,
+    admission: AdmissionGauges,
+    artifact_cache: CacheStats,
+    stage_cache: Option<StageCacheRecord>,
+    exec: ExecCounts,
+    cache_protocol: CacheProtocol,
+}
+
+/// Jobs per state.
+#[derive(Default, Serialize)]
+struct JobCounts {
+    queued: u64,
+    running: u64,
+    succeeded: u64,
+    failed: u64,
+    cancelled: u64,
+    completed: u64,
+    recovered: u64,
+}
+
+/// The scheduler's per-tier gauges, beginner first.
+#[derive(Serialize)]
+struct AdmissionGauges {
+    queue_depth: [usize; 3],
+    peak_depth: [usize; 3],
+    rejected: [usize; 3],
+    shed: [usize; 3],
+}
+
+/// Jobs this process's workers ran, and how many ended without an
+/// artifact.
+#[derive(Default, Serialize)]
+struct ExecCounts {
+    jobs_run: u64,
+    failed: u64,
+}
+
+/// One job's JSON view: the [`JobView`] fields, then — with
+/// `with_progress` — the finished flow-stage spans the job's tracer
+/// recorded (the "streaming" a polling client sees while the job runs),
+/// then the artifact digests once it has them.
 fn job_json(id: u64, entry: &JobEntry, with_progress: bool) -> Value {
-    let opt_f64 = |v: Option<f64>| v.map_or(Value::Null, Value::F64);
-    let mut fields = vec![
-        (Value::Str("id".into()), Value::U64(id)),
-        (Value::Str("name".into()), Value::Str(entry.name.clone())),
-        (
-            Value::Str("university".into()),
-            Value::Str(entry.university.clone()),
-        ),
-        (
-            Value::Str("tier".into()),
-            Value::Str(entry.tier.to_string()),
-        ),
-        (
-            Value::Str("state".into()),
-            Value::Str(entry.state.name().into()),
-        ),
-        (
-            Value::Str("submitted_ms".into()),
-            Value::F64(entry.submitted_ms),
-        ),
-        (Value::Str("started_ms".into()), opt_f64(entry.started_ms)),
-        (Value::Str("finished_ms".into()), opt_f64(entry.finished_ms)),
-        (
-            Value::Str("attempts".into()),
-            Value::U64(u64::from(entry.attempts)),
-        ),
-        (Value::Str("cache_hit".into()), Value::Bool(entry.cache_hit)),
-        (Value::Str("degraded".into()), Value::Bool(entry.degraded)),
-        (Value::Str("recovered".into()), Value::Bool(entry.recovered)),
-        (
-            Value::Str("error".into()),
-            entry
-                .error
-                .as_ref()
-                .map_or(Value::Null, |e| Value::Str(e.clone())),
-        ),
-    ];
+    let record = entry.record.as_ref();
+    let view = JobView {
+        id,
+        name: entry.name.clone(),
+        university: entry.university.clone(),
+        tier: entry.tier.to_string(),
+        state: entry.state.name(),
+        submitted_ms: entry.submitted_ms,
+        started_ms: entry.started_ms,
+        finished_ms: entry.finished_ms,
+        attempts: record.map_or(0, |r| r.attempts),
+        cache_hit: entry.cache_hit,
+        degraded: record.is_some_and(|r| r.degraded),
+        recovered: entry.recovered,
+        error: record.and_then(|r| r.error.clone()),
+    };
+    let Value::Map(mut fields) = view.to_value() else {
+        unreachable!("a struct serializes to a map");
+    };
+    let mut push = |key: &str, value: Value| fields.push((Value::Str(key.into()), value));
     if with_progress {
-        let stages: Vec<Value> = entry
+        let stages: Vec<StageView> = entry
             .tracer
             .spans()
             .into_iter()
             .filter(|span| span.category == "flow" && span.name != "flow")
-            .map(|span| {
-                Value::Map(vec![
-                    (Value::Str("stage".into()), Value::Str(span.name)),
-                    (Value::Str("wall_ms".into()), Value::F64(span.dur_us / 1e3)),
-                ])
+            .map(|span| StageView {
+                stage: span.name,
+                wall_ms: span.dur_us / 1e3,
             })
             .collect();
-        fields.push((Value::Str("stages".into()), Value::Seq(stages)));
+        push("stages", stages.to_value());
     }
-    if let Some(ppa) = &entry.ppa {
-        fields.push((Value::Str("ppa".into()), ppa.to_value()));
+    if let Some(ppa) = record.and_then(|r| r.ppa.as_ref()) {
+        push("ppa", ppa.to_value());
     }
-    if let Some(fnv) = entry.gds_fnv {
-        fields.push((Value::Str("gds_fnv".into()), Value::U64(fnv)));
+    if let Some(fnv) = record.and_then(|r| r.gds_fnv) {
+        push("gds_fnv", fnv.to_value());
     }
     Value::Map(fields)
 }
@@ -728,12 +727,9 @@ fn worker_loop(inner: &Arc<HubInner>, worker: usize) {
                 }
                 let now = inner.started.elapsed().as_secs_f64();
                 if let Some((class, id, _)) = state.scheduler.next(now) {
-                    let Some(entry) = state.jobs.get_mut(&id) else {
-                        continue; // shed and pruned meanwhile
-                    };
-                    if entry.state != JobState::Queued {
-                        continue; // cancelled or shed while waiting
-                    }
+                    // Cancelled and shed jobs have left the queue, so
+                    // every id it hands out is a queued job's.
+                    let entry = state.jobs.get_mut(&id).expect("a queued id has an entry");
                     entry.state = JobState::Running;
                     entry.started_ms = Some(now * 1e3);
                     let (spec, key) = entry.spec.take().expect("queued job keeps its spec");
@@ -759,45 +755,21 @@ fn worker_loop(inner: &Arc<HubInner>, worker: usize) {
             .run(worker, &job, &BatchContext::default(), &tracer);
         let service_s = run_started.elapsed().as_secs_f64();
 
-        let mut state = inner.state.lock().expect("hub lock");
+        let mut guard = inner.state.lock().expect("hub lock");
+        let state = &mut *guard;
         state.scheduler.charge(class, service_s);
-        let now_ms = inner.started.elapsed().as_secs_f64() * 1e3;
-        let seq = state.next_seq;
-        let record = {
-            let Some(entry) = state.jobs.get_mut(&id) else {
-                continue;
-            };
-            entry.state = if result.status.is_success() {
-                JobState::Succeeded
-            } else {
-                JobState::Failed
-            };
-            entry.finished_ms = Some(now_ms);
-            entry.attempts = result.attempts;
-            entry.cache_hit = result.cache_hit;
-            entry.degraded = result.degraded;
-            entry.error = result.error.clone();
-            let digests = result.artifact_digests();
-            entry.ppa = digests.as_ref().map(|(ppa, _)| ppa.clone());
-            entry.gds_fnv = digests.map(|(_, fnv)| fnv);
-            JournalRecord {
-                seq,
-                index: id as usize,
-                key: job.key.to_string(),
-                name: encode_job_name(entry),
-                status: result.status.to_string(),
-                attempts: entry.attempts,
-                degraded: entry.degraded,
-                error: entry.error.clone(),
-                ppa: entry.ppa.clone(),
-                gds_fnv: entry.gds_fnv,
-            }
-        };
+        let entry = state.jobs.get_mut(&id).expect("a running job has an entry");
+        let mut record = result.to_journal(state.next_seq, job.key);
+        record.name = encode_job_name(entry);
         if let Some(journal) = &mut state.journal {
             if journal.append(&record).is_ok() {
-                state.next_seq = seq + 1;
+                state.next_seq += 1;
             }
         }
+        entry.state = JobState::ended(result.status);
+        entry.finished_ms = Some(inner.started.elapsed().as_secs_f64() * 1e3);
+        entry.cache_hit = result.cache_hit;
+        entry.record = Some(record);
     }
 }
 
@@ -1039,5 +1011,230 @@ mod tests {
         wait_terminal(&hub, &who, first);
         assert!(!hub.cancel(&who, first), "finished job cannot cancel");
         hub.shutdown();
+    }
+
+    fn wait_running(hub: &Hub, who: &Identity, id: u64) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let status = hub.job_status(who, id).expect("job exists");
+            match status.get("state").as_str() {
+                Some("queued") => assert!(Instant::now() < deadline, "worker never started"),
+                Some("running") => return,
+                other => panic!("job {id} ended before the test could use it: {other:?}"),
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The keys of a JSON map, in order.
+    fn keys(value: &Value) -> Vec<&str> {
+        match value {
+            Value::Map(pairs) => pairs.iter().filter_map(|(key, _)| key.as_str()).collect(),
+            other => panic!("not a map: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_cancelled_job_gives_back_its_queue_slot() {
+        let hub = Hub::new(HubConfig {
+            workers: 1,
+            queue_capacity: Some(1),
+            ..HubConfig::default()
+        })
+        .expect("hub");
+        let who = identity(AccessTier::Beginner);
+        let hang = quick_job(1).with_fault(chipforge_exec::Fault::Hang(1_000));
+        let SubmitOutcome::Accepted(first) = hub.submit(&who, hang) else {
+            panic!("accepted");
+        };
+        wait_running(&hub, &who, first);
+        let SubmitOutcome::Accepted(queued) = hub.submit(&who, quick_job(2)) else {
+            panic!("accepted");
+        };
+        assert!(hub.cancel(&who, queued));
+        let depth = hub.metrics().get("admission").get("queue_depth").clone();
+        let depth: Vec<u64> = depth
+            .seq()
+            .expect("per tier")
+            .iter()
+            .filter_map(Value::as_u64)
+            .collect();
+        assert_eq!(depth, [0, 0, 0], "a cancelled job waits in no queue");
+        assert!(
+            matches!(hub.submit(&who, quick_job(3)), SubmitOutcome::Accepted(_)),
+            "the cancelled job's slot takes the next submission"
+        );
+        hub.shutdown();
+    }
+
+    /// Status, list, `/metrics` and journal bodies keep their keys, in
+    /// order, for a queued, cancelled, succeeded and recovered job.
+    #[test]
+    fn wire_shapes_are_pinned_across_a_restart() {
+        const STATUS: [&str; 13] = [
+            "id",
+            "name",
+            "university",
+            "tier",
+            "state",
+            "submitted_ms",
+            "started_ms",
+            "finished_ms",
+            "attempts",
+            "cache_hit",
+            "degraded",
+            "recovered",
+            "error",
+        ];
+        let status_keys = |extra: &[&'static str]| -> Vec<&'static str> {
+            STATUS.iter().chain(extra).copied().collect()
+        };
+        let journal = std::env::temp_dir().join(format!(
+            "chipforge-serve-hub-wire-{}.jsonl",
+            std::process::id()
+        ));
+        std::fs::remove_file(&journal).ok();
+        let config = HubConfig {
+            workers: 1,
+            journal: Some(journal.clone()),
+            ..HubConfig::default()
+        };
+        let who = identity(AccessTier::Beginner);
+        let hub = Hub::new(config.clone()).expect("hub");
+        let hang = quick_job(1).with_fault(chipforge_exec::Fault::Hang(1_000));
+        let SubmitOutcome::Accepted(first) = hub.submit(&who, hang) else {
+            panic!("accepted");
+        };
+        wait_running(&hub, &who, first);
+        let SubmitOutcome::Accepted(queued) = hub.submit(&who, quick_job(2)) else {
+            panic!("accepted");
+        };
+        let SubmitOutcome::Accepted(cancelled) = hub.submit(&who, quick_job(3)) else {
+            panic!("accepted");
+        };
+        assert!(hub.cancel(&who, cancelled));
+
+        let status = hub.job_status(&who, queued).expect("queued job");
+        assert_eq!(status.get("state").as_str(), Some("queued"));
+        assert_eq!(keys(&status), status_keys(&["stages"]));
+        assert_eq!(status.get("attempts").as_u64(), Some(0));
+        assert_eq!(status.get("error"), &Value::Null);
+        let status = hub.job_status(&who, cancelled).expect("cancelled job");
+        assert_eq!(status.get("state").as_str(), Some("cancelled"));
+        assert_eq!(status.get("error").as_str(), Some("cancelled by owner"));
+        assert_eq!(keys(&status), status_keys(&["stages"]));
+
+        let metrics = hub.metrics();
+        assert_eq!(
+            keys(&metrics),
+            [
+                "uptime_ms",
+                "jobs",
+                "admission",
+                "artifact_cache",
+                "stage_cache",
+                "exec",
+                "cache_protocol"
+            ]
+        );
+        assert_eq!(
+            keys(metrics.get("jobs")),
+            [
+                "queued",
+                "running",
+                "succeeded",
+                "failed",
+                "cancelled",
+                "completed",
+                "recovered"
+            ]
+        );
+        assert_eq!(
+            keys(metrics.get("admission")),
+            ["queue_depth", "peak_depth", "rejected", "shed"]
+        );
+        assert_eq!(
+            keys(metrics.get("artifact_cache")),
+            ["hits", "misses", "evictions", "corrupted", "entries"]
+        );
+        assert_eq!(
+            keys(metrics.get("stage_cache")),
+            [
+                "hits",
+                "misses",
+                "full_restores",
+                "recomputes",
+                "disk_write_errors",
+                "stages"
+            ]
+        );
+        assert_eq!(keys(metrics.get("exec")), ["jobs_run", "failed"]);
+        assert_eq!(
+            keys(metrics.get("cache_protocol")),
+            [
+                "gets",
+                "get_hits",
+                "puts",
+                "put_rejects",
+                "heads",
+                "head_hits",
+                "chains",
+                "chain_keys",
+                "chain_hits"
+            ]
+        );
+
+        let status = wait_terminal(&hub, &who, first);
+        assert_eq!(status.get("state").as_str(), Some("succeeded"));
+        assert_eq!(keys(&status), status_keys(&["stages", "ppa", "gds_fnv"]));
+        wait_terminal(&hub, &who, queued);
+        let listed = hub.list_jobs(&who);
+        assert_eq!(keys(&listed), ["jobs"]);
+        let listed: Vec<Vec<&str>> = listed
+            .get("jobs")
+            .seq()
+            .expect("jobs")
+            .iter()
+            .map(keys)
+            .collect();
+        let finished = status_keys(&["ppa", "gds_fnv"]);
+        assert_eq!(listed, [finished.clone(), finished, status_keys(&[])]);
+        hub.shutdown();
+
+        let text = std::fs::read_to_string(&journal).expect("journal");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines.len(),
+            2,
+            "the two jobs that ran; a cancel is not journaled"
+        );
+        let payload = chipforge_resil::verify_checksummed(lines[0]).expect("framed line");
+        let line = serde::json::parse(payload).expect("json line");
+        assert_eq!(
+            keys(&line),
+            [
+                "seq", "index", "key", "name", "status", "attempts", "degraded", "error", "ppa",
+                "gds_fnv"
+            ]
+        );
+        assert_eq!(
+            line.get("name").as_str(),
+            Some("test-uni/beginner/counter8")
+        );
+
+        let hub = Hub::new(config).expect("hub restarts");
+        assert_eq!(hub.recovered_jobs(), 2);
+        let status = hub.job_status(&who, first).expect("recovered job");
+        assert_eq!(status.get("recovered"), &Value::Bool(true));
+        assert_eq!(keys(&status), status_keys(&["stages", "ppa", "gds_fnv"]));
+        let SubmitOutcome::Accepted(fresh) = hub.submit(&who, quick_job(4)) else {
+            panic!("accepted");
+        };
+        assert!(
+            fresh > first.max(queued),
+            "ids continue above the recovered ones"
+        );
+        hub.shutdown();
+        std::fs::remove_file(&journal).ok();
     }
 }
