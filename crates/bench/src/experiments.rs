@@ -826,7 +826,7 @@ pub fn e14_calibrated_hub() -> String {
 /// stable-table determinism test alongside E14; its hub half is E15b.
 #[must_use]
 pub fn e15_resilience() -> String {
-    use chipforge::exec::{BatchEngine, EngineConfig, JobSpec, ResilienceOptions};
+    use chipforge::exec::{AttemptLimits, BatchEngine, EngineConfig, JobSpec, ResilienceOptions};
     use chipforge::resil::{FaultPlan, Journal, JournalWriter, ResiliencePolicy};
     use std::time::Duration;
 
@@ -847,8 +847,11 @@ pub fn e15_resilience() -> String {
     };
     let config = || EngineConfig {
         workers: 4,
-        retry_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(5),
+        limits: AttemptLimits {
+            retry_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(5),
+            ..AttemptLimits::default()
+        },
         ..EngineConfig::default()
     };
 
@@ -1364,10 +1367,11 @@ pub fn e18_hub_validation() -> String {
 }
 
 /// The E19 semester model at one scale: the reference tiered
-/// population ([`SemesterSpec::tiered`]) with the pinned
-/// corpus-calibrated service hours, simulated on a hub sized for 80%
-/// target utilization. Shared by the table renderer, the determinism
-/// smoke test and CI.
+/// population
+/// ([`SemesterSpec::tiered`](chipforge::gen::semester::SemesterSpec::tiered))
+/// with the pinned corpus-calibrated service hours, simulated on a hub
+/// sized for 80% target utilization. Shared by the table renderer, the
+/// determinism smoke test and CI.
 #[must_use]
 pub fn e19_semester(
     students: usize,

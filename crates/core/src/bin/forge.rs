@@ -23,8 +23,8 @@ use chipforge::admit::{OverflowPolicy, RateLimit};
 use chipforge::cloud::AccessTier;
 use chipforge::econ::infrastructure::InfrastructureCostModel;
 use chipforge::exec::{
-    AdmissionControl, BatchEngine, EngineConfig, Fault, JobSpec, JobStatus, RemoteCacheConfig,
-    ResilienceOptions, StageCacheMode,
+    AdmissionControl, AttemptLimits, BatchEngine, EngineConfig, Fault, JobSpec, JobStatus,
+    RemoteCacheConfig, ResilienceOptions, StageCacheMode,
 };
 use chipforge::flow::{FlowConfig, FlowCtx, OptimizationProfile, Pipeline};
 use chipforge::gen::{self, semester::SemesterSpec, GenSpec};
@@ -147,7 +147,7 @@ report` summarizes a trace with p50/p90/p99 per stage.
 
 Resilience: `--journal` checkpoints completed jobs to an fsynced JSONL
 file and `--resume` skips jobs already recorded there; `--fault-rate`
-injects seeded transient faults (deterministic per `--fault-seed`);
+injects seeded transient stage faults (deterministic per `--fault-seed`);
 `--quarantine-after` caps attempts before a job is quarantined;
 `--failure-budget` fail-fasts the batch; `--no-degrade` disables the
 relaxed route/CTS retry; `--halt-after <k>` stops after k journaled
@@ -548,8 +548,11 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
 
     let config = EngineConfig {
         workers: parse_number(&flags, "workers", EngineConfig::default().workers)?,
-        job_timeout: Duration::from_millis(parse_number(&flags, "timeout-ms", 30_000u64)?),
-        max_retries: parse_number(&flags, "retries", 2u32)?,
+        limits: AttemptLimits {
+            timeout: Duration::from_millis(parse_number(&flags, "timeout-ms", 30_000u64)?),
+            max_retries: parse_number(&flags, "retries", 2u32)?,
+            ..AttemptLimits::default()
+        },
         stage_cache: match flags.get("stage-cache") {
             Some(dir) => StageCacheMode::Disk(dir.into()),
             None => StageCacheMode::Disabled,
@@ -591,7 +594,6 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     let fault_rate: f64 = parse_number(&flags, "fault-rate", 0.0)?;
     let plan = if fault_rate > 0.0 {
         FaultPlan::transient(parse_number(&flags, "fault-seed", 42u64)?, fault_rate)
-            .with_corrupt_rate(fault_rate / 4.0)
     } else {
         FaultPlan::disabled()
     };
@@ -736,12 +738,8 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     }
     if resilience_requested {
         println!(
-            "resil:  {} quarantined, {} degraded, {} resumed, {} corrupt cache entr{} healed",
-            totals.quarantined,
-            totals.degraded,
-            totals.resumed,
-            cache.corrupted,
-            if cache.corrupted == 1 { "y" } else { "ies" },
+            "resil:  {} quarantined, {} degraded, {} resumed",
+            totals.quarantined, totals.degraded, totals.resumed,
         );
     }
     if admission_requested {

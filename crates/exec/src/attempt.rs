@@ -16,7 +16,7 @@
 //! [`BatchContext`] it is judged against — is passed to
 //! [`JobExecutor::run`].
 
-use crate::cache::{ArtifactCache, CacheKey, Lookup};
+use crate::cache::{ArtifactCache, CacheKey};
 use crate::job::{JobResult, JobSpec, JobStatus};
 use crate::stage_cache::StageCache;
 use chipforge_admit::CircuitBreaker;
@@ -309,29 +309,19 @@ impl JobExecutor {
             };
         }
 
-        match self.cache.lookup_checked(job.key) {
-            Lookup::Hit(outcome) => {
-                tracer.instant("cache-hit", "exec", name);
-                tracer.add("exec.cache.hits", 1);
-                return JobResult {
-                    status: JobStatus::Succeeded,
-                    cache_hit: true,
-                    run_ms: picked_up.elapsed().as_secs_f64() * 1_000.0,
-                    outcome: Some(outcome),
-                    ..base
-                };
-            }
-            Lookup::Corrupt => {
-                // The entry is already evicted; fall through and
-                // recompute (self-healing).
-                tracer.instant("cache-corrupt", "exec", name);
-                tracer.add("exec.cache.corrupt", 1);
-            }
-            Lookup::Miss => {
-                tracer.instant("cache-miss", "exec", name);
-                tracer.add("exec.cache.misses", 1);
-            }
+        if let Some(outcome) = self.cache.lookup(job.key) {
+            tracer.instant("cache-hit", "exec", name);
+            tracer.add("exec.cache.hits", 1);
+            return JobResult {
+                status: JobStatus::Succeeded,
+                cache_hit: true,
+                run_ms: picked_up.elapsed().as_secs_f64() * 1_000.0,
+                outcome: Some(outcome),
+                ..base
+            };
         }
+        tracer.instant("cache-miss", "exec", name);
+        tracer.add("exec.cache.misses", 1);
         let result = self.retry_loop(job, base, batch, tracer);
         JobResult {
             run_ms: picked_up.elapsed().as_secs_f64() * 1_000.0,
@@ -410,11 +400,6 @@ impl JobExecutor {
                         tracer.instant("degraded-success", "exec", name);
                     } else {
                         self.cache.insert(job.key, Arc::clone(&outcome));
-                        if let Some((offset, xor)) = batch.plan.corrupt_artifact(&key_hex) {
-                            if self.cache.corrupt(job.key, offset, xor) {
-                                tracer.add("exec.faults.corrupt_injected", 1);
-                            }
-                        }
                     }
                     return JobResult {
                         status: JobStatus::Succeeded,

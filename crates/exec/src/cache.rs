@@ -9,7 +9,6 @@
 
 use crate::job::JobSpec;
 use chipforge_flow::{FlowOutcome, Pipeline};
-use chipforge_resil::fnv64;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -50,9 +49,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries displaced by the capacity bound.
     pub evictions: u64,
-    /// Reads that failed the integrity checksum; the entry was evicted
-    /// and the artifact recomputed (also counted under `misses`).
-    pub corrupted: u64,
     /// Artifacts currently resident.
     pub entries: usize,
 }
@@ -70,25 +66,8 @@ impl CacheStats {
     }
 }
 
-/// A cache read's outcome, distinguishing integrity failures from
-/// ordinary misses.
-#[derive(Debug)]
-pub enum Lookup {
-    /// The artifact was present and passed its checksum.
-    Hit(Arc<FlowOutcome>),
-    /// No artifact under this key.
-    Miss,
-    /// The artifact failed its checksum; it has been evicted and must
-    /// be recomputed (self-healing).
-    Corrupt,
-}
-
 struct Entry {
     outcome: Arc<FlowOutcome>,
-    /// FNV-1a digest of the GDS bytes at insertion time, verified on
-    /// every read. FNV's per-byte multiply is injective, so any
-    /// single-byte flip is guaranteed to be detected.
-    checksum: u64,
     last_used: u64,
 }
 
@@ -101,14 +80,16 @@ struct Store {
 ///
 /// Artifacts are shared out as [`Arc`]s; eviction is least-recently-used
 /// once `capacity` is reached. All methods take `&self` and are safe to
-/// call from any worker thread.
+/// call from any worker thread. An entry never leaves memory and nothing
+/// mutates a shared artifact, so a hit is served unchecked; bytes are
+/// verified where they do leave memory, in the stage tier's checksum
+/// frames ([`crate::StageCache`]).
 pub struct ArtifactCache {
     store: Mutex<Store>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    corrupted: AtomicU64,
 }
 
 impl ArtifactCache {
@@ -124,47 +105,22 @@ impl ArtifactCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            corrupted: AtomicU64::new(0),
         }
     }
 
-    /// Looks up an artifact, counting a hit or miss. A corrupt entry
-    /// reads as a miss (see [`lookup_checked`](Self::lookup_checked)).
+    /// Looks up an artifact, counting a hit or miss.
     #[must_use]
     pub fn lookup(&self, key: CacheKey) -> Option<Arc<FlowOutcome>> {
-        match self.lookup_checked(key) {
-            Lookup::Hit(outcome) => Some(outcome),
-            Lookup::Miss | Lookup::Corrupt => None,
-        }
-    }
-
-    /// Looks up an artifact, verifying its integrity checksum.
-    ///
-    /// A checksum mismatch evicts the entry and reports
-    /// [`Lookup::Corrupt`]; the caller recomputes and re-inserts, so a
-    /// flipped bit costs one flow run instead of a silently wrong GDS.
-    #[must_use]
-    pub fn lookup_checked(&self, key: CacheKey) -> Lookup {
         let mut store = self.store.lock().expect("cache lock");
         store.tick += 1;
         let tick = store.tick;
-        match store.entries.get_mut(&key.0) {
-            Some(entry) => {
-                if fnv64(&entry.outcome.gds) != entry.checksum {
-                    store.entries.remove(&key.0);
-                    self.corrupted.fetch_add(1, Ordering::Relaxed);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return Lookup::Corrupt;
-                }
-                entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Lookup::Hit(Arc::clone(&entry.outcome))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Lookup::Miss
-            }
-        }
+        let Some(entry) = store.entries.get_mut(&key.0) else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        entry.last_used = tick;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(&entry.outcome))
     }
 
     /// Stores an artifact, evicting the least-recently-used entry if the
@@ -187,30 +143,10 @@ impl ArtifactCache {
         store.entries.insert(
             key.0,
             Entry {
-                checksum: fnv64(&outcome.gds),
                 outcome,
                 last_used: tick,
             },
         );
-    }
-
-    /// Flips one artifact byte in place, leaving the stored checksum
-    /// stale — the chaos/test hook behind [`chipforge_resil::FaultPlan`]
-    /// cache corruption. Returns `false` when there is nothing to
-    /// corrupt (absent key, empty GDS or a zero mask).
-    pub fn corrupt(&self, key: CacheKey, offset_seed: u64, xor: u8) -> bool {
-        let mut store = self.store.lock().expect("cache lock");
-        let Some(entry) = store.entries.get_mut(&key.0) else {
-            return false;
-        };
-        if entry.outcome.gds.is_empty() || xor == 0 {
-            return false;
-        }
-        let index = (offset_seed % entry.outcome.gds.len() as u64) as usize;
-        // Clone-on-write: readers holding the old Arc keep the intact
-        // artifact; only the cached copy is damaged.
-        Arc::make_mut(&mut entry.outcome).gds[index] ^= xor;
-        true
     }
 
     /// Number of resident artifacts.
@@ -225,7 +161,6 @@ impl ArtifactCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            corrupted: self.corrupted.load(Ordering::Relaxed),
             entries: self.len(),
         }
     }
@@ -315,52 +250,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn corrupt_entries_are_detected_and_self_healed() {
-        let cache = ArtifactCache::new(8);
-        let key = CacheKey::of(&spec());
-        let artifact = outcome();
-        cache.insert(key, Arc::clone(&artifact));
-        assert!(cache.corrupt(key, 12345, 0x40), "corruption hook applies");
-        match cache.lookup_checked(key) {
-            Lookup::Corrupt => {}
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-        // The corrupt entry was evicted: the next read is a clean miss,
-        // and re-inserting heals the cache.
-        match cache.lookup_checked(key) {
-            Lookup::Miss => {}
-            other => panic!("expected Miss after eviction, got {other:?}"),
-        }
-        cache.insert(key, artifact);
-        assert!(cache.lookup(key).is_some());
-        let stats = cache.stats();
-        assert_eq!(stats.corrupted, 1);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 2, "the corrupt read counts as a miss");
-    }
-
-    #[test]
-    fn corrupting_a_shared_artifact_leaves_prior_readers_intact() {
-        let cache = ArtifactCache::new(8);
-        let key = CacheKey::of(&spec());
-        cache.insert(key, outcome());
-        let reader = cache.lookup(key).expect("hit");
-        let clean_gds = reader.gds.clone();
-        assert!(cache.corrupt(key, 0, 0xff));
-        assert_eq!(reader.gds, clean_gds, "copy-on-write protects readers");
-    }
-
-    #[test]
-    fn corrupt_hook_rejects_noop_masks_and_absent_keys() {
-        let cache = ArtifactCache::new(8);
-        let key = CacheKey::of(&spec());
-        assert!(!cache.corrupt(key, 0, 0xff), "absent key");
-        cache.insert(key, outcome());
-        assert!(!cache.corrupt(key, 0, 0), "zero mask would be a no-op");
-        assert!(cache.lookup(key).is_some(), "entry still intact");
     }
 
     #[test]

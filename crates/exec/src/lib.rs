@@ -52,7 +52,7 @@ pub mod remote;
 pub mod stage_cache;
 
 pub use attempt::{AttemptLimits, BatchContext, JobExecutor, QueuedJob};
-pub use cache::{ArtifactCache, CacheKey, CacheStats, Lookup};
+pub use cache::{ArtifactCache, CacheKey, CacheStats};
 pub use engine::{AdmissionControl, BatchEngine, BatchReport, EngineConfig, ResilienceOptions};
 pub use job::{Fault, JobResult, JobSpec, JobStatus, RestoredArtifact};
 pub use metrics::{

@@ -470,7 +470,6 @@ mod tests {
             hits: 0,
             misses: 4,
             evictions: 0,
-            corrupted: 0,
             entries: 2,
         };
         let report = ExecutionReport::build(
@@ -495,7 +494,6 @@ mod tests {
             "utilization",
             "queue_wait_ms",
             "hits",
-            "corrupted",
             "quarantined",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");

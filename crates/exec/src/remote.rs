@@ -5,8 +5,7 @@
 //!   of its stage chain the local tiers lack, in one request. The answer
 //!   is a count line, then one `<key> <frame>` line per entry the hub
 //!   holds ([`chain_body`]); keys it lacks are simply absent.
-//! * `GET` / `HEAD` / `PUT /cache/stage/<key>` — one entry: fetch, probe,
-//!   publish.
+//! * `GET` / `PUT /cache/stage/<key>` — one entry: fetch, publish.
 //!
 //! A shared network cache turns one course's flow runs into the whole
 //! campus's warm start — but only if the network edge can fail without
@@ -378,16 +377,6 @@ impl RemoteCache {
         if let Some((200, _)) = response {
             self.stores.fetch_add(1, Ordering::SeqCst);
         }
-    }
-
-    /// Whether the remote holds an entry under `key`.
-    #[must_use]
-    pub fn has(&self, key: u128) -> bool {
-        let path = format!("/cache/stage/{key:032x}");
-        matches!(
-            self.exchange(&self.get_breaker, "HEAD", &path, None, key),
-            Some((200, _))
-        )
     }
 
     /// One breaker-guarded, retried operation. `None` means the

@@ -16,8 +16,10 @@
 //! frame), named by the 128-bit stage key, written via a temp file and
 //! an atomic rename so concurrent workers (or a killed run) never leave
 //! a torn entry; unreadable, truncated or bit-flipped files fail the
-//! checksum, are deleted, and count as misses — the self-healing rule
-//! the whole-flow [`crate::cache::ArtifactCache`] already follows.
+//! checksum, are deleted, and count as misses. That frame is the one
+//! integrity check of both cache levels: it is where bytes leave memory
+//! (a disk file, a wire body, a `PUT`), while the whole-flow
+//! [`crate::cache::ArtifactCache`] only ever shares in-memory artifacts.
 //!
 //! The remote tier ([`crate::remote::RemoteCache`]) speaks the protocol
 //! a `forge serve` hub hosts, and it is asked once per run, not once per
@@ -307,19 +309,6 @@ impl StageCache {
         }
     }
 
-    /// Whether the local tiers hold an entry under `key`: in memory, or
-    /// a file on disk — the answer to a hub `HEAD`. Nothing is read or
-    /// parsed, so a corrupt file still counts until a read finds it out
-    /// and deletes it.
-    #[must_use]
-    pub fn holds(&self, key: u128) -> bool {
-        self.memory
-            .lock()
-            .expect("stage cache lock")
-            .contains_key(&key)
-            || self.disk_path(key).is_some_and(|path| path.exists())
-    }
-
     /// The serve side of the protocol: the checksum frame stored under
     /// `key`, any step — the body a hub answers with — from memory
     /// (encoded once, on the first request for an entry computed here)
@@ -570,7 +559,10 @@ mod tests {
         for refused in [&*tampered, unframed, &wrong_shape, ""] {
             assert!(cache.insert_frame(42, refused).is_err(), "{refused:?}");
         }
-        assert!(!cache.holds(42), "a refused frame leaves nothing behind");
+        assert!(
+            cache.peek(42).is_none(),
+            "a refused frame leaves nothing behind"
+        );
     }
 
     #[test]
@@ -594,14 +586,13 @@ mod tests {
         cache.store(45, &snapshot(FlowStep::Export));
         drop(cache);
         let fresh = StageCache::on_disk(&dir);
-        assert!(fresh.holds(45) && !fresh.holds(46));
+        assert!(fresh.peek(46).is_none());
         let frame = fresh.peek(45).expect("the file is the frame");
         assert_eq!(&*frame, encode(&snapshot(FlowStep::Export)));
         assert_eq!(fresh.entries(), 0, "serving a file does not promote it");
         let path = dir.join(format!("{:032x}.json", 45u128));
         std::fs::write(&path, "torn").expect("corrupt the entry");
-        assert!(fresh.holds(45), "presence is not verification");
-        assert!(fresh.peek(45).is_none());
+        assert!(fresh.peek(45).is_none(), "a torn file is not served");
         assert!(!path.exists(), "the failed read heals the slot");
         // A frame that passes its checksum but holds no snapshot (another
         // build's layout, say) is not served either.

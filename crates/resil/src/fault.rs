@@ -5,6 +5,13 @@
 //! plan seed and the fault site — there is no RNG state to advance, so
 //! the same plan fires the same faults regardless of worker count,
 //! scheduling order, or whether the batch was interrupted and resumed.
+//!
+//! The key a plan rolls on is the job's whole-flow cache key, on
+//! purpose: duplicates must draw the same faults, or a killed-and-resumed
+//! batch would not reproduce the uninterrupted one byte for byte. The
+//! price is that a cache-key schema bump re-deals every seeded fault, so
+//! two builds' reports under the same `--fault-rate` and seed agree byte
+//! for byte only when the builds compute the same keys.
 
 use crate::{fnv64, hash_fraction};
 use chipforge_flow::FlowStep;
@@ -105,8 +112,8 @@ impl Disruption {
 
 /// A seeded, deterministic fault-injection plan for a whole batch.
 ///
-/// Each rate is the probability that the corresponding fault fires for
-/// a given `(job key, attempt)`; the decision is a pure hash, so two
+/// `transient_rate` is the probability that a transient stage error
+/// fires for a given `(job key, attempt)`; the decision is a pure hash, so two
 /// jobs with identical content (same cache key) are disrupted
 /// identically — the property that makes interrupted-and-resumed runs
 /// reproduce uninterrupted ones.
@@ -116,8 +123,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Probability of a transient stage error per attempt.
     pub transient_rate: f64,
-    /// Probability that a freshly cached artifact is corrupted in place.
-    pub corrupt_rate: f64,
 }
 
 impl Default for FaultPlan {
@@ -133,7 +138,6 @@ impl FaultPlan {
         FaultPlan {
             seed: 0,
             transient_rate: 0.0,
-            corrupt_rate: 0.0,
         }
     }
 
@@ -143,21 +147,13 @@ impl FaultPlan {
         FaultPlan {
             seed,
             transient_rate: rate.clamp(0.0, 1.0),
-            ..FaultPlan::disabled()
         }
-    }
-
-    /// Adds cache corruption at `rate` per cached artifact.
-    #[must_use]
-    pub fn with_corrupt_rate(mut self, rate: f64) -> Self {
-        self.corrupt_rate = rate.clamp(0.0, 1.0);
-        self
     }
 
     /// Whether any fault can ever fire.
     #[must_use]
     pub fn is_active(&self) -> bool {
-        self.transient_rate > 0.0 || self.corrupt_rate > 0.0
+        self.transient_rate > 0.0
     }
 
     fn roll(&self, site: &str, key: &str, attempt: u32) -> f64 {
@@ -183,20 +179,6 @@ impl FaultPlan {
             disruption.transient_stage = Some(TRANSIENT_STAGES[pick]);
         }
         disruption
-    }
-
-    /// Whether (and how) to corrupt the freshly cached artifact for
-    /// `key`: `(byte offset seed, nonzero xor mask)`.
-    #[must_use]
-    pub fn corrupt_artifact(&self, key: &str) -> Option<(u64, u8)> {
-        if self.corrupt_rate > 0.0 && self.roll("corrupt", key, 0) < self.corrupt_rate {
-            let h = self.hash("corrupt-site", key, 0);
-            // The mask must be nonzero or the "corruption" is a no-op.
-            let xor = ((h >> 8) as u8) | 1;
-            Some((h, xor))
-        } else {
-            None
-        }
     }
 }
 
@@ -259,7 +241,6 @@ mod tests {
         for attempt in 1..=5 {
             assert!(plan.disruption("somekey", attempt).is_none());
         }
-        assert!(plan.corrupt_artifact("somekey").is_none());
         assert!(!plan.is_active());
     }
 
@@ -320,17 +301,6 @@ mod tests {
         let mut d = Disruption::none();
         Fault::Transient(2).apply(&mut d, 3);
         assert!(d.transient_stage.is_none(), "third attempt succeeds");
-    }
-
-    #[test]
-    fn corruption_mask_is_never_zero() {
-        let plan = FaultPlan::disabled().with_corrupt_rate(1.0);
-        for i in 0..64 {
-            let (_, xor) = plan
-                .corrupt_artifact(&format!("k{i}"))
-                .expect("rate 1.0 always corrupts");
-            assert_ne!(xor, 0);
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! * [`FaultPlan`] — a seeded, deterministic fault-injection plane.
 //!   Every decision (transient stage error, slow-down, worker panic,
-//!   cache corruption, server outage) is a pure hash of the plan seed
+//!   server outage) is a pure hash of the plan seed
 //!   and the fault site, so a faulty run replays identically across
 //!   worker counts, process restarts and resumed batches.
 //! * [`Journal`] / [`JournalWriter`] — an append-only JSONL checkpoint

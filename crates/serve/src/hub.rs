@@ -10,12 +10,13 @@
 //! deadline) the batch engine's pool workers call, with no engine built
 //! around it — and charges the measured service seconds back to the
 //! tier's fair share. A job's panic is contained inside its attempt;
-//! nothing supervises the worker threads themselves. Completed jobs
-//! append to the `chipforge-resil` journal in exec's own record format
+//! nothing supervises the worker threads themselves. Every job that ends
+//! — run to completion, cancelled, or shed from its queue — appends to
+//! the `chipforge-resil` journal in exec's own record format
 //! ([`JobResult::to_journal`], the one `forge batch --resume` reads);
 //! [`Hub::new`] reloads that journal through
 //! [`JobResult::from_journal`], so a killed-and-restarted hub re-lists
-//! every completed job.
+//! every ended job and never issues one of their ids again.
 
 use crate::auth::Identity;
 use chipforge_admit::{Admission, AdmissionPolicy, Dispatch, OverflowPolicy, RateLimit, Scheduler};
@@ -55,8 +56,9 @@ pub struct HubConfig {
     pub rate_limits: [Option<RateLimit>; 3],
     /// Per-job wall-clock timeout.
     pub job_timeout: Duration,
-    /// Checkpoint journal path; completed jobs are appended (fsynced)
-    /// and recovered on restart. `None` disables persistence.
+    /// Checkpoint journal path; ended jobs (completed, cancelled or
+    /// shed) are appended (fsynced) and recovered on restart. `None`
+    /// disables persistence.
     pub journal: Option<PathBuf>,
     /// Where the hub keeps stage snapshots: in memory (the default), in
     /// memory with a disk tier (`forge serve --stage-cache <dir>`), or
@@ -158,26 +160,10 @@ struct JobEntry {
     cache_hit: bool,
     /// The terminal result as exec journals it ([`JobResult::to_journal`]):
     /// digests, never the flow outcome. `None` while the job waits or
-    /// runs; a cancelled job's record is kept but never journaled.
+    /// runs.
     record: Option<JournalRecord>,
     /// Restored from the journal at startup rather than run live.
     recovered: bool,
-}
-
-impl JobEntry {
-    /// Ends job `id`, which the scheduler no longer holds, before it
-    /// ran (cancelled, or shed from its queue), with `reason` as its
-    /// error.
-    fn withdraw(&mut self, id: u64, now_ms: f64, reason: &str) {
-        let (spec, key) = self.spec.take().expect("a queued job keeps its spec");
-        let result = JobResult {
-            error: Some(reason.into()),
-            ..JobResult::blank(id as usize, &spec.name)
-        };
-        self.state = JobState::Cancelled;
-        self.finished_ms = Some(now_ms);
-        self.record = Some(result.to_journal(0, key));
-    }
 }
 
 struct HubState {
@@ -189,6 +175,38 @@ struct HubState {
     next_seq: u64,
 }
 
+impl HubState {
+    /// Ends job `id` with exec's `result` for it: sets the terminal
+    /// state, finish time and record, and journals the record.
+    fn end(&mut self, id: u64, key: CacheKey, result: &JobResult, now_ms: f64) {
+        let entry = self.jobs.get_mut(&id).expect("an ending job has an entry");
+        let mut record = result.to_journal(self.next_seq, key);
+        record.name = encode_job_name(entry);
+        if let Some(journal) = &mut self.journal {
+            if journal.append(&record).is_ok() {
+                self.next_seq += 1;
+            }
+        }
+        entry.state = JobState::ended(result.status);
+        entry.finished_ms = Some(now_ms);
+        entry.cache_hit = result.cache_hit;
+        entry.record = Some(record);
+    }
+
+    /// Ends job `id`, which the scheduler no longer holds, before it
+    /// ran (cancelled, or shed from its queue), with `reason` as its
+    /// error.
+    fn withdraw(&mut self, id: u64, now_ms: f64, reason: &str) {
+        let entry = self.jobs.get_mut(&id).expect("a queued id has an entry");
+        let (spec, key) = entry.spec.take().expect("a queued job keeps its spec");
+        let result = JobResult {
+            error: Some(reason.into()),
+            ..JobResult::blank(id as usize, &spec.name)
+        };
+        self.end(id, key, &result, now_ms);
+    }
+}
+
 /// Request counters for the `/cache/stage/<key>` and `/cache/chain/<key>,…`
 /// protocol endpoints.
 #[derive(Debug, Default, Clone, Copy, Serialize)]
@@ -197,8 +215,6 @@ struct CacheProtocol {
     get_hits: u64,
     puts: u64,
     put_rejects: u64,
-    heads: u64,
-    head_hits: u64,
     chains: u64,
     chain_keys: u64,
     chain_hits: u64,
@@ -346,20 +362,6 @@ impl Hub {
         Some(chain_body(held.iter().map(|(key, frame)| (*key, &**frame))))
     }
 
-    /// Serves `HEAD /cache/stage/<key>`: presence without the body, and
-    /// without reading or decoding the entry.
-    #[must_use]
-    pub fn cache_has(&self, key: u128) -> bool {
-        let Some(stage_cache) = self.inner.executor.stage_cache() else {
-            return false;
-        };
-        let hit = stage_cache.holds(key);
-        let mut protocol = self.protocol();
-        protocol.heads += 1;
-        protocol.head_hits += u64::from(hit);
-        hit
-    }
-
     /// Serves `PUT /cache/stage/<key>`: verifies the checksum frame and
     /// that it parses as a snapshot, then keeps the frame as received in
     /// the hub's local tiers only (never re-published upstream, so
@@ -415,8 +417,7 @@ impl Hub {
         // With capacity zero the newcomer itself is the shed entry;
         // either way the displaced job lands terminal.
         if let Some(old) = displaced {
-            let entry = state.jobs.get_mut(&old).expect("a queued id has an entry");
-            entry.withdraw(old, now * 1e3, "shed: displaced by a newer arrival");
+            state.withdraw(old, now * 1e3, "shed: displaced by a newer arrival");
         }
         drop(state);
         self.inner.work_ready.notify_all();
@@ -428,9 +429,8 @@ impl Hub {
     /// ids or other tenants' jobs are also `false`.
     pub fn cancel(&self, who: &Identity, id: u64) -> bool {
         let now_ms = self.now_s() * 1e3;
-        let mut guard = self.inner.state.lock().expect("hub lock");
-        let state = &mut *guard;
-        let Some(entry) = state.jobs.get_mut(&id) else {
+        let mut state = self.inner.state.lock().expect("hub lock");
+        let Some(entry) = state.jobs.get(&id) else {
             return false;
         };
         if entry.university != who.university || entry.state != JobState::Queued {
@@ -438,7 +438,7 @@ impl Hub {
         }
         let class = entry.tier.priority() as usize;
         state.scheduler.withdraw(class, |&queued| queued == id);
-        entry.withdraw(id, now_ms, "cancelled by owner");
+        state.withdraw(id, now_ms, "cancelled by owner");
         true
     }
 
@@ -518,7 +518,7 @@ impl Hub {
 
     /// Stops accepting work, drains running jobs and joins the workers.
     /// Queued jobs are *not* run — exactly what a crash would lose; the
-    /// journal holds every completed job either way. Idempotent.
+    /// journal holds every ended job either way. Idempotent.
     pub fn shutdown(&self) {
         {
             // Set the flag under the state lock: a worker checks it and
@@ -551,7 +551,10 @@ impl Drop for Hub {
 /// exec's [`JobResult::from_journal`]; a record it cannot read (a status
 /// from a newer binary) lists as failed. The latest record per id wins
 /// (matching [`Journal::find`] semantics); ids continue above the highest
-/// recovered one, so restarts never reuse or duplicate an id.
+/// recovered one, so a restart never reuses the id of a job that ended,
+/// cancelled and shed ones included. A job still queued or running at a
+/// crash was never journaled: it is not re-listed, and its id may be
+/// issued again.
 fn recover(state: &mut HubState, journal: &Journal) {
     for record in &journal.records {
         let id = record.index as u64;
@@ -755,21 +758,10 @@ fn worker_loop(inner: &Arc<HubInner>, worker: usize) {
             .run(worker, &job, &BatchContext::default(), &tracer);
         let service_s = run_started.elapsed().as_secs_f64();
 
-        let mut guard = inner.state.lock().expect("hub lock");
-        let state = &mut *guard;
+        let mut state = inner.state.lock().expect("hub lock");
         state.scheduler.charge(class, service_s);
-        let entry = state.jobs.get_mut(&id).expect("a running job has an entry");
-        let mut record = result.to_journal(state.next_seq, job.key);
-        record.name = encode_job_name(entry);
-        if let Some(journal) = &mut state.journal {
-            if journal.append(&record).is_ok() {
-                state.next_seq += 1;
-            }
-        }
-        entry.state = JobState::ended(result.status);
-        entry.finished_ms = Some(inner.started.elapsed().as_secs_f64() * 1e3);
-        entry.cache_hit = result.cache_hit;
-        entry.record = Some(record);
+        let now_ms = inner.started.elapsed().as_secs_f64() * 1e3;
+        state.end(id, job.key, &result, now_ms);
     }
 }
 
@@ -987,6 +979,50 @@ mod tests {
     }
 
     #[test]
+    fn a_restart_never_reissues_a_cancelled_id() {
+        let journal = std::env::temp_dir().join(format!(
+            "chipforge-serve-hub-cancel-restart-{}.jsonl",
+            std::process::id()
+        ));
+        std::fs::remove_file(&journal).ok();
+        let config = HubConfig {
+            workers: 1,
+            journal: Some(journal.clone()),
+            ..HubConfig::default()
+        };
+        let who = identity(AccessTier::Beginner);
+        let hub = Hub::new(config.clone()).expect("hub");
+        let hang = quick_job(1).with_fault(chipforge_exec::Fault::Hang(300));
+        let SubmitOutcome::Accepted(first) = hub.submit(&who, hang) else {
+            panic!("accepted");
+        };
+        wait_running(&hub, &who, first);
+        let SubmitOutcome::Accepted(cancelled) = hub.submit(&who, quick_job(2)) else {
+            panic!("accepted");
+        };
+        assert!(hub.cancel(&who, cancelled));
+        hub.shutdown();
+
+        let hub = Hub::new(config).expect("hub restarts");
+        let SubmitOutcome::Accepted(fresh) = hub.submit(&who, quick_job(3)) else {
+            panic!("accepted");
+        };
+        assert_ne!(
+            fresh, cancelled,
+            "a cancelled job's id is never issued again"
+        );
+        let status = hub
+            .job_status(&who, cancelled)
+            .expect("the cancel is re-listed");
+        assert_eq!(status.get("state").as_str(), Some("cancelled"));
+        assert_eq!(status.get("error").as_str(), Some("cancelled by owner"));
+        assert_eq!(status.get("recovered"), &Value::Bool(true));
+        wait_terminal(&hub, &who, fresh);
+        hub.shutdown();
+        std::fs::remove_file(&journal).ok();
+    }
+
+    #[test]
     fn cancel_only_hits_queued_jobs() {
         let hub = Hub::new(HubConfig {
             workers: 1,
@@ -1155,7 +1191,7 @@ mod tests {
         );
         assert_eq!(
             keys(metrics.get("artifact_cache")),
-            ["hits", "misses", "evictions", "corrupted", "entries"]
+            ["hits", "misses", "evictions", "entries"]
         );
         assert_eq!(
             keys(metrics.get("stage_cache")),
@@ -1176,8 +1212,6 @@ mod tests {
                 "get_hits",
                 "puts",
                 "put_rejects",
-                "heads",
-                "head_hits",
                 "chains",
                 "chain_keys",
                 "chain_hits"
@@ -1203,27 +1237,25 @@ mod tests {
 
         let text = std::fs::read_to_string(&journal).expect("journal");
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(
-            lines.len(),
-            2,
-            "the two jobs that ran; a cancel is not journaled"
-        );
-        let payload = chipforge_resil::verify_checksummed(lines[0]).expect("framed line");
-        let line = serde::json::parse(payload).expect("json line");
-        assert_eq!(
-            keys(&line),
-            [
-                "seq", "index", "key", "name", "status", "attempts", "degraded", "error", "ppa",
-                "gds_fnv"
-            ]
-        );
-        assert_eq!(
-            line.get("name").as_str(),
-            Some("test-uni/beginner/counter8")
-        );
+        assert_eq!(lines.len(), 3, "the two jobs that ran and the cancel");
+        for line in lines {
+            let payload = chipforge_resil::verify_checksummed(line).expect("framed line");
+            let line = serde::json::parse(payload).expect("json line");
+            assert_eq!(
+                keys(&line),
+                [
+                    "seq", "index", "key", "name", "status", "attempts", "degraded", "error",
+                    "ppa", "gds_fnv"
+                ]
+            );
+            assert_eq!(
+                line.get("name").as_str(),
+                Some("test-uni/beginner/counter8")
+            );
+        }
 
         let hub = Hub::new(config).expect("hub restarts");
-        assert_eq!(hub.recovered_jobs(), 2);
+        assert_eq!(hub.recovered_jobs(), 3);
         let status = hub.job_status(&who, first).expect("recovered job");
         assert_eq!(status.get("recovered"), &Value::Bool(true));
         assert_eq!(keys(&status), status_keys(&["stages", "ppa", "gds_fnv"]));
@@ -1231,7 +1263,7 @@ mod tests {
             panic!("accepted");
         };
         assert!(
-            fresh > first.max(queued),
+            fresh > first.max(queued).max(cancelled),
             "ids continue above the recovered ones"
         );
         hub.shutdown();

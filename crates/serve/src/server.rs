@@ -184,10 +184,9 @@ fn route(request: &Request, hub: &Hub, keys: &KeyRegistry) -> Result<(u16, Strin
     Err(HttpError::new(404, format!("no route `{path}`")))
 }
 
-/// The content-addressed get/put/has protocol behind
-/// `/cache/stage/<key>`: GET returns the framed snapshot (404 on miss),
-/// HEAD probes presence, PUT stores a verified entry. 409 when the hub
-/// runs without `--stage-cache`.
+/// The content-addressed get/put protocol behind `/cache/stage/<key>`:
+/// GET returns the framed snapshot (404 on miss), PUT stores a verified
+/// entry. 409 when the hub runs without `--stage-cache`.
 fn cache_stage(
     method: &str,
     key_text: &str,
@@ -204,13 +203,6 @@ fn cache_stage(
             .cache_get(key)
             .map(|body| (200, body))
             .ok_or_else(|| HttpError::new(404, format!("cache miss for `{key_text}`"))),
-        "HEAD" => {
-            if hub.cache_has(key) {
-                Ok((200, String::new()))
-            } else {
-                Err(HttpError::new(404, format!("cache miss for `{key_text}`")))
-            }
-        }
         "PUT" => {
             let body = std::str::from_utf8(&request.body)
                 .map_err(|_| HttpError::bad_request("body is not UTF-8"))?;

@@ -2,7 +2,7 @@
 //! worker pool, with fault isolation, resubmission caching and the JSON
 //! execution report.
 
-use chipforge::exec::{BatchEngine, EngineConfig, Fault, JobSpec, JobStatus};
+use chipforge::exec::{AttemptLimits, BatchEngine, EngineConfig, Fault, JobSpec, JobStatus};
 use chipforge::flow::OptimizationProfile;
 use chipforge::hdl::designs;
 use chipforge::pdk::TechnologyNode;
@@ -70,9 +70,12 @@ fn resubmitting_the_same_batch_is_mostly_cache_hits() {
 fn faulty_jobs_are_isolated_from_the_rest_of_the_batch() {
     let engine = BatchEngine::new(EngineConfig {
         workers: 4,
-        job_timeout: Duration::from_millis(250),
-        max_retries: 1,
-        retry_backoff: Duration::from_millis(1),
+        limits: AttemptLimits {
+            timeout: Duration::from_millis(250),
+            max_retries: 1,
+            retry_backoff: Duration::from_millis(1),
+            ..AttemptLimits::default()
+        },
         ..EngineConfig::default()
     });
     let mut jobs = classroom_jobs();

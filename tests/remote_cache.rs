@@ -305,7 +305,8 @@ fn a_snapshot_over_the_hub_body_limit_is_not_sent() {
         Some(1),
         "the hub saw one PUT"
     );
-    assert!(!cache.has(1) && cache.has(2));
+    assert!(cache.fetch(1, FlowStep::Export).is_none());
+    assert!(cache.fetch(2, FlowStep::Export).is_some());
     server.shutdown();
 }
 

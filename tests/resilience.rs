@@ -1,9 +1,11 @@
 //! Cross-crate resilience guarantees: checkpoint/resume determinism
 //! under interruption, fault-plan behavior on a classroom-sized batch,
-//! journal and cache-corruption robustness (property-based), and the
+//! journal corruption robustness (property-based), and the
 //! failure-containment policies.
 
-use chipforge::exec::{BatchEngine, EngineConfig, JobSpec, JobStatus, ResilienceOptions};
+use chipforge::exec::{
+    AttemptLimits, BatchEngine, EngineConfig, JobSpec, JobStatus, ResilienceOptions,
+};
 use chipforge::flow::OptimizationProfile;
 use chipforge::hdl::designs;
 use chipforge::pdk::TechnologyNode;
@@ -32,8 +34,11 @@ fn chaos_jobs() -> Vec<JobSpec> {
 fn fast_config(workers: usize) -> EngineConfig {
     EngineConfig {
         workers,
-        retry_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(5),
+        limits: AttemptLimits {
+            retry_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(5),
+            ..AttemptLimits::default()
+        },
         ..EngineConfig::default()
     }
 }

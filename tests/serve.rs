@@ -434,12 +434,7 @@ fn cache_protocol_round_trips_and_rejects_bad_entries() {
     let key = "00000000000000000000000000000abc";
     let framed = framed_snapshot();
 
-    // Probe/fetch before the entry exists: clean 404s.
-    let probe = raw_send(
-        &addr,
-        format!("HEAD /cache/stage/{key} HTTP/1.1\r\n\r\n").as_bytes(),
-    );
-    assert_eq!(status_of(&String::from_utf8_lossy(&probe)), 404);
+    // Fetch before the entry exists: a clean 404.
     let fetch = raw_send(
         &addr,
         format!("GET /cache/stage/{key} HTTP/1.1\r\n\r\n").as_bytes(),
@@ -456,14 +451,9 @@ fn cache_protocol_round_trips_and_rejects_bad_entries() {
     assert_eq!(status_of(&fetch), 200);
     let body = fetch.split("\r\n\r\n").nth(1).expect("body");
     assert_eq!(body, framed, "served body must be the framed snapshot");
-    let probe = raw_send(
-        &addr,
-        format!("HEAD /cache/stage/{key} HTTP/1.1\r\n\r\n").as_bytes(),
-    );
-    assert_eq!(status_of(&String::from_utf8_lossy(&probe)), 200);
 
     // Rejections: tampered digest, unframed JSON, empty body, non-hex
-    // key, unsupported method.
+    // key, unsupported methods (a `HEAD` probe among them).
     let mut tampered = framed.clone();
     tampered.replace_range(0..1, "X");
     assert_eq!(status_of(&put_cache(&addr, key, &tampered)), 400);
@@ -477,11 +467,17 @@ fn cache_protocol_round_trips_and_rejects_bad_entries() {
         "zero content-length"
     );
     assert_eq!(status_of(&put_cache(&addr, "not-hex", &framed)), 404);
-    let posted = raw_send(
-        &addr,
-        format!("POST /cache/stage/{key} HTTP/1.1\r\n\r\n").as_bytes(),
-    );
-    assert_eq!(status_of(&String::from_utf8_lossy(&posted)), 405);
+    for method in ["POST", "HEAD"] {
+        let refused = raw_send(
+            &addr,
+            format!("{method} /cache/stage/{key} HTTP/1.1\r\n\r\n").as_bytes(),
+        );
+        assert_eq!(
+            status_of(&String::from_utf8_lossy(&refused)),
+            405,
+            "{method}"
+        );
+    }
 
     // Protocol counters surface in /metrics.
     let metrics = Client::new(&addr, "demo-beginner")
@@ -491,8 +487,6 @@ fn cache_protocol_round_trips_and_rejects_bad_entries() {
     assert_eq!(metrics_u64(&metrics, "cache_protocol", "put_rejects"), 3);
     assert_eq!(metrics_u64(&metrics, "cache_protocol", "gets"), 2);
     assert_eq!(metrics_u64(&metrics, "cache_protocol", "get_hits"), 1);
-    assert_eq!(metrics_u64(&metrics, "cache_protocol", "heads"), 2);
-    assert_eq!(metrics_u64(&metrics, "cache_protocol", "head_hits"), 1);
 
     server.shutdown();
 }
@@ -564,13 +558,8 @@ fn cache_protocol_is_a_409_without_a_stage_cache() {
         ..HubConfig::default()
     });
     let addr = server.addr().to_string();
-    for request in [
-        "GET /cache/stage/0 HTTP/1.1\r\n\r\n".to_string(),
-        "HEAD /cache/stage/0 HTTP/1.1\r\n\r\n".to_string(),
-    ] {
-        let response = String::from_utf8_lossy(&raw_send(&addr, request.as_bytes())).into_owned();
-        assert_eq!(status_of(&response), 409, "{request:?}");
-    }
+    let response = raw_send(&addr, b"GET /cache/stage/0 HTTP/1.1\r\n\r\n");
+    assert_eq!(status_of(&String::from_utf8_lossy(&response)), 409);
     assert_eq!(status_of(&put_cache(&addr, "0", &framed_snapshot())), 409);
     server.shutdown();
 }
