@@ -28,6 +28,18 @@ fn bench_synthesis(c: &mut Criterion) {
             b.iter(|| synthesize(&module, &lib, &SynthOptions::default()).expect("synth"));
         });
     }
+    // Technology mapping alone on the design that costs the most to map:
+    // the balanced, swept AIG of the widest generated control path.
+    let cpu = chipforge::gen::resolve("gen:cpu/ctrl?width=32&depth=8&unroll=4&seed=1")
+        .expect("spec resolves")
+        .elaborate()
+        .expect("elaborates");
+    let mut aig = chipforge::synth::lower::lower_to_aig(&cpu);
+    chipforge::synth::opt::balance(&mut aig);
+    chipforge::synth::opt::sweep(&mut aig);
+    group.bench_function("map_cpu_ctrl_w32", |b| {
+        b.iter(|| chipforge::synth::map::map_to_netlist(&aig, &lib).expect("maps"));
+    });
     group.finish();
 }
 

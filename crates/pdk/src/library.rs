@@ -467,13 +467,15 @@ impl StdCellLibrary {
     /// The weakest (smallest) drive of a class.
     #[must_use]
     pub fn smallest(&self, class: CellClass) -> Option<&LibCell> {
-        self.variants(class).first().copied()
+        let ids = self.by_class.get(&class)?;
+        ids.first().map(|&i| &self.cells[i])
     }
 
     /// The strongest drive of a class.
     #[must_use]
     pub fn strongest(&self, class: CellClass) -> Option<&LibCell> {
-        self.variants(class).last().copied()
+        let ids = self.by_class.get(&class)?;
+        ids.last().map(|&i| &self.cells[i])
     }
 
     /// The weakest drive of `class` whose delay under `load_ff` does not

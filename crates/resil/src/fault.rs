@@ -150,12 +150,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether any fault can ever fire.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.transient_rate > 0.0
-    }
-
     fn roll(&self, site: &str, key: &str, attempt: u32) -> f64 {
         hash_fraction(self.hash(site, key, attempt))
     }
@@ -241,7 +235,6 @@ mod tests {
         for attempt in 1..=5 {
             assert!(plan.disruption("somekey", attempt).is_none());
         }
-        assert!(!plan.is_active());
     }
 
     #[test]

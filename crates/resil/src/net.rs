@@ -152,17 +152,6 @@ impl NetFaultPlan {
         self
     }
 
-    /// Whether any fault can ever fire.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.refuse_rate > 0.0
-            || self.truncate_rate > 0.0
-            || self.corrupt_rate > 0.0
-            || self.latency_rate > 0.0
-            || self.blackhole_rate > 0.0
-            || self.blackhole_after.is_some()
-    }
-
     fn roll(&self, site: &str, connection: u64) -> f64 {
         hash_fraction(self.hash(site, connection))
     }
@@ -446,7 +435,6 @@ mod tests {
     #[test]
     fn disabled_plan_never_faults() {
         let plan = NetFaultPlan::disabled();
-        assert!(!plan.is_active());
         for c in 0..64 {
             assert_eq!(plan.fault(c), NetFault::None);
         }

@@ -125,8 +125,17 @@ pub fn synthesize(
     library: &StdCellLibrary,
     options: &SynthOptions,
 ) -> Result<SynthResult, SynthError> {
+    let aig = optimized_aig(module, options.effort);
+    let aig_stats = aig.stats();
+    let netlist = map::map_to_netlist(&aig, library)?;
+    Ok(SynthResult { netlist, aig_stats })
+}
+
+/// Lowers `module` and restructures it at `effort`: the AIG the mapper
+/// covers.
+pub(crate) fn optimized_aig(module: &RtlModule, effort: SynthEffort) -> Aig {
     let mut aig = lower::lower_to_aig(module);
-    match options.effort {
+    match effort {
         SynthEffort::Fast => {}
         SynthEffort::Standard => {
             opt::balance(&mut aig);
@@ -139,9 +148,7 @@ pub fn synthesize(
             opt::sweep(&mut aig);
         }
     }
-    let aig_stats = aig.stats();
-    let netlist = map::map_to_netlist(&aig, library)?;
-    Ok(SynthResult { netlist, aig_stats })
+    aig
 }
 
 #[cfg(test)]

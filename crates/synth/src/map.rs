@@ -1,37 +1,210 @@
 //! Technology mapping: covering the AIG with library cells.
 //!
-//! A classic priority-cut mapper: for every AND node, cuts of up to three
-//! leaves are enumerated; each cut's truth table is matched against the
-//! library's gate functions; dynamic programming with area flow picks the
-//! cheapest cover. Complemented signals are realized with inverters that
-//! are cached per node, and a guaranteed NAND/AND+INV fallback keeps the
-//! mapper total for any AIG.
+//! A classic priority-cut mapper (Mishchenko et al., "Combinational and
+//! Sequential Mapping with Priority Cuts", ICCAD 2007): for every AND
+//! node, cuts of up to three leaves are enumerated; each cut's truth table
+//! is matched against the library's gate functions; dynamic programming
+//! with area flow picks the cheapest cover. Complemented signals are
+//! realized with inverters that are cached per node, and a guaranteed
+//! NAND/AND+INV fallback keeps the mapper total for any AIG.
+//!
+//! The per-node bookkeeping is a few fixed-size words: a cut is a `Copy`
+//! value of at most three sorted leaves, each node keeps at most eight
+//! of them inline, the match table is an array indexed by truth table,
+//! and a choice is a cut plus that index, so the DP allocates nothing per
+//! node.
+//!
+//! Two rules fix which cover wins, and with it the netlist:
+//!
+//! * **Cut order.** A node's candidates are its trivial cut, then the
+//!   merges of its fanins' cuts in fanin-cut order, duplicates dropped.
+//!   The first eight by leaf count survive, ties kept in that order (a
+//!   stable selection by length), and the DP tries them in that order,
+//!   so among equal costs the earlier cut wins.
+//! * **Truth tables come from the cone walk.** A cut's function is
+//!   evaluated by walking the node's cone down to the cut's leaves,
+//!   stopping at a leaf wherever it sits. Composing the fanins' cut
+//!   tables instead differs when one leaf lies inside another leaf's
+//!   cone: the walk stops at the inner leaf, composition evaluates
+//!   through it, and the two tables can match different cells.
 
 use crate::aig::{Aig, Lit, NodeId};
 use crate::SynthError;
 use chipforge_netlist::{CellFunction, NetId, Netlist};
 use chipforge_pdk::{CellClass, StdCellLibrary};
-use std::collections::HashMap;
+
+#[cfg(test)]
+mod reference;
 
 const MAX_CUT_INPUTS: usize = 3;
 const MAX_CUTS_PER_NODE: usize = 8;
+/// The trivial cut plus every pair of fanin cuts.
+const MAX_CANDIDATES: usize = 1 + MAX_CUTS_PER_NODE * MAX_CUTS_PER_NODE;
 
 /// Truth-table projections of the three cut-leaf variables.
 const PROJ: [u8; 3] = [0xAA, 0xCC, 0xF0];
 
+/// A cut: up to three leaf node indices, ascending; unused slots are 0 so
+/// that equal cuts compare equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Cut {
+    len: u8,
+    leaves: [u32; MAX_CUT_INPUTS],
+}
+
+impl Cut {
+    const EMPTY: Cut = Cut {
+        len: 0,
+        leaves: [0; MAX_CUT_INPUTS],
+    };
+
+    fn trivial(node: NodeId) -> Self {
+        Cut {
+            len: 1,
+            leaves: [node.0, 0, 0],
+        }
+    }
+
+    fn leaves(&self) -> &[u32] {
+        &self.leaves[..usize::from(self.len)]
+    }
+
+    /// The sorted union of two cuts; `None` above [`MAX_CUT_INPUTS`] leaves.
+    fn merge(a: &Cut, b: &Cut) -> Option<Cut> {
+        let (a, b) = (a.leaves(), b.leaves());
+        let mut merged = Cut::EMPTY;
+        let (mut i, mut j, mut len) = (0, 0, 0);
+        while i < a.len() || j < b.len() {
+            let leaf = if j == b.len() || (i < a.len() && a[i] < b[j]) {
+                i += 1;
+                a[i - 1]
+            } else {
+                if i < a.len() && a[i] == b[j] {
+                    i += 1;
+                }
+                j += 1;
+                b[j - 1]
+            };
+            if len == MAX_CUT_INPUTS {
+                return None;
+            }
+            merged.leaves[len] = leaf;
+            len += 1;
+        }
+        merged.len = len as u8;
+        Some(merged)
+    }
+}
+
+/// A node's surviving cuts, inline.
+#[derive(Clone, Copy)]
+struct NodeCuts {
+    len: u8,
+    cuts: [Cut; MAX_CUTS_PER_NODE],
+}
+
+impl NodeCuts {
+    const EMPTY: NodeCuts = NodeCuts {
+        len: 0,
+        cuts: [Cut::EMPTY; MAX_CUTS_PER_NODE],
+    };
+
+    fn as_slice(&self) -> &[Cut] {
+        &self.cuts[..usize::from(self.len)]
+    }
+}
+
+/// A node's cuts: the trivial cut, then every distinct merge of a fanin-`a`
+/// cut with a fanin-`b` cut, kept by a stable selection on leaf count.
+fn node_cuts(node: NodeId, a: &[Cut], b: &[Cut]) -> NodeCuts {
+    let mut candidates = [Cut::EMPTY; MAX_CANDIDATES];
+    candidates[0] = Cut::trivial(node);
+    let mut count = 1;
+    for ca in a {
+        for cb in b {
+            if let Some(cut) = Cut::merge(ca, cb) {
+                if !candidates[..count].contains(&cut) {
+                    candidates[count] = cut;
+                    count += 1;
+                }
+            }
+        }
+    }
+    let mut kept = NodeCuts::EMPTY;
+    for len in 1..=MAX_CUT_INPUTS as u8 {
+        for cut in candidates[..count].iter().filter(|c| c.len == len) {
+            if usize::from(kept.len) == MAX_CUTS_PER_NODE {
+                return kept;
+            }
+            kept.cuts[usize::from(kept.len)] = *cut;
+            kept.len += 1;
+        }
+    }
+    kept
+}
+
+/// Cone walks for truth tables, memoized per walk by a generation stamp
+/// instead of a fresh map.
+struct ConeTables {
+    stamp: Vec<u32>,
+    tt: Vec<u8>,
+    generation: u32,
+}
+
+impl ConeTables {
+    fn new(nodes: usize) -> Self {
+        Self {
+            stamp: vec![0; nodes],
+            tt: vec![0; nodes],
+            generation: 0,
+        }
+    }
+
+    /// Truth table of `node` as a function of the cut leaves (3-variable
+    /// projections), or `None` if the cone escapes the cut.
+    fn truth_table(&mut self, aig: &Aig, node: NodeId, cut: &Cut) -> Option<u8> {
+        if self.generation == u32::MAX {
+            self.stamp.fill(0);
+            self.generation = 0;
+        }
+        self.generation += 1;
+        for (&leaf, &proj) in cut.leaves().iter().zip(&PROJ) {
+            self.stamp[leaf as usize] = self.generation;
+            self.tt[leaf as usize] = proj;
+        }
+        self.walk(aig, node)
+    }
+
+    fn walk(&mut self, aig: &Aig, node: NodeId) -> Option<u8> {
+        let i = node.index();
+        if self.stamp[i] == self.generation {
+            return Some(self.tt[i]);
+        }
+        let (a, b) = aig.and_fanins(node)?;
+        let ta = self.walk(aig, a.node())?;
+        let tb = self.walk(aig, b.node())?;
+        let va = if a.is_complemented() { !ta } else { ta };
+        let vb = if b.is_complemented() { !tb } else { tb };
+        self.stamp[i] = self.generation;
+        self.tt[i] = va & vb;
+        Some(va & vb)
+    }
+}
+
 /// A single library match: which function implements a truth table and how
 /// its pins map onto cut-leaf positions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Match {
     function: CellFunction,
-    /// `pins[i]` = index of the cut leaf wired to the cell's pin `i`.
-    pins: Vec<usize>,
+    /// `pins[i]` = index of the cut leaf wired to the cell's pin `i`, for
+    /// the function's first `input_count()` pins.
+    pins: [u8; MAX_CUT_INPUTS],
     area: f64,
 }
 
-/// Table from (truth table over 3 vars, support size) to the cheapest match.
+/// Table from truth table over 3 vars to the cheapest match.
 struct MatchTable {
-    by_tt: HashMap<u8, Match>,
+    by_tt: [Option<Match>; 256],
     inv_area: f64,
     and2_area: f64,
 }
@@ -93,7 +266,7 @@ impl MatchTable {
         };
         let inv_area = area_of(CellClass::Inv)?;
         let and2_area = area_of(CellClass::And2)?;
-        let mut by_tt: HashMap<u8, Match> = HashMap::new();
+        let mut by_tt: [Option<Match>; 256] = [None; 256];
         for function in MAPPABLE {
             let class = class_for(function);
             let Some(cell) = lib.smallest(class) else {
@@ -104,22 +277,27 @@ impl MatchTable {
             for assignment in injective_assignments(n, MAX_CUT_INPUTS) {
                 let mut tt = 0u8;
                 for k in 0..8u8 {
-                    let inputs: Vec<bool> =
-                        (0..n).map(|pin| (k >> assignment[pin]) & 1 == 1).collect();
-                    if function.eval(&inputs) {
+                    let mut inputs = [false; MAX_CUT_INPUTS];
+                    for (input, &slot) in inputs.iter_mut().zip(&assignment) {
+                        *input = (k >> slot) & 1 == 1;
+                    }
+                    if function.eval(&inputs[..n]) {
                         tt |= 1 << k;
                     }
                 }
+                let mut pins = [0u8; MAX_CUT_INPUTS];
+                for (pin, &slot) in pins.iter_mut().zip(&assignment) {
+                    *pin = slot as u8;
+                }
                 let candidate = Match {
                     function,
-                    pins: assignment.clone(),
+                    pins,
                     area: cell.area_um2(),
                 };
-                match by_tt.get(&tt) {
+                let entry = &mut by_tt[usize::from(tt)];
+                match entry {
                     Some(existing) if existing.area <= candidate.area => {}
-                    _ => {
-                        by_tt.insert(tt, candidate);
-                    }
+                    _ => *entry = Some(candidate),
                 }
             }
         }
@@ -128,6 +306,10 @@ impl MatchTable {
             inv_area,
             and2_area,
         })
+    }
+
+    fn get(&self, tt: u8) -> Option<&Match> {
+        self.by_tt[usize::from(tt)].as_ref()
     }
 }
 
@@ -153,14 +335,11 @@ fn injective_assignments(pins: usize, slots: usize) -> Vec<Vec<usize>> {
 }
 
 /// How one polarity of a node's value gets realized.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Choice {
-    /// Matched library cell over a cut (computes this polarity directly).
-    Cell {
-        cut: Vec<NodeId>,
-        function: CellFunction,
-        pins: Vec<usize>,
-    },
+    /// Matched library cell over a cut (computes this polarity directly);
+    /// `tt` indexes the match table.
+    Cell { cut: Cut, tt: u8 },
     /// Structural fallback over the node's two fanin literals: AND2 for the
     /// positive phase, NAND2 for the negative phase.
     Fallback(CellFunction),
@@ -180,7 +359,8 @@ pub fn map_to_netlist(aig: &Aig, lib: &StdCellLibrary) -> Result<Netlist, SynthE
     let n = aig.node_count();
 
     // --- cut enumeration + truth tables + dual-polarity DP (area flow) ---
-    let mut cuts: Vec<Vec<Vec<NodeId>>> = vec![Vec::new(); n];
+    let mut cuts: Vec<NodeCuts> = vec![NodeCuts::EMPTY; n];
+    let mut cones = ConeTables::new(n);
     // cost/choice per polarity: [0] = positive phase, [1] = negative phase.
     let mut cost: Vec<[f64; 2]> = vec![[0.0, 0.0]; n];
     let mut choice: Vec<[Option<Choice>; 2]> = vec![[None, None]; n];
@@ -192,49 +372,40 @@ pub fn map_to_netlist(aig: &Aig, lib: &StdCellLibrary) -> Result<Netlist, SynthE
     for index in 0..n {
         let node = NodeId(index as u32);
         let Some((fa, fb)) = aig.and_fanins(node) else {
-            cuts[index] = vec![vec![node]];
+            cuts[index].cuts[0] = Cut::trivial(node);
+            cuts[index].len = 1;
             // Inputs/constants: positive phase is free, negative costs INV.
             cost[index] = [0.0, table.inv_area];
             choice[index] = [None, Some(Choice::InvertOther)];
             continue;
         };
-        // Merge fanin cuts.
-        let mut node_cuts: Vec<Vec<NodeId>> = vec![vec![node]];
-        for ca in &cuts[fa.node().index()] {
-            for cb in &cuts[fb.node().index()] {
-                if let Some(cut) = merge_cuts(ca, cb) {
-                    if !node_cuts.contains(&cut) {
-                        node_cuts.push(cut);
-                    }
-                }
-            }
-        }
-        node_cuts.sort_by_key(|c| c.len());
-        node_cuts.truncate(MAX_CUTS_PER_NODE);
+        let node_cuts = node_cuts(
+            node,
+            cuts[fa.node().index()].as_slice(),
+            cuts[fb.node().index()].as_slice(),
+        );
 
         let mut best_cost = [f64::INFINITY, f64::INFINITY];
         let mut best: [Option<Choice>; 2] = [None, None];
-        for cut in &node_cuts {
-            if cut.len() == 1 && cut[0] == node {
-                continue; // trivial cut: not a cover
-            }
-            let Some(tt) = cone_truth_table(aig, node, cut) else {
+        // The first cut is the trivial one: not a cover.
+        for cut in &node_cuts.as_slice()[1..] {
+            let Some(tt) = cones.truth_table(aig, node, cut) else {
                 continue;
             };
             // Leaves are used in their positive phase.
             let leaf_cost: f64 = cut
+                .leaves()
                 .iter()
-                .map(|l| cost[l.index()][0] / f64::from(refs[l.index()].max(1)))
+                .map(|&l| cost[l as usize][0] / f64::from(refs[l as usize].max(1)))
                 .sum();
             for (phase, tt_key) in [(0usize, tt), (1, !tt)] {
-                if let Some(m) = table.by_tt.get(&tt_key) {
+                if let Some(m) = table.get(tt_key) {
                     let total = m.area + leaf_cost;
                     if total < best_cost[phase] {
                         best_cost[phase] = total;
                         best[phase] = Some(Choice::Cell {
-                            cut: cut.clone(),
-                            function: m.function,
-                            pins: m.pins.clone(),
+                            cut: *cut,
+                            tt: tt_key,
                         });
                     }
                 }
@@ -269,8 +440,8 @@ pub fn map_to_netlist(aig: &Aig, lib: &StdCellLibrary) -> Result<Netlist, SynthE
         }
         cost[index] = best_cost;
         choice[index] = [
-            Some(best[0].clone().expect("AND2 fallback always applies")),
-            Some(best[1].clone().expect("NAND2 fallback always applies")),
+            Some(best[0].expect("AND2 fallback always applies")),
+            Some(best[1].expect("NAND2 fallback always applies")),
         ];
         cuts[index] = node_cuts;
     }
@@ -278,10 +449,11 @@ pub fn map_to_netlist(aig: &Aig, lib: &StdCellLibrary) -> Result<Netlist, SynthE
     // --- extraction ---
     let mut extractor = Extractor {
         aig,
-        lib,
+        table: &table,
         choice: &choice,
+        cell_names: CellFunction::ALL.map(|f| lib.smallest(class_for(f)).map(|c| c.name())),
         netlist: Netlist::new(aig.name()),
-        node_net: HashMap::new(),
+        node_net: vec![[None, None]; n],
         const_nets: [None, None],
         counter: 0,
     };
@@ -289,12 +461,12 @@ pub fn map_to_netlist(aig: &Aig, lib: &StdCellLibrary) -> Result<Netlist, SynthE
     // Primary inputs and latch outputs become nets up front.
     for (name, id) in aig.inputs() {
         let net = extractor.netlist.add_input(name.clone());
-        extractor.node_net.insert((*id, false), net);
+        extractor.node_net[id.index()][0] = Some(net);
     }
     let mut latch_q_nets = Vec::new();
     for latch in aig.latches() {
         let net = extractor.netlist.add_net(latch.name.clone());
-        extractor.node_net.insert((latch.q, false), net);
+        extractor.node_net[latch.q.index()][0] = Some(net);
         latch_q_nets.push(net);
     }
     // Logic cones.
@@ -321,65 +493,27 @@ pub fn map_to_netlist(aig: &Aig, lib: &StdCellLibrary) -> Result<Netlist, SynthE
     Ok(extractor.netlist)
 }
 
-/// Merges two cuts; `None` if the union exceeds the input limit.
-fn merge_cuts(a: &[NodeId], b: &[NodeId]) -> Option<Vec<NodeId>> {
-    let mut merged: Vec<NodeId> = a.to_vec();
-    for &x in b {
-        if !merged.contains(&x) {
-            merged.push(x);
-        }
-    }
-    if merged.len() > MAX_CUT_INPUTS {
-        return None;
-    }
-    merged.sort();
-    Some(merged)
-}
-
-/// Truth table of `node` as a function of the cut leaves (3-variable
-/// projections), or `None` if the cone escapes the cut.
-fn cone_truth_table(aig: &Aig, node: NodeId, cut: &[NodeId]) -> Option<u8> {
-    fn tt_of(
-        aig: &Aig,
-        node: NodeId,
-        cut: &[NodeId],
-        memo: &mut HashMap<NodeId, u8>,
-    ) -> Option<u8> {
-        if let Some(pos) = cut.iter().position(|&l| l == node) {
-            return Some(PROJ[pos]);
-        }
-        if let Some(&tt) = memo.get(&node) {
-            return Some(tt);
-        }
-        let (a, b) = aig.and_fanins(node)?;
-        let ta = tt_of(aig, a.node(), cut, memo)?;
-        let tb = tt_of(aig, b.node(), cut, memo)?;
-        let va = if a.is_complemented() { !ta } else { ta };
-        let vb = if b.is_complemented() { !tb } else { tb };
-        let tt = va & vb;
-        memo.insert(node, tt);
-        Some(tt)
-    }
-    let mut memo = HashMap::new();
-    tt_of(aig, node, cut, &mut memo)
-}
-
 struct Extractor<'a> {
     aig: &'a Aig,
-    lib: &'a StdCellLibrary,
+    table: &'a MatchTable,
     choice: &'a [[Option<Choice>; 2]],
+    /// The smallest library cell per function, indexed as
+    /// [`CellFunction::ALL`], resolved once per call.
+    cell_names: [Option<&'a str>; CellFunction::ALL.len()],
     netlist: Netlist,
-    /// `(node, negated)` -> net carrying that phase of the node's value.
-    node_net: HashMap<(NodeId, bool), NetId>,
+    /// `[node][negated]` -> net carrying that phase of the node's value.
+    node_net: Vec<[Option<NetId>; 2]>,
     const_nets: [Option<NetId>; 2],
     counter: usize,
 }
 
-impl Extractor<'_> {
-    fn lib_cell_name(&self, function: CellFunction) -> Result<String, SynthError> {
-        self.lib
-            .smallest(class_for(function))
-            .map(|c| c.name().to_string())
+impl<'a> Extractor<'a> {
+    fn cell_name(&self, function: CellFunction) -> Option<&'a str> {
+        self.cell_names[function as usize]
+    }
+
+    fn lib_cell_name(&self, function: CellFunction) -> Result<&'a str, SynthError> {
+        self.cell_name(function)
             .ok_or_else(|| SynthError::MissingLibraryCell(function.to_string()))
     }
 
@@ -396,38 +530,31 @@ impl Extractor<'_> {
     /// Net carrying the requested phase of `node`, instantiating its chosen
     /// cover on first use.
     fn extract(&mut self, node: NodeId, negated: bool) -> Result<NetId, SynthError> {
-        if let Some(&net) = self.node_net.get(&(node, negated)) {
+        let phase = usize::from(negated);
+        if let Some(net) = self.node_net[node.index()][phase] {
             return Ok(net);
         }
         if node == NodeId::FALSE {
             return self.const_net(negated);
         }
-        let phase = usize::from(negated);
-        let choice = match &self.choice[node.index()][phase] {
-            Some(c) => c.clone(),
-            // Inputs/latch outputs have no positive choice: net is preset.
-            None => {
-                return Ok(*self
-                    .node_net
-                    .get(&(node, false))
-                    .expect("input nets are preset"))
-            }
-        };
+        // Inputs/latch outputs have no positive choice: their net is preset.
+        let choice = self.choice[node.index()][phase].expect("input nets are preset");
         let net = match choice {
-            Choice::Cell {
-                cut,
-                function,
-                pins,
-            } => {
-                let mut leaf_nets = Vec::with_capacity(cut.len());
-                for leaf in &cut {
-                    leaf_nets.push(self.extract(*leaf, false)?);
+            Choice::Cell { cut, tt } => {
+                let m = *self.table.get(tt).expect("chosen matches exist");
+                let mut leaf_nets = [NetId::new(0); MAX_CUT_INPUTS];
+                for (net, &leaf) in leaf_nets.iter_mut().zip(cut.leaves()) {
+                    *net = self.extract(NodeId(leaf), false)?;
                 }
-                let inputs: Vec<NetId> = pins.iter().map(|&p| leaf_nets[p]).collect();
+                // Every mappable function depends on all its pins, so a
+                // match over a cut's table wires only that cut's leaves.
+                let n = m.function.input_count();
+                let inputs = m.pins.map(|p| leaf_nets[usize::from(p)]);
                 let out = self.fresh_net();
-                let cell = self.lib_cell_name(function)?;
+                let cell = self.lib_cell_name(m.function)?;
                 let name = self.fresh_cell_name();
-                self.netlist.add_cell(name, function, cell, &inputs, out)?;
+                self.netlist
+                    .add_cell(name, m.function, cell, &inputs[..n], out)?;
                 out
             }
             Choice::Fallback(function) => {
@@ -454,7 +581,7 @@ impl Extractor<'_> {
                 out
             }
         };
-        self.node_net.insert((node, negated), net);
+        self.node_net[node.index()][phase] = Some(net);
         Ok(net)
     }
 
@@ -473,16 +600,9 @@ impl Extractor<'_> {
         } else {
             CellFunction::Const0
         };
-        let class = if value {
-            CellClass::TieHi
-        } else {
-            CellClass::TieLo
-        };
-        let cell = self
-            .lib
-            .smallest(class)
-            .map(|c| c.name().to_string())
-            .ok_or_else(|| SynthError::MissingLibraryCell(class.prefix().to_string()))?;
+        let cell = self.cell_name(function).ok_or_else(|| {
+            SynthError::MissingLibraryCell(class_for(function).prefix().to_string())
+        })?;
         let net = self.fresh_net();
         let name = self.fresh_cell_name();
         self.netlist.add_cell(name, function, cell, &[], net)?;
@@ -590,15 +710,22 @@ mod tests {
     fn match_table_covers_basic_tts() {
         let table = MatchTable::build(&lib()).unwrap();
         // AND of leaves 0,1 -> 0xAA & 0xCC = 0x88.
-        assert!(table.by_tt.contains_key(&0x88));
+        assert!(table.get(0x88).is_some());
         // XOR -> 0x66.
-        assert!(table.by_tt.contains_key(&0x66));
+        assert!(table.get(0x66).is_some());
         // NAND -> 0x77.
-        assert!(table.by_tt.contains_key(&0x77));
+        assert!(table.get(0x77).is_some());
         // Projection (BUF) -> 0xAA.
-        assert!(table.by_tt.contains_key(&0xAA));
+        assert!(table.get(0xAA).is_some());
         // MAJ3 -> 0xE8.
-        assert!(table.by_tt.contains_key(&0xE8));
+        assert!(table.get(0xE8).is_some());
+    }
+
+    #[test]
+    fn cell_names_index_functions_by_declaration_order() {
+        for (i, function) in CellFunction::ALL.into_iter().enumerate() {
+            assert_eq!(function as usize, i, "{function}");
+        }
     }
 
     #[test]
